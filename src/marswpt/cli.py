@@ -7,10 +7,12 @@ built-in sweep tables). Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error.
 
 Configuration is flat ``key = value`` text with units embedded in key names
-(p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...). Flags override config file
-values; unknown keys are rejected with every violation listed. A run is fully
-determined by (flags, config, seed): nothing in the numeric path reads clocks
-or ambient entropy.
+(p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...); the keys are the fields of
+the scenario and Monte Carlo dataclasses. Flags override config file values.
+Range rules live on the dataclasses: this module only turns strings into
+numbers, passes the keys that were given to the constructors, and lists every
+violation they reject at once. A run is fully determined by (flags, config,
+seed): nothing in the numeric path reads clocks or ambient entropy.
 """
 
 from __future__ import annotations
@@ -18,25 +20,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .harvester import (
     BUILTIN_HARVESTERS,
+    EvaluationError,
     FitError,
     HarvesterModel,
     fit_model,
     harvested_mw,
     is_extrapolated,
     raw_efficiency_percent,
+    read_key_value_file,
     read_model_file,
     read_samples_csv,
     write_model_file,
 )
 from .link import (
-    SMALL_SCALE_MODES,
-    HarvestStats,
     LinkScenario,
     MonteCarloSettings,
     budget_terms,
@@ -44,11 +46,9 @@ from .link import (
     median_received_dbm,
 )
 from .pointing import PointingGeometry, default_beam_waist
-from .propagation import DustStorm, TERRAIN_PRESETS, TerrainProfile, terrain_preset
+from .propagation import DustStorm, TerrainProfile, terrain_preset
 from .quantities import RfCarrier, dbm_to_mw
 from .sweep import (
-    AXES,
-    SECONDARY_KINDS,
     ConfigError,
     SweepRow,
     SweepSpec,
@@ -64,12 +64,33 @@ CSV_COLUMNS = (
     "clamp_count", "extrapolated_count",
 )
 
-_SCENARIO_KEYS = (
-    "p_tx_w", "distance_m", "frequency_hz", "g_t_db", "g_r_db", "area",
-    "alpha", "sigma_db", "n_t_per_m3", "rho_p_m", "eps_re", "eps_im",
-    "beta_m", "sigma_s_m", "r_d_m", "small_scale",
-)
-_MC_KEYS = ("n_samples", "seed", "quantiles", "n_workers")
+# How one config string becomes a value, keyed by the annotation of the
+# dataclass field it fills.
+_FLOATS = "tuple[float, ...]"
+_PARSERS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "str": (str, "text"),
+    _FLOATS: (lambda text: tuple(float(cell) for cell in text.split(",")),
+              "comma-separated numbers"),
+}
+# The pieces of a LinkScenario whose numeric fields are flat config keys.
+_PARTS = {
+    "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm,
+    "pointing": PointingGeometry,
+}
+
+
+def _flat_fields(cls, kinds) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls) if f.type in kinds}
+
+
+_TOP_FIELDS = _flat_fields(LinkScenario, _PARSERS)
+_PART_FIELDS = {part: _flat_fields(cls, ("float",)) for part, cls in _PARTS.items()}
+_MC_FIELDS = _flat_fields(MonteCarloSettings, _PARSERS)
+
+_SCENARIO_KEYS = (*_TOP_FIELDS, "area", *(key for keys in _PART_FIELDS.values() for key in keys))
+_MC_KEYS = (*_MC_FIELDS, "n_workers")
 _SWEEP_KEYS = (
     "axis", "axis_min", "axis_max", "axis_count", "axis_spacing",
     "axis_points", "secondary", "secondary_values", "harvesters",
@@ -81,33 +102,10 @@ _SWEEP_CONFIG_KEYS = _SCENARIO_KEYS + _MC_KEYS + _SWEEP_KEYS
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
-def read_config_file(path) -> dict[str, str]:
-    """Parse flat key = value text; blank lines and # comments are skipped."""
-    entries: dict[str, str] = {}
-    problems: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                problems.append(f"line {lineno}: expected key = value, got {line!r}")
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            entries[key] = value.strip()
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return entries
-
-
 def _merge_config(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict[str, str]:
     cfg: dict[str, str] = {}
     if getattr(args, "config", None):
-        cfg.update(read_config_file(args.config))
+        cfg.update({key: value for key, (_, value) in read_key_value_file(args.config).items()})
         unknown = sorted(key for key in cfg if key not in allowed)
         if unknown:
             raise ConfigError(
@@ -120,191 +118,117 @@ def _merge_config(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict[st
     return cfg
 
 
-def _parse_float(cfg: dict[str, str], key: str, problems: list[str]) -> float | None:
+def _parse(cfg: dict[str, str], key: str, kind: str, problems: list[str]):
+    """The value of ``key`` parsed as ``kind``; None when absent or unparseable."""
     if key not in cfg:
         return None
+    parse, noun = _PARSERS[kind]
     try:
-        return float(cfg[key])
+        return parse(cfg[key])
     except ValueError:
-        problems.append(f"{key}: could not parse {cfg[key]!r} as a number")
+        problems.append(f"{key}: could not parse {cfg[key]!r} as {noun}")
         return None
 
 
-def _parse_int(cfg: dict[str, str], key: str, problems: list[str]) -> int | None:
-    if key not in cfg:
-        return None
+def _parse_fields(cfg: dict[str, str], flat_fields: dict[str, str], problems: list[str]) -> dict:
+    """The given, parseable values of ``flat_fields``, keyed by field name."""
+    values = {key: _parse(cfg, key, kind, problems) for key, kind in flat_fields.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _attempt(problems: list[str], build, *args, **kwargs):
+    """Return ``build(*args, **kwargs)``, or None after adding its ValueError to ``problems``."""
     try:
-        return int(cfg[key])
-    except ValueError:
-        problems.append(f"{key}: could not parse {cfg[key]!r} as an integer")
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        problems.append(str(exc))
         return None
-
-
-def _parse_float_list(cfg: dict[str, str], key: str, problems: list[str]) -> tuple[float, ...] | None:
-    if key not in cfg:
-        return None
-    try:
-        return tuple(float(cell) for cell in cfg[key].split(","))
-    except ValueError:
-        problems.append(f"{key}: could not parse {cfg[key]!r} as comma-separated numbers")
-        return None
-
-
-def _check(condition: bool, problems: list[str], message: str) -> None:
-    if not condition:
-        problems.append(message)
 
 
 def build_scenario(cfg: dict[str, str], problems: list[str]) -> LinkScenario | None:
-    """Assemble a LinkScenario from flat config, appending every violation found."""
+    """Assemble a LinkScenario from flat config, appending every violation found.
+
+    Only the keys given reach the constructors, so every default and range
+    rule is the dataclasses' own.
+    """
     before = len(problems)
-    values = {key: _parse_float(cfg, key, problems) for key in (
-        "p_tx_w", "distance_m", "frequency_hz", "g_t_db", "g_r_db", "alpha",
-        "sigma_db", "n_t_per_m3", "rho_p_m", "eps_re", "eps_im",
-        "beta_m", "sigma_s_m", "r_d_m",
-    )}
-
-    def got(key: str) -> bool:
-        return values.get(key) is not None
-
-    for key, minimum in (("p_tx_w", "positive"), ("distance_m", "positive"),
-                         ("frequency_hz", "positive"), ("alpha", "positive"),
-                         ("rho_p_m", "positive"), ("eps_im", "positive"),
-                         ("beta_m", "positive"), ("r_d_m", "positive")):
-        if got(key):
-            _check(values[key] > 0.0, problems, f"{key} must be {minimum}, got {values[key]}")
-    for key in ("sigma_db", "n_t_per_m3", "sigma_s_m"):
-        if got(key):
-            _check(values[key] >= 0.0, problems, f"{key} must be non-negative, got {values[key]}")
-
-    area = cfg.get("area", "area1")
-    if area not in TERRAIN_PRESETS:
-        problems.append(f"area: unknown name {area!r}; valid names: {', '.join(sorted(TERRAIN_PRESETS))}")
-    small_scale = cfg.get("small_scale", "off")
-    if small_scale not in SMALL_SCALE_MODES:
-        problems.append(f"small_scale must be one of {SMALL_SCALE_MODES}, got {small_scale!r}")
     for key in ("sigma_s_m", "r_d_m"):
-        if got(key) and not got("beta_m"):
+        if key in cfg and "beta_m" not in cfg:
             problems.append(f"{key} was given but beta_m is missing; pointing needs an aperture radius")
-    if len(problems) > before:
-        return None
-
-    carrier = RfCarrier(values["frequency_hz"]) if got("frequency_hz") else RfCarrier()
-    terrain = terrain_preset(area)
-    if got("alpha") or got("sigma_db"):
-        terrain = TerrainProfile(
-            "custom",
-            alpha=values["alpha"] if got("alpha") else terrain.alpha,
-            sigma_db=values["sigma_db"] if got("sigma_db") else terrain.sigma_db,
-        )
-    dust = None
-    if any(got(key) for key in ("n_t_per_m3", "rho_p_m", "eps_re", "eps_im")):
-        dust = DustStorm(
-            n_t_per_m3=values["n_t_per_m3"] if got("n_t_per_m3") else 0.0,
-            rho_p_m=values["rho_p_m"] if got("rho_p_m") else 1e-4,
-            eps_re=values["eps_re"] if got("eps_re") else 4.56,
-            eps_im=values["eps_im"] if got("eps_im") else 0.251,
-        )
+    given = {part: _parse_fields(cfg, keys, problems) for part, keys in _PART_FIELDS.items()}
+    defaults = LinkScenario()
+    carrier = _attempt(problems, RfCarrier, **given["carrier"])
+    terrain = _attempt(problems, terrain_preset, cfg["area"]) if "area" in cfg else defaults.terrain
+    if terrain is not None and given["terrain"]:
+        terrain = _attempt(problems, replace, terrain, name="custom", **given["terrain"])
+    dust = _attempt(problems, DustStorm, **given["dust"]) if given["dust"] else None
     pointing = None
-    if got("beta_m"):
-        pointing = PointingGeometry(
-            beta_m=values["beta_m"],
-            sigma_s_m=values["sigma_s_m"] if got("sigma_s_m") else 0.0,
-            r_d_m=values["r_d_m"] if got("r_d_m") else default_beam_waist(carrier),
+    if "beta_m" in given["pointing"]:
+        waist = default_beam_waist(carrier or defaults.carrier)
+        pointing = _attempt(
+            problems, PointingGeometry, **{"sigma_s_m": 0.0, "r_d_m": waist, **given["pointing"]}
         )
-    return LinkScenario(
-        p_tx_w=values["p_tx_w"] if got("p_tx_w") else 10.0,
-        distance_m=values["distance_m"] if got("distance_m") else 50.0,
-        g_t_db=values["g_t_db"] if got("g_t_db") else 28.0,
-        g_r_db=values["g_r_db"] if got("g_r_db") else 0.0,
-        carrier=carrier,
-        terrain=terrain,
-        dust=dust,
-        pointing=pointing,
-        small_scale=small_scale,
+    scenario = _attempt(
+        problems, LinkScenario, carrier=carrier, terrain=terrain, dust=dust, pointing=pointing,
+        **_parse_fields(cfg, _TOP_FIELDS, problems),
     )
+    return scenario if len(problems) == before else None
 
 
-def build_mc(cfg: dict[str, str], problems: list[str]) -> MonteCarloSettings | None:
-    before = len(problems)
-    n_samples = _parse_int(cfg, "n_samples", problems)
-    seed = _parse_int(cfg, "seed", problems)
-    quantiles = _parse_float_list(cfg, "quantiles", problems)
-    if n_samples is not None:
-        _check(n_samples >= 1, problems, f"n_samples must be at least 1, got {n_samples}")
-    if seed is not None:
-        _check(0 <= seed < 2**64, problems, f"seed must be a 64-bit unsigned integer, got {seed}")
-    if quantiles is not None:
-        _check(all(0.0 < q < 1.0 for q in quantiles), problems,
-               f"quantiles must lie strictly inside (0, 1), got {cfg['quantiles']!r}")
-    if len(problems) > before:
-        return None
-    defaults = MonteCarloSettings()
-    return MonteCarloSettings(
-        n_samples=n_samples if n_samples is not None else defaults.n_samples,
-        seed=seed if seed is not None else defaults.seed,
-        quantiles=quantiles if quantiles is not None else defaults.quantiles,
-    )
+def build_mc(
+    cfg: dict[str, str], problems: list[str], base: MonteCarloSettings = MonteCarloSettings()
+) -> MonteCarloSettings | None:
+    """``base`` with the Monte Carlo keys given in flat config, appending every violation."""
+    return _attempt(problems, replace, base, **_parse_fields(cfg, _MC_FIELDS, problems))
 
 
 def _parse_workers(cfg: dict[str, str], problems: list[str]) -> int:
-    n_workers = _parse_int(cfg, "n_workers", problems)
+    n_workers = _parse(cfg, "n_workers", "int", problems)
     if n_workers is None:
         return 1
-    _check(n_workers >= 1, problems, f"n_workers must be at least 1, got {n_workers}")
+    if n_workers < 1:
+        problems.append(f"n_workers must be at least 1, got {n_workers}")
     return max(n_workers, 1)
 
 
 def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | None:
-    """Assemble a SweepSpec from flat config keys."""
+    """Assemble a SweepSpec from flat config keys, appending every violation found.
+
+    The spec is built even after an earlier problem, with placeholders for
+    the parts that failed, so that its own rules are reported too.
+    """
     base = build_scenario(cfg, problems)
     mc = build_mc(cfg, problems)
 
-    axis = cfg.get("axis")
-    if axis is None:
-        problems.append("axis is required for a configured sweep")
-    elif axis not in AXES:
-        problems.append(f"axis must be one of {AXES}, got {axis!r}")
-
-    points: tuple[float, ...] | None = _parse_float_list(cfg, "axis_points", problems)
-    if points is None and axis is not None and axis in AXES:
-        lo = _parse_float(cfg, "axis_min", problems)
-        hi = _parse_float(cfg, "axis_max", problems)
-        count = _parse_int(cfg, "axis_count", problems)
-        spacing = cfg.get("axis_spacing", "linear")
-        if lo is None or hi is None or count is None:
-            missing = [key for key, v in (("axis_min", lo), ("axis_max", hi), ("axis_count", count)) if v is None]
+    points = _parse(cfg, "axis_points", _FLOATS, problems)
+    if "axis_points" not in cfg:
+        missing = [key for key in ("axis_min", "axis_max", "axis_count") if key not in cfg]
+        lo = _parse(cfg, "axis_min", "float", problems)
+        hi = _parse(cfg, "axis_max", "float", problems)
+        count = _parse(cfg, "axis_count", "int", problems)
+        if missing:
             problems.append(
                 "either axis_points or all of axis_min/axis_max/axis_count are required"
                 f" (missing: {', '.join(missing)})"
             )
-        else:
-            try:
-                points = axis_points(lo, hi, count, spacing)
-            except ConfigError as exc:
-                problems.append(str(exc))
+        elif None not in (lo, hi, count):
+            points = _attempt(problems, axis_points, lo, hi, count, cfg.get("axis_spacing", "linear"))
 
     secondary = cfg.get("secondary")
-    secondary_values: tuple = ()
-    if secondary is not None:
-        if secondary == "area":
-            secondary_values = tuple(cell.strip() for cell in cfg.get("secondary_values", "").split(",") if cell.strip())
-        else:
-            parsed = _parse_float_list(cfg, "secondary_values", problems)
-            secondary_values = parsed if parsed is not None else ()
+    if secondary == "area":
+        secondary_values = tuple(
+            cell.strip() for cell in cfg.get("secondary_values", "").split(",") if cell.strip()
+        )
+    else:
+        secondary_values = _parse(cfg, "secondary_values", _FLOATS, problems) or ()
 
     harvesters = tuple(cell.strip() for cell in cfg.get("harvesters", "A,B,C").split(",") if cell.strip())
 
-    if problems or base is None or mc is None or points is None:
-        return None
-    try:
-        return SweepSpec(
-            base=base, harvesters=harvesters, axis=axis, points=points,
-            secondary=secondary, secondary_values=secondary_values, mc=mc,
-        )
-    except ConfigError as exc:
-        problems.append(str(exc))
-        return None
+    return _attempt(
+        problems, SweepSpec, base=base or LinkScenario(), harvesters=harvesters,
+        axis=cfg.get("axis"), points=points or (), secondary=secondary,
+        secondary_values=secondary_values, mc=mc or MonteCarloSettings(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +346,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     mc = build_mc(cfg, problems)
     n_workers = _parse_workers(cfg, problems)
     models = _select_harvesters(cfg, problems)
-    if problems or scenario is None or mc is None:
+    if problems:
         raise ConfigError("; ".join(problems))
 
     terms = budget_terms(scenario)
@@ -490,44 +414,22 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    problems: list[str] = []
     if args.preset is not None:
         presets = builtin_presets()
         if args.preset not in presets:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(presets))}"
             )
+        cfg = _merge_config(args, _MC_KEYS)
         spec = presets[args.preset]
-        problems: list[str] = []
-        workers_cfg = {"n_workers": args.n_workers} if args.n_workers is not None else {}
-        n_workers = _parse_workers(workers_cfg, problems)
-        overrides: dict[str, str] = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.n_samples is not None:
-            overrides["n_samples"] = args.n_samples
-        if overrides:
-            mc = build_mc({**overrides}, problems)
-            if problems or mc is None:
-                raise ConfigError("; ".join(problems))
-            spec = replace(
-                spec,
-                mc=replace(
-                    spec.mc,
-                    seed=mc.seed if "seed" in overrides else spec.mc.seed,
-                    n_samples=mc.n_samples if "n_samples" in overrides else spec.mc.n_samples,
-                ),
-            )
-        if problems:
-            raise ConfigError("; ".join(problems))
+        spec = replace(spec, mc=build_mc(cfg, problems, spec.mc) or spec.mc)
     else:
         cfg = _merge_config(args, _SWEEP_CONFIG_KEYS)
-        if not cfg:
-            raise ConfigError("sweep needs --preset or --config")
-        problems = []
-        n_workers = _parse_workers(cfg, problems)
         spec = build_sweep_spec(cfg, problems)
-        if problems or spec is None:
-            raise ConfigError("; ".join(problems))
+    n_workers = _parse_workers(cfg, problems)
+    if problems:
+        raise ConfigError("; ".join(problems))
 
     spec = replace(spec, mc=_with_csv_quantiles(spec.mc))
     rows = run_sweep(spec, n_workers=n_workers)
@@ -578,16 +480,9 @@ def cmd_presets(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    for key in _SCENARIO_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, metavar="V")
-
-
-def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-samples", dest="n_samples", default=None, metavar="N")
-    parser.add_argument("--seed", dest="seed", default=None, metavar="N")
-    parser.add_argument("--quantiles", dest="quantiles", default=None, metavar="Q1,Q2,...")
-    parser.add_argument("--n-workers", dest="n_workers", default=None, metavar="N")
+def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     link = sub.add_parser("link", help="single-point budget report and Monte Carlo stats")
     link.add_argument("--config", default=None, metavar="PATH")
-    _add_scenario_flags(link)
-    _add_mc_flags(link)
+    _add_flags(link, _SCENARIO_KEYS + _MC_KEYS)
     link.add_argument("--harvester", default=None, metavar="NAME",
                       help="A, B, C, all, or none (default all)")
     link.add_argument("--harvester-file", dest="harvester_file", default=None, metavar="PATH")
@@ -612,9 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", default=None, metavar="NAME")
     group.add_argument("--config", default=None, metavar="PATH")
     sweep.add_argument("-o", "--out", default=None, metavar="PATH")
-    sweep.add_argument("--seed", default=None, metavar="N")
-    sweep.add_argument("--n-samples", dest="n_samples", default=None, metavar="N")
-    sweep.add_argument("--n-workers", dest="n_workers", default=None, metavar="N")
+    _add_flags(sweep, ("seed", "n_samples", "n_workers"))
     sweep.set_defaults(func=cmd_sweep)
 
     fit = sub.add_parser("fit", help="fit a rational efficiency model to sample CSV")
@@ -635,15 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FitError as exc:
+    except (FitError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -289,27 +289,54 @@ def write_model_file(model: HarvesterModel, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def read_model_file(path) -> HarvesterModel:
-    """Load a model previously written by ``write_model_file``."""
-    entries: dict[str, str] = {}
+def read_key_value_file(path) -> dict[str, tuple[int, str]]:
+    """Parse flat ``key = value`` text into {key: (line number, value)}.
+
+    Blank lines and # comments are skipped. A line without ``=`` and a
+    repeated key are errors; one ValueError lists every such line.
+    """
+    entries: dict[str, tuple[int, str]] = {}
+    problems: list[str] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
+                problems.append(f"line {lineno}: expected key = value, got {line!r}")
+                continue
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in entries:
+                problems.append(f"line {lineno}: duplicate key {key!r}")
+                continue
+            entries[key] = (lineno, value.strip())
+    if problems:
+        raise ValueError("; ".join(problems))
+    return entries
+
+
+def read_model_file(path) -> HarvesterModel:
+    """Load a model previously written by ``write_model_file``."""
+    entries = read_key_value_file(path)
     missing = [key for key in ("name", *_MODEL_KEYS) if key not in entries]
     if missing:
         raise ValueError(f"model file is missing keys: {', '.join(missing)}")
     unknown = [key for key in entries if key not in ("name", *_MODEL_KEYS)]
     if unknown:
         raise ValueError(f"model file has unknown keys: {', '.join(sorted(unknown))}")
-    numbers = {key: float(entries[key]) for key in _MODEL_KEYS}
+    numbers: dict[str, float] = {}
+    problems: list[str] = []
+    for key in _MODEL_KEYS:
+        lineno, text = entries[key]
+        try:
+            numbers[key] = float(text)
+        except ValueError:
+            problems.append(f"line {lineno}: {key}: could not parse {text!r} as a number")
+    if problems:
+        raise ValueError("; ".join(problems))
     return HarvesterModel(
-        entries["name"],
+        entries["name"][1],
         a2=numbers["a2"], a1=numbers["a1"], a0=numbers["a0"],
         b2=numbers["b2"], b1=numbers["b1"], b0=numbers["b0"],
         valid_range_mw=(numbers["valid_min_mw"], numbers["valid_max_mw"]),

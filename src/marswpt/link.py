@@ -32,7 +32,7 @@ from scipy.special import ndtri
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
-from .quantities import RfCarrier, watts_to_dbm
+from .quantities import RfCarrier, field_problems, watts_to_dbm
 
 SMALL_SCALE_MODES = ("off", "rayleigh")
 
@@ -48,21 +48,20 @@ class LinkScenario:
     distance_m: float = 50.0
     g_t_db: float = 28.0
     g_r_db: float = 0.0
-    carrier: RfCarrier = RfCarrier(2.45e9)
+    carrier: RfCarrier = RfCarrier()
     terrain: TerrainProfile = AREA1
     dust: DustStorm | None = None
     pointing: PointingGeometry | None = None
     small_scale: str = "off"
 
     def __post_init__(self) -> None:
-        if not self.p_tx_w > 0.0:
-            raise ValueError(f"p_tx_w must be positive, got {self.p_tx_w}")
-        if not self.distance_m > 0.0:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
+        problems = field_problems(self, p_tx_w="positive", distance_m="positive")
         if self.small_scale not in SMALL_SCALE_MODES:
-            raise ValueError(
+            problems.append(
                 f"small_scale must be one of {SMALL_SCALE_MODES}, got {self.small_scale!r}"
             )
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,12 +71,15 @@ class MonteCarloSettings:
     quantiles: tuple[float, ...] = (0.05, 0.95)
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
+        problems = []
+        if not self.n_samples >= 1:
+            problems.append(f"n_samples must be at least 1, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if any(not 0.0 < q < 1.0 for q in self.quantiles):
-            raise ValueError(f"quantiles must lie strictly inside (0, 1), got {self.quantiles}")
+            problems.append(f"quantiles must lie strictly inside (0, 1), got {self.quantiles}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True, slots=True)

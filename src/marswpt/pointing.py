@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .quantities import RfCarrier
+from .quantities import RfCarrier, field_problems
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +46,10 @@ class PointingGeometry:
     r_d_m: float
 
     def __post_init__(self) -> None:
-        if not self.beta_m > 0.0:
-            raise ValueError(f"beta_m must be positive, got {self.beta_m}")
-        if self.sigma_s_m < 0.0:
-            raise ValueError(f"sigma_s_m must be non-negative, got {self.sigma_s_m}")
-        if not self.r_d_m > 0.0:
-            raise ValueError(f"r_d_m must be positive, got {self.r_d_m}")
+        if problems := field_problems(
+            self, beta_m="positive", sigma_s_m="non-negative", r_d_m="positive"
+        ):
+            raise ValueError("; ".join(problems))
 
 
 def default_beam_waist(carrier: RfCarrier) -> float:

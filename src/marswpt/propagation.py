@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import RfCarrier
+from .quantities import RfCarrier, field_problems
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,10 +30,8 @@ class TerrainProfile:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.sigma_db < 0.0:
-            raise ValueError(f"sigma_db must be non-negative, got {self.sigma_db}")
+        if problems := field_problems(self, alpha="positive", sigma_db="non-negative"):
+            raise ValueError("; ".join(problems))
 
 
 AREA1 = TerrainProfile("area1", alpha=2.12, sigma_db=11.41)
@@ -48,7 +46,7 @@ def terrain_preset(name: str) -> TerrainProfile:
         return TERRAIN_PRESETS[name.lower()]
     except KeyError:
         valid = ", ".join(sorted(TERRAIN_PRESETS))
-        raise ValueError(f"unknown terrain {name!r}; valid names: {valid}") from None
+        raise ValueError(f"unknown area {name!r}; valid names: {valid}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,18 +57,16 @@ class DustStorm:
     dust; attenuation grows with the cube of the particle radius.
     """
 
-    n_t_per_m3: float
+    n_t_per_m3: float = 0.0
     rho_p_m: float = 1e-4
     eps_re: float = 4.56
     eps_im: float = 0.251
 
     def __post_init__(self) -> None:
-        if self.n_t_per_m3 < 0.0:
-            raise ValueError(f"n_t_per_m3 must be non-negative, got {self.n_t_per_m3}")
-        if not self.rho_p_m > 0.0:
-            raise ValueError(f"rho_p_m must be positive, got {self.rho_p_m}")
-        if not self.eps_im > 0.0:
-            raise ValueError(f"eps_im must be positive, got {self.eps_im}")
+        if problems := field_problems(
+            self, n_t_per_m3="non-negative", rho_p_m="positive", eps_im="positive"
+        ):
+            raise ValueError("; ".join(problems))
 
 
 def free_space_factor(distance_m: float, carrier: RfCarrier) -> float:

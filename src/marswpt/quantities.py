@@ -1,4 +1,5 @@
-"""Unit-safe power conversions and RF carrier constants shared by every module.
+"""Unit-safe power conversions, RF carrier constants and the field-rule check
+shared by every module.
 
 All link arithmetic happens in dB/dBm; the single dB-to-mW conversion sits at
 the harvester boundary, where the efficiency model wants milliwatts.
@@ -6,7 +7,8 @@ the harvester boundary, where the efficiency model wants milliwatts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +22,27 @@ def wavelength_of(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT_M_S / frequency_hz
 
 
+def field_problems(obj, **rules: str) -> list[str]:
+    """Every violation among the float fields of dataclass ``obj``.
+
+    Each float field must be finite; ``rules`` names the fields that must also
+    be "positive" or "non-negative".
+    """
+    problems = []
+    for field in fields(obj):
+        if field.type != "float":
+            continue
+        value = getattr(obj, field.name)
+        rule = rules.get(field.name)
+        if not math.isfinite(value):
+            problems.append(f"{field.name} must be finite, got {value}")
+        elif rule == "positive" and not value > 0.0:
+            problems.append(f"{field.name} must be positive, got {value}")
+        elif rule == "non-negative" and not value >= 0.0:
+            problems.append(f"{field.name} must be non-negative, got {value}")
+    return problems
+
+
 @dataclass(frozen=True, slots=True)
 class RfCarrier:
     """Continuous-wave carrier pinned by its frequency."""
@@ -27,8 +50,8 @@ class RfCarrier:
     frequency_hz: float = 2.45e9
 
     def __post_init__(self) -> None:
-        if not self.frequency_hz > 0.0:
-            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
+        if problems := field_problems(self, frequency_hz="positive"):
+            raise ValueError("; ".join(problems))
 
     @property
     def wavelength_m(self) -> float:

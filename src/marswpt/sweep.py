@@ -30,7 +30,7 @@ from .link import (
     median_received_dbm,
 )
 from .pointing import PointingGeometry, default_beam_waist
-from .propagation import AREA1, AREA2, TERRAIN_PRESETS, DustStorm, terrain_preset
+from .propagation import AREA1, AREA2, DustStorm, terrain_preset
 
 AXES = ("p_tx", "distance", "dust_density", "jitter_sigma")
 SECONDARY_KINDS = ("rho_p_m", "beta_m", "area")
@@ -76,14 +76,6 @@ class SweepSpec:
             problems.append("points must be non-empty")
         elif any(b <= a for a, b in zip(self.points, self.points[1:])):
             problems.append("points must be strictly increasing")
-        if self.axis == "p_tx" and any(x <= 0.0 for x in self.points):
-            problems.append("p_tx axis values must be positive")
-        if self.axis == "distance" and any(x <= 0.0 for x in self.points):
-            problems.append("distance axis values must be positive")
-        if self.axis == "dust_density" and any(x < 0.0 for x in self.points):
-            problems.append("dust_density axis values must be non-negative")
-        if self.axis == "jitter_sigma" and any(x < 0.0 for x in self.points):
-            problems.append("jitter_sigma axis values must be non-negative")
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
         for name in self.harvesters:
@@ -94,31 +86,28 @@ class SweepSpec:
         if self.secondary is None:
             if self.secondary_values:
                 problems.append("secondary_values given without a secondary kind")
-        else:
-            if self.secondary not in SECONDARY_KINDS:
-                problems.append(f"secondary must be one of {SECONDARY_KINDS}, got {self.secondary!r}")
-            elif not self.secondary_values:
-                problems.append(f"secondary {self.secondary!r} needs secondary_values")
-            elif self.secondary == "rho_p_m" and any(v <= 0.0 for v in self.secondary_values):
-                problems.append("rho_p_m secondary values must be positive")
-            elif self.secondary == "beta_m" and any(v <= 0.0 for v in self.secondary_values):
-                problems.append("beta_m secondary values must be positive")
-            elif self.secondary == "area":
-                for v in self.secondary_values:
-                    if v not in TERRAIN_PRESETS:
-                        problems.append(
-                            f"unknown area {v!r}; valid names: {', '.join(sorted(TERRAIN_PRESETS))}"
-                        )
-        if (
-            self.axis == "jitter_sigma"
-            and self.base.pointing is None
-            and self.secondary != "beta_m"
-        ):
-            problems.append(
-                "jitter_sigma axis needs base pointing geometry or a beta_m secondary"
-            )
+        elif self.secondary not in SECONDARY_KINDS:
+            problems.append(f"secondary must be one of {SECONDARY_KINDS}, got {self.secondary!r}")
+        elif not self.secondary_values:
+            problems.append(f"secondary {self.secondary!r} needs secondary_values")
+        # The scenario rules do the range checks. Each is an interval, so the
+        # smallest and largest point, crossed with every secondary value,
+        # break any rule that some grid point breaks.
+        ends = (min(self.points), max(self.points)) if self.points and self.axis in AXES else ()
+        kind = self.secondary if self.secondary in SECONDARY_KINDS and self.secondary_values else None
+        for value in self.secondary_values if kind else (None,):
+            try:
+                scenario = _apply_secondary(self.base, kind, value)
+            except ValueError as exc:
+                problems.append(str(exc))
+                continue
+            for point in ends:
+                try:
+                    _apply_axis(scenario, self.axis, point)
+                except ValueError as exc:
+                    problems.append(str(exc))
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +130,7 @@ def _apply_secondary(base: LinkScenario, kind: str | None, value) -> LinkScenari
     if kind == "area":
         return replace(base, terrain=terrain_preset(value))
     if kind == "rho_p_m":
-        storm = base.dust if base.dust is not None else DustStorm(n_t_per_m3=0.0)
-        return replace(base, dust=replace(storm, rho_p_m=float(value)))
+        return replace(base, dust=replace(base.dust or DustStorm(), rho_p_m=float(value)))
     if kind == "beta_m":
         if base.pointing is not None:
             geom = replace(base.pointing, beta_m=float(value))
@@ -160,9 +148,12 @@ def _apply_axis(scenario: LinkScenario, axis: str, value: float) -> LinkScenario
     if axis == "distance":
         return replace(scenario, distance_m=value)
     if axis == "dust_density":
-        storm = scenario.dust if scenario.dust is not None else DustStorm(n_t_per_m3=0.0)
-        return replace(scenario, dust=replace(storm, n_t_per_m3=value))
+        return replace(scenario, dust=replace(scenario.dust or DustStorm(), n_t_per_m3=value))
     if axis == "jitter_sigma":
+        if scenario.pointing is None:
+            raise ConfigError(
+                "jitter_sigma axis needs base pointing geometry or a beta_m secondary"
+            )
         return replace(scenario, pointing=replace(scenario.pointing, sigma_s_m=value))
     raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: parsing, exit codes, CSV round-trips."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -8,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from marswpt import cli
 from marswpt.cli import CSV_COLUMNS, main, read_sweep_csv, rows_to_csv
-from marswpt.harvester import HARVESTER_C, efficiency_percent
+from marswpt.harvester import HARVESTER_C, HarvesterModel, efficiency_percent, write_model_file
 from marswpt.link import LinkScenario, MonteCarloSettings, estimate_harvest, median_received_dbm
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import SweepSpec, run_sweep
@@ -99,6 +101,17 @@ def test_link_rejects_bad_values(capsys):
     assert "small_scale" in err
 
 
+def test_link_rejects_non_finite_values(capsys):
+    for flag, value, name in (
+        ("--g-t-db", "nan", "g_t_db"), ("--p-tx-w", "inf", "p_tx_w"),
+        ("--sigma-db", "nan", "sigma_db"), ("--n-t-per-m3", "nan", "n_t_per_m3"),
+        ("--sigma-s-m", "nan", "sigma_s_m"),
+    ):
+        code, out, err = run_cli(capsys, "link", "--beta-m", "0.5", flag, value, "--json")
+        assert code == 2, flag
+        assert name in err and out == ""
+
+
 def test_link_lists_every_violation_at_once(capsys):
     code, _, err = run_cli(
         capsys, "link", "--distance-m", "-5", "--p-tx-w", "0", "--area", "areaX"
@@ -107,6 +120,21 @@ def test_link_lists_every_violation_at_once(capsys):
     assert "distance_m" in err
     assert "p_tx_w" in err
     assert "areaX" in err
+
+
+def test_link_model_file_with_a_pole_below_its_range_is_runtime_error(tmp_path, capsys):
+    # p^3 - 1e-6 is positive on the certified range [0.1, 1] mW but not below
+    # 0.01 mW, where shadowing sends some trials.
+    model = HarvesterModel(
+        "polar", a2=0.0, a1=1.0, a0=0.0, b2=0.0, b1=0.0, b0=-1e-6, valid_range_mw=(0.1, 1.0)
+    )
+    path = tmp_path / "polar.model"
+    write_model_file(model, path)
+    code, _, err = run_cli(
+        capsys, "link", "--harvester", "none", "--harvester-file", str(path), "--n-samples", "2000"
+    )
+    assert code == 1
+    assert "denominator non-positive" in err
 
 
 def test_link_config_file(tmp_path, capsys):
@@ -237,6 +265,8 @@ def test_sweep_config_lists_every_violation(tmp_path, capsys):
     assert code == 2
     assert "axis must be one of" in err
     assert "n_samples" in err
+    assert "unknown harvester 'Z'" in err
+    assert "strictly increasing" in err
 
 
 def test_sweep_unwritable_output_is_runtime_error(capsys):
@@ -346,6 +376,41 @@ def test_presets_listing(capsys):
     assert len(lines) == 8
     assert any(line.startswith("fig5a:") and "150 rows" in line for line in lines)
     assert any(line.startswith("fig3a:") and "75 rows" in line for line in lines)
+
+
+def test_flags_and_config_keys_are_the_documented_sets():
+    scenario = {
+        "p_tx_w", "distance_m", "frequency_hz", "g_t_db", "g_r_db", "area",
+        "alpha", "sigma_db", "n_t_per_m3", "rho_p_m", "eps_re", "eps_im",
+        "beta_m", "sigma_s_m", "r_d_m", "small_scale",
+    }
+    mc = {"n_samples", "seed", "quantiles", "n_workers"}
+    sweep = {
+        "axis", "axis_min", "axis_max", "axis_count", "axis_spacing",
+        "axis_points", "secondary", "secondary_values", "harvesters",
+    }
+    assert set(cli._LINK_KEYS) == scenario | mc | {"harvester", "harvester_file"}
+    assert set(cli._SWEEP_CONFIG_KEYS) == scenario | mc | sweep
+
+    subcommands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+    def flags(name):
+        return {opt for action in subcommands[name]._actions for opt in action.option_strings}
+
+    def dashed(keys):
+        return {"--" + key.replace("_", "-") for key in keys}
+
+    assert flags("link") == (
+        {"-h", "--help", "--config", "--json", "--harvester", "--harvester-file"}
+        | dashed(scenario | mc)
+    )
+    assert flags("sweep") == {
+        "-h", "--help", "--preset", "--config", "-o", "--out",
+        "--seed", "--n-samples", "--n-workers",
+    }
 
 
 def test_console_script_is_installed():

@@ -308,3 +308,18 @@ def test_read_model_file_rejects_malformed_line(tmp_path):
     write_text(path, "name = x\njust words\n")
     with pytest.raises(ValueError, match="line 2"):
         read_model_file(path)
+
+
+def test_read_model_file_rejects_duplicate_keys_and_names_a_bad_value(tmp_path):
+    path = tmp_path / "bad.model"
+    write_model_file(HARVESTER_A, path)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("a2 = 5\n")
+    with pytest.raises(ValueError, match="line 10: duplicate key 'a2'"):
+        read_model_file(path)
+
+    write_model_file(HARVESTER_A, path)
+    text = path.read_text(encoding="utf-8").replace("b1 = ", "b1 = abc # ")
+    write_text(path, text)
+    with pytest.raises(ValueError, match="line 6: b1: could not parse"):
+        read_model_file(path)

@@ -299,6 +299,14 @@ def test_scenario_validation():
         LinkScenario(distance_m=-1.0)
     with pytest.raises(ValueError):
         LinkScenario(small_scale="rician")
+    with pytest.raises(ValueError, match="g_t_db must be finite"):
+        LinkScenario(g_t_db=math.nan)
+    with pytest.raises(ValueError, match="p_tx_w must be finite"):
+        LinkScenario(p_tx_w=math.inf)
+    with pytest.raises(ValueError) as excinfo:
+        LinkScenario(p_tx_w=0.0, distance_m=-1.0, small_scale="rician")
+    for name in ("p_tx_w", "distance_m", "small_scale"):
+        assert name in str(excinfo.value)
 
 
 def test_monte_carlo_settings_validation():
@@ -310,6 +318,8 @@ def test_monte_carlo_settings_validation():
         MonteCarloSettings(seed=2**64)
     with pytest.raises(ValueError):
         MonteCarloSettings(quantiles=(0.0, 0.5))
+    with pytest.raises(ValueError, match="n_samples.*; seed.*; quantiles"):
+        MonteCarloSettings(n_samples=0, seed=-1, quantiles=(0.5, float("nan")))
 
 
 def test_harvest_samples_rejects_bad_worker_count():

@@ -97,6 +97,8 @@ def test_geometry_validation():
         PointingGeometry(beta_m=0.5, sigma_s_m=-0.1, r_d_m=R_D)
     with pytest.raises(ValueError):
         PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=0.0)
+    with pytest.raises(ValueError, match="sigma_s_m must be finite"):
+        PointingGeometry(0.5, math.nan, 1.0)
     with pytest.raises(ValueError):
         MisalignmentModel(a0=1.2, w_eq_m=1.0, xi=1.0, sigma_s_m=0.5)
     with pytest.raises(ValueError):

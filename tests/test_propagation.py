@@ -48,6 +48,10 @@ def test_terrain_profile_validation():
         TerrainProfile("flat", alpha=0.0, sigma_db=1.0)
     with pytest.raises(ValueError):
         TerrainProfile("flat", alpha=2.0, sigma_db=-0.1)
+    with pytest.raises(ValueError, match="sigma_db must be finite"):
+        TerrainProfile("x", 2.0, math.nan)
+    with pytest.raises(ValueError, match="alpha must be positive.*; sigma_db must be non-negative"):
+        TerrainProfile("flat", alpha=0.0, sigma_db=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,14 @@ def test_dust_storm_validation():
         DustStorm(n_t_per_m3=1e4, rho_p_m=0.0)
     with pytest.raises(ValueError):
         DustStorm(n_t_per_m3=1e4, eps_im=0.0)
-    # Defaults describe basalt-like grains.
+    with pytest.raises(ValueError, match="n_t_per_m3 must be finite"):
+        DustStorm(math.nan)
+    with pytest.raises(ValueError) as excinfo:
+        DustStorm(n_t_per_m3=-1.0, rho_p_m=0.0, eps_re=math.inf)
+    for name in ("n_t_per_m3", "rho_p_m", "eps_re"):
+        assert name in str(excinfo.value)
+    # Defaults describe clear air over basalt-like grains.
+    assert DustStorm().n_t_per_m3 == 0.0
     storm = DustStorm(n_t_per_m3=1e4)
     assert storm.rho_p_m == 1e-4
     assert storm.eps_re == 4.56

@@ -63,6 +63,8 @@ def test_carrier_wavelength_property():
     assert carrier.wavelength_m == pytest.approx(0.12236426857142857, rel=1e-15)
     with pytest.raises(ValueError):
         RfCarrier(0.0)
+    with pytest.raises(ValueError, match="frequency_hz must be finite"):
+        RfCarrier(float("inf"))
 
 
 def test_conversions_accept_arrays():

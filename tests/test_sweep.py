@@ -88,6 +88,23 @@ def test_spec_rejects_secondary_mismatches():
         )
 
 
+def test_spec_range_rules_come_from_the_scenario():
+    with pytest.raises(ConfigError, match="p_tx_w must be positive, got -1.0"):
+        SweepSpec(LinkScenario(), ("A",), "p_tx", (-1.0, 2.0))
+    with pytest.raises(ConfigError, match="rho_p_m must be positive, got 0.0"):
+        SweepSpec(
+            LinkScenario(), ("A",), "dust_density", (1.0, 2.0),
+            secondary="rho_p_m", secondary_values=(0.0, 1e-4),
+        )
+    # An end point that breaks a rule is reported once, not once per secondary value.
+    with pytest.raises(ConfigError, match="n_t_per_m3 must be non-negative, got -5.0") as excinfo:
+        SweepSpec(
+            LinkScenario(), ("A",), "dust_density", (-5.0, 1.0),
+            secondary="rho_p_m", secondary_values=(1e-4, 5e-3),
+        )
+    assert str(excinfo.value).count("n_t_per_m3") == 1
+
+
 def test_spec_jitter_axis_needs_pointing_context():
     with pytest.raises(ConfigError, match="jitter_sigma axis needs"):
         SweepSpec(LinkScenario(), ("A",), "jitter_sigma", (0.1, 0.5))
