@@ -26,9 +26,9 @@ import numpy as np
 
 from .harvester import (
     BUILTIN_HARVESTERS,
-    EvaluationError,
     FitError,
     HarvesterModel,
+    efficiency_percent,
     fit_model,
     harvested_mw,
     is_extrapolated,
@@ -45,7 +45,7 @@ from .link import (
     estimate_harvest,
     median_received_dbm,
 )
-from .pointing import PointingGeometry, default_beam_waist
+from .pointing import PointingGeometry, default_pointing
 from .propagation import DustStorm, TerrainProfile, terrain_preset
 from .quantities import RfCarrier, dbm_to_mw
 from .sweep import (
@@ -164,10 +164,7 @@ def build_scenario(cfg: dict[str, str], problems: list[str]) -> LinkScenario | N
     dust = _attempt(problems, DustStorm, **given["dust"]) if given["dust"] else None
     pointing = None
     if "beta_m" in given["pointing"]:
-        waist = default_beam_waist(carrier or defaults.carrier)
-        pointing = _attempt(
-            problems, PointingGeometry, **{"sigma_s_m": 0.0, "r_d_m": waist, **given["pointing"]}
-        )
+        pointing = _attempt(problems, default_pointing, carrier or defaults.carrier, **given["pointing"])
     scenario = _attempt(
         problems, LinkScenario, carrier=carrier, terrain=terrain, dust=dust, pointing=pointing,
         **_parse_fields(cfg, _TOP_FIELDS, problems),
@@ -271,46 +268,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_sweep_csv(path) -> list[dict]:
-    """Parse a sweep CSV back into typed per-row dicts keyed by column name."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError("line 1: header does not match the sweep CSV schema")
-    out: list[dict] = []
-    int_columns = {"n_samples", "seed", "clamp_count", "extrapolated_count"}
-    float_columns = {
-        "axis_value", "p_tx_w", "distance_m", "p_rx_median_dbm",
-        "p_h_mean_uw", "p_h_median_uw", "p_h_p05_uw", "p_h_p95_uw",
-    }
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"line {lineno}: expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
-        record: dict = {}
-        for column, cell in zip(CSV_COLUMNS, cells):
-            if column in int_columns:
-                record[column] = int(cell)
-            elif column in float_columns:
-                record[column] = float(cell)
-            elif column == "secondary":
-                record[column] = cell or None
-            elif column == "secondary_value":
-                if not cell:
-                    record[column] = None
-                else:
-                    try:
-                        record[column] = float(cell)
-                    except ValueError:
-                        record[column] = cell
-            else:
-                record[column] = cell
-        out.append(record)
-    return out
-
-
 def _with_csv_quantiles(mc: MonteCarloSettings) -> MonteCarloSettings:
     needed = {0.05, 0.95}
     if needed.issubset(mc.quantiles):
@@ -335,7 +292,7 @@ def _select_harvesters(cfg: dict[str, str], problems: list[str]) -> list[Harvest
             f"harvester must be one of {', '.join(sorted(BUILTIN_HARVESTERS))}, all, or none; got {choice!r}"
         )
     if "harvester_file" in cfg:
-        models.append(read_model_file(cfg["harvester_file"]))
+        models.append(_attempt(problems, read_model_file, cfg["harvester_file"]))
     return models
 
 
@@ -360,8 +317,7 @@ def cmd_link(args: argparse.Namespace) -> int:
         "harvesters": {},
     }
     for model in models:
-        raw = raw_efficiency_percent(model, median_mw)
-        eta = min(max(raw, 0.0), 100.0)
+        eta = efficiency_percent(model, median_mw)
         harvested_uw = harvested_mw(model, median_mw) * 1000.0
         stats = estimate_harvest(scenario, model, mc, n_workers=n_workers)
         report["harvesters"][model.name] = {
@@ -527,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FitError, EvaluationError, OSError) as exc:
+    except (FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

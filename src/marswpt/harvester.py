@@ -9,28 +9,35 @@ coefficient sets (A, B, C) describe published rectifier designs; each carries
 the input-power range over which its fit is trusted. Outside that range the
 model still evaluates but callers can flag the result as extrapolated.
 
+Domain rule: the monic cubic denominator must be positive for every P >= 0,
+not only inside the certified range, because shadowing sends Monte Carlo
+trials orders of magnitude beyond it. ``denominator_minimum`` computes the
+exact minimum over P >= 0; ``HarvesterModel`` rejects a model whose minimum is
+not positive when it is built, so every model that exists can be evaluated at
+any non-negative power.
+
 ``fit_model`` recovers coefficients from measured (power, efficiency) points:
 a linear least-squares stage on the relinearized identity
 eta*(P^3+b2 P^2+b1 P+b0) = a2 P^2+a1 P+a0, then an optional nonlinear
 refinement of the true residual that is penalized against denominator
-sign changes inside the sample range.
+sign changes inside the sample range. Only candidates that obey the domain
+rule are kept.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from .quantities import field_problems
+
 
 class FitError(RuntimeError):
     """Raised when no acceptable rational model can be fitted."""
-
-
-class EvaluationError(RuntimeError):
-    """Raised when a model denominator is non-positive at the requested power."""
 
 
 _DEN_GRID_SIZE = 2048
@@ -66,15 +73,32 @@ class HarvesterModel:
     valid_range_mw: tuple[float, float]
 
     def __post_init__(self) -> None:
+        problems = field_problems(self)
+        if not problems and not denominator_minimum(self.b2, self.b1, self.b0) > 0.0:
+            problems.append(
+                "denominator P^3 + b2 P^2 + b1 P + b0 must be positive for every P >= 0"
+            )
         lo, hi = self.valid_range_mw
         if not (0.0 < lo < hi):
-            raise ValueError(f"valid_range_mw must satisfy 0 < min < max, got {self.valid_range_mw}")
-        grid = np.geomspace(lo, hi, _DEN_GRID_SIZE)
-        den = ((grid + self.b2) * grid + self.b1) * grid + self.b0
-        if not np.all(den > 0.0):
-            raise ValueError(
-                f"model {self.name!r}: denominator is non-positive inside valid_range_mw"
-            )
+            problems.append(f"valid_range_mw must satisfy 0 < min < max, got {self.valid_range_mw}")
+        if problems:
+            raise ValueError(f"model {self.name!r}: " + "; ".join(problems))
+
+
+def denominator_minimum(b2: float, b1: float, b0: float) -> float:
+    """Exact minimum of P^3 + b2 P^2 + b1 P + b0 over P >= 0.
+
+    The cubic's only local minimum sits at the larger root of its derivative
+    3 P^2 + 2 b2 P + b1; when that root is not positive the cubic rises on
+    P >= 0 and the minimum is b0.
+    """
+    disc = b2 * b2 - 3.0 * b1
+    if disc <= 0.0:
+        return b0
+    root = math.sqrt(disc)
+    # The form without cancellation, so a tiny positive minimizer is not lost.
+    p = (root - b2) / 3.0 if b2 <= 0.0 else -b1 / (b2 + root)
+    return min(b0, ((p + b2) * p + b1) * p + b0) if p > 0.0 else b0
 
 
 HARVESTER_A = HarvesterModel(
@@ -108,11 +132,6 @@ def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
     if np.any(p < 0.0):
         raise ValueError("p_rx_mw must be non-negative")
     den = ((p + model.b2) * p + model.b1) * p + model.b0
-    if np.any(den <= 0.0):
-        bad = np.asarray(p)[np.asarray(den) <= 0.0]
-        raise EvaluationError(
-            f"model {model.name!r}: denominator non-positive at p_rx_mw={np.min(bad)!r}"
-        )
     num = (model.a2 * p + model.a1) * p + model.a0
     out = num / den
     return out if isinstance(p_rx_mw, np.ndarray) else float(out)
@@ -163,7 +182,7 @@ def fit_model(
 
     Requires at least 6 distinct input powers. Raises FitError when the
     linear stage is rank-deficient or no candidate keeps the denominator
-    positive across the sample range.
+    positive for every P >= 0.
     """
     p = np.array([s.input_power_mw for s in samples], dtype=float)
     y = np.array([s.efficiency_percent for s in samples], dtype=float)
@@ -223,7 +242,7 @@ def fit_model(
     best: np.ndarray | None = None
     best_score = np.inf
     for coef in candidates:
-        if not np.all(den_on_grid(coef) > 0.0):
+        if not denominator_minimum(*coef[3:]) > 0.0:
             continue
         at_samples = float(np.abs(_rational(coef, p) - y).max())
         between = float(np.abs(_rational(coef, grid) - envelope).max())
@@ -231,7 +250,7 @@ def fit_model(
         if score < best_score:
             best, best_score = coef, score
     if best is None:
-        raise FitError("no candidate keeps the denominator positive across the sample range")
+        raise FitError("no candidate keeps the denominator positive for every P >= 0")
 
     return HarvesterModel(
         name,

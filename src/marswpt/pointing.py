@@ -57,6 +57,15 @@ def default_beam_waist(carrier: RfCarrier) -> float:
     return 7.0 * carrier.wavelength_m
 
 
+def default_pointing(
+    carrier: RfCarrier, beta_m: float, sigma_s_m: float = 0.0, r_d_m: float | None = None
+) -> PointingGeometry:
+    """Geometry for aperture ``beta_m``: no jitter and the default beam waist unless given."""
+    return PointingGeometry(
+        beta_m, sigma_s_m, default_beam_waist(carrier) if r_d_m is None else r_d_m
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class MisalignmentModel:
     """Derived fade parameters: peak fraction, equivalent width, shape exponent.
@@ -92,7 +101,8 @@ def derive_model(geom: PointingGeometry) -> MisalignmentModel:
         # exp(-v^2) underflows for collectors much wider than the beam; the
         # equivalent width diverges and the fade degenerates to a constant a0.
         w_eq_sq = math.inf
-    if geom.sigma_s_m == 0.0:
+    # A jitter so small that its square underflows is zero jitter.
+    if geom.sigma_s_m**2 == 0.0:
         xi = math.inf
     else:
         xi = w_eq_sq / (4.0 * geom.sigma_s_m**2)

@@ -29,7 +29,7 @@ from .link import (
     estimate_harvest,
     median_received_dbm,
 )
-from .pointing import PointingGeometry, default_beam_waist
+from .pointing import default_pointing
 from .propagation import AREA1, AREA2, DustStorm, terrain_preset
 
 AXES = ("p_tx", "distance", "dust_density", "jitter_sigma")
@@ -135,9 +135,7 @@ def _apply_secondary(base: LinkScenario, kind: str | None, value) -> LinkScenari
         if base.pointing is not None:
             geom = replace(base.pointing, beta_m=float(value))
         else:
-            geom = PointingGeometry(
-                beta_m=float(value), sigma_s_m=0.0, r_d_m=default_beam_waist(base.carrier)
-            )
+            geom = default_pointing(base.carrier, float(value))
         return replace(base, pointing=geom)
     raise ConfigError(f"secondary must be one of {SECONDARY_KINDS}, got {kind!r}")
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: parsing, exit codes, CSV round-trips."""
 
 import argparse
+import csv
 import importlib
 import json
 import os
@@ -14,8 +15,8 @@ import pytest
 
 import marswpt
 from marswpt import cli
-from marswpt.cli import CSV_COLUMNS, main, read_sweep_csv, rows_to_csv
-from marswpt.harvester import HARVESTER_C, HarvesterModel, efficiency_percent, write_model_file
+from marswpt.cli import CSV_COLUMNS, main, rows_to_csv
+from marswpt.harvester import HARVESTER_C, efficiency_percent, write_model_file
 from marswpt.link import LinkScenario, MonteCarloSettings, estimate_harvest, median_received_dbm
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import SweepSpec, run_sweep
@@ -126,19 +127,36 @@ def test_link_lists_every_violation_at_once(capsys):
     assert "areaX" in err
 
 
-def test_link_model_file_with_a_pole_below_its_range_is_runtime_error(tmp_path, capsys):
+def test_link_model_file_with_a_pole_below_its_range_is_rejected_on_load(tmp_path, capsys):
     # p^3 - 1e-6 is positive on the certified range [0.1, 1] mW but not below
     # 0.01 mW, where shadowing sends some trials.
-    model = HarvesterModel(
-        "polar", a2=0.0, a1=1.0, a0=0.0, b2=0.0, b1=0.0, b0=-1e-6, valid_range_mw=(0.1, 1.0)
-    )
     path = tmp_path / "polar.model"
-    write_model_file(model, path)
-    code, _, err = run_cli(
+    path.write_text(
+        "name = polar\na2 = 0\na1 = 1\na0 = 0\nb2 = 0\nb1 = 0\nb0 = -1e-6\n"
+        "valid_min_mw = 0.1\nvalid_max_mw = 1.0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
         capsys, "link", "--harvester", "none", "--harvester-file", str(path), "--n-samples", "2000"
     )
-    assert code == 1
-    assert "denominator non-positive" in err
+    assert code == 2
+    assert out == ""
+    assert "'polar'" in err and "denominator" in err
+
+
+def test_link_model_file_with_a_non_finite_coefficient_is_rejected(tmp_path, capsys):
+    path = tmp_path / "nan.model"
+    write_model_file(HARVESTER_C, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = ["a2 = nan" if line.startswith("a2 = ") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "link", "--json", "--harvester", "none", "--harvester-file", str(path),
+        "--n-samples", "200",
+    )
+    assert code == 2
+    assert out == ""
+    assert "a2 must be finite" in err
 
 
 def test_link_config_file(tmp_path, capsys):
@@ -221,9 +239,12 @@ def test_sweep_config_round_trip(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "-o", str(out_path))
     assert code == 0
 
-    records = read_sweep_csv(out_path)
+    with open(out_path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        records = list(reader)
     assert len(records) == 3 * 2
-    assert [r["axis_value"] for r in records] == [1.0, 1.0, 5.0, 5.0, 10.0, 10.0]
+    assert [float(r["axis_value"]) for r in records] == [1.0, 1.0, 5.0, 5.0, 10.0, 10.0]
     assert [r["harvester"] for r in records] == ["A", "C"] * 3
 
     spec = SweepSpec(
@@ -232,17 +253,17 @@ def test_sweep_config_round_trip(tmp_path, capsys):
     )
     rows = run_sweep(spec)
     for record, row in zip(records, rows):
-        assert record["p_h_mean_uw"] == row.stats.mean_uw
-        assert record["p_h_median_uw"] == row.stats.median_uw
-        assert record["p_h_p05_uw"] == row.stats.quantiles_uw[0.05]
-        assert record["p_h_p95_uw"] == row.stats.quantiles_uw[0.95]
-        assert record["p_rx_median_dbm"] == row.p_rx_median_dbm
-        assert record["seed"] == row.stats.seed
-        assert record["n_samples"] == 250
-        assert record["secondary"] is None and record["secondary_value"] is None
+        assert float(record["p_h_mean_uw"]) == row.stats.mean_uw
+        assert float(record["p_h_median_uw"]) == row.stats.median_uw
+        assert float(record["p_h_p05_uw"]) == row.stats.quantiles_uw[0.05]
+        assert float(record["p_h_p95_uw"]) == row.stats.quantiles_uw[0.95]
+        assert float(record["p_rx_median_dbm"]) == row.p_rx_median_dbm
+        assert int(record["seed"]) == row.stats.seed
+        assert int(record["n_samples"]) == 250
+        assert record["secondary"] == "" and record["secondary_value"] == ""
         assert record["area"] == "area1"
-        assert record["clamp_count"] == row.stats.clamp_count
-        assert record["extrapolated_count"] == row.stats.extrapolated_count
+        assert int(record["clamp_count"]) == row.stats.clamp_count
+        assert int(record["extrapolated_count"]) == row.stats.extrapolated_count
 
 
 def test_sweep_writes_to_stdout_without_out_flag(tmp_path, capsys):
@@ -280,13 +301,6 @@ def test_sweep_unwritable_output_is_runtime_error(capsys):
     )
     assert code == 1
     assert "error" in err
-
-
-def test_read_sweep_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 1"):
-        read_sweep_csv(path)
 
 
 def test_rows_to_csv_is_stable(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from marswpt.harvester import (
     BUILTIN_HARVESTERS,
@@ -9,9 +11,9 @@ from marswpt.harvester import (
     HARVESTER_B,
     HARVESTER_C,
     EfficiencySample,
-    EvaluationError,
     FitError,
     HarvesterModel,
+    denominator_minimum,
     efficiency_percent,
     fit_model,
     harvested_mw,
@@ -144,21 +146,59 @@ def test_evaluation_rejects_negative_power():
 
 
 def test_denominator_guardrails():
-    # Denominator p^3 - 3 p^2 + 2 p + 0.1 is positive on (0.05, 1.0) but
-    # dips negative near p = 1.8, so construction succeeds and evaluation
-    # outside the certified range can fail loudly.
-    model = HarvesterModel(
-        "dippy", a2=0.0, a1=0.0, a0=50.0, b2=-3.0, b1=2.0, b0=0.1,
-        valid_range_mw=(0.05, 1.0),
-    )
-    with pytest.raises(EvaluationError):
-        raw_efficiency_percent(model, 1.8)
+    # Denominator p^3 - 3 p^2 + 2 p + 0.1 is positive on (0.05, 1.0) but dips
+    # negative near p = 1.8, where shadowing sends trials, so the model is
+    # rejected when it is built, whatever its certified range.
+    for valid_range_mw in ((0.05, 1.0), (0.05, 2.5)):
+        with pytest.raises(ValueError, match="denominator"):
+            HarvesterModel(
+                "dippy", a2=0.0, a1=0.0, a0=50.0, b2=-3.0, b1=2.0, b0=0.1,
+                valid_range_mw=valid_range_mw,
+            )
+    assert denominator_minimum(-3.0, 2.0, 0.1) < 0.0
 
+    # A pole at P = 0 itself is outside the domain too.
     with pytest.raises(ValueError, match="denominator"):
+        HarvesterModel("x", 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, valid_range_mw=(0.1, 1.0))
+
+    # Every built-in model is positive for all P >= 0.
+    for model in BUILTIN_HARVESTERS.values():
+        assert denominator_minimum(model.b2, model.b1, model.b0) > 0.0
+
+
+def test_near_double_pole_inside_the_range_is_rejected():
+    # Roots 1.6e-6 mW apart fall between the points of any practical grid.
+    _, b2, b1, b0 = np.poly([0.4999992, 0.5000008, -1.0])
+    assert denominator_minimum(b2, b1, b0) < 0.0
+    with pytest.raises(ValueError, match="denominator"):
+        HarvesterModel("twin", 0.0, 0.0, 1.0, b2, b1, b0, valid_range_mw=(0.1, 1.0))
+
+
+def test_denominator_minimum_reference_values():
+    # Rising on P >= 0: the minimum is the value at zero.
+    assert denominator_minimum(1.0, 1.0, 0.5) == 0.5
+    # (P - 1)^2 (P + 1) = P^3 - P^2 - P + 1 touches zero at P = 1.
+    assert denominator_minimum(-1.0, -1.0, 1.0) == 0.0
+    # Local minimum at P = 2 of P^3 - 3 P^2 + 5: 8 - 12 + 5 = 1.
+    assert denominator_minimum(-3.0, 0.0, 5.0) == 1.0
+    # A minimizer of 1e-20 is not lost to cancellation: the minimum of
+    # P^3 + P^2 - 2e-20 P + 2e-40 is 2e-40 - (2e-20)^2 / 4, not b0.
+    assert denominator_minimum(1.0, -2e-20, 2e-40) == pytest.approx(1e-40, rel=1e-12, abs=0.0)
+
+
+def test_model_validation_lists_every_violation():
+    with pytest.raises(ValueError) as info:
         HarvesterModel(
-            "bad", a2=0.0, a1=0.0, a0=50.0, b2=-3.0, b1=2.0, b0=0.1,
-            valid_range_mw=(0.05, 2.5),
+            "x", a2=float("nan"), a1=1.0, a0=1.0, b2=float("inf"), b1=1.0, b0=1.0,
+            valid_range_mw=(1.0, 0.5),
         )
+    message = str(info.value)
+    assert "a2 must be finite" in message
+    assert "b2 must be finite" in message
+    assert "valid_range_mw" in message
+
+    with pytest.raises(ValueError, match="denominator .*; valid_range_mw"):
+        HarvesterModel("x", 0.0, 0.0, 1.0, -3.0, 2.0, 0.1, valid_range_mw=(1.0, 0.5))
 
 
 def test_model_validation_rejects_bad_range():
@@ -323,3 +363,53 @@ def test_read_model_file_rejects_duplicate_keys_and_names_a_bad_value(tmp_path):
     write_text(path, text)
     with pytest.raises(ValueError, match="line 6: b1: could not parse"):
         read_model_file(path)
+
+
+# ---------------------------------------------------------------------------
+# domain rule properties
+
+# Coefficients this small keep every real root below 11 mW (Cauchy's bound).
+COEFFICIENT = st.floats(-10.0, 10.0)
+# Multiples of 1/8 are exact in binary, so exact double roots such as
+# (P - 1)^2 (P + 1) are drawn often and b0 is never nearly zero.
+DYADIC = st.integers(-800, 800).map(lambda k: k / 8.0)
+DENSE_GRID = np.concatenate([np.linspace(0.0, 12.0, 120_001), np.geomspace(12.0, 1e6, 2_000)])
+
+
+def term_scale(b2, b1, b0):
+    """Size of the cubic's terms where its roots can lie."""
+    return 1.0 + abs(b2) ** 3 + abs(b1) ** 1.5 + abs(b0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFICIENT, COEFFICIENT, COEFFICIENT)
+def test_denominator_minimum_is_the_minimum_over_a_dense_grid(b2, b1, b0):
+    minimum = denominator_minimum(b2, b1, b0)
+    den = ((DENSE_GRID + b2) * DENSE_GRID + b1) * DENSE_GRID + b0
+    assert minimum <= den.min() + 1e-12 * term_scale(b2, b1, b0)
+    # The grid step is 1e-4, so the grid minimum overshoots by at most ~1e-7.
+    assert den.min() - minimum <= 1e-6 * term_scale(b2, b1, b0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFICIENT, COEFFICIENT, COEFFICIENT)
+def test_denominator_minimum_sign_matches_the_roots(b2, b1, b0):
+    minimum = denominator_minimum(b2, b1, b0)
+    assume(abs(minimum) > 1e-9 * term_scale(b2, b1, b0))
+    roots = np.roots([1.0, b2, b1, b0])
+    # Away from a double root, a real root's computed imaginary part is far
+    # below 1e-6 and a complex pair's is far above it.
+    root_at_or_above_zero = np.any((np.abs(roots.imag) <= 1e-6) & (roots.real >= 0.0))
+    assert (minimum > 0.0) == (not root_at_or_above_zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DYADIC, DYADIC, DYADIC, DYADIC, DYADIC, DYADIC)
+def test_accepted_models_are_finite_at_every_power(a2, a1, a0, b2, b1, b0):
+    try:
+        model = HarvesterModel("h", a2, a1, a0, b2, b1, b0, valid_range_mw=(0.1, 10.0))
+    except ValueError:
+        assert not denominator_minimum(b2, b1, b0) > 0.0
+        return
+    eta = raw_efficiency_percent(model, np.array([0.0, 1e-12, 1e6]))
+    assert np.all(np.isfinite(eta))

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marswpt.harvester import HARVESTER_A, HARVESTER_B, HARVESTER_C, HarvesterModel, harvested_mw
+from marswpt.harvester import (
+    HARVESTER_A,
+    HARVESTER_B,
+    HARVESTER_C,
+    HarvesterModel,
+    denominator_minimum,
+    harvested_mw,
+)
 from marswpt.link import (
+    SMALL_SCALE_MODES,
     HarvestStats,
     LinkScenario,
     MonteCarloSettings,
@@ -18,7 +28,7 @@ from marswpt.link import (
     sample_harvest_uw,
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
-from marswpt.propagation import AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
+from marswpt.propagation import AREA1, AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
 from marswpt.quantities import RfCarrier, dbm_to_mw, watts_to_dbm
 
 CARRIER = RfCarrier(2.45e9)
@@ -325,3 +335,44 @@ def test_monte_carlo_settings_validation():
 def test_harvest_samples_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         harvest_samples(LinkScenario(), HARVESTER_C, MonteCarloSettings(10, 1), n_workers=0)
+
+
+# ---------------------------------------------------------------------------
+# properties over random scenarios
+
+DYADIC = st.integers(-800, 800).map(lambda k: k / 8.0)
+# Any model the domain rule accepts, not only the built-in three.
+ACCEPTED_MODELS = st.tuples(DYADIC, DYADIC, DYADIC, DYADIC, DYADIC, DYADIC).filter(
+    lambda c: denominator_minimum(*c[3:]) > 0.0
+).map(lambda c: HarvesterModel("random", *c, valid_range_mw=(0.1, 10.0)))
+SCENARIOS = st.builds(
+    LinkScenario,
+    p_tx_w=st.floats(0.1, 1000.0),
+    distance_m=st.floats(1.0, 1000.0),
+    terrain=st.sampled_from([AREA1, AREA2]),
+    dust=st.none() | st.builds(
+        DustStorm, n_t_per_m3=st.floats(0.0, 1e6), rho_p_m=st.floats(1e-6, 1e-2)
+    ),
+    pointing=st.none() | st.builds(
+        PointingGeometry, beta_m=st.floats(0.05, 2.0), sigma_s_m=st.floats(0.0, 2.0),
+        r_d_m=st.just(R_D),
+    ),
+    small_scale=st.sampled_from(SMALL_SCALE_MODES),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    SCENARIOS,
+    st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
+    st.integers(0, 2**64 - 1),
+)
+def test_harvest_is_at_most_received_power_and_counters_lie_in_range(scenario, model, seed):
+    mc = MonteCarloSettings(n_samples=200, seed=seed)
+    draws = harvest_samples(scenario, model, mc)
+    received_uw = 1e3 * 10.0 ** (draws.p_rx_dbm / 10.0)
+    assert np.all(draws.p_h_uw >= 0.0)
+    assert np.all(draws.p_h_uw <= received_uw * (1.0 + 1e-12))
+    stats = estimate_harvest(scenario, model, mc)
+    assert 0 <= stats.clamp_count <= mc.n_samples
+    assert 0 <= stats.extrapolated_count <= mc.n_samples

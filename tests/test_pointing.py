@@ -65,6 +65,8 @@ def test_zero_jitter_yields_infinite_shape_parameter():
     model = make_model(beta_m=0.5, sigma_s_m=0.0)
     assert math.isinf(model.xi)
     assert mean_fraction(model) == model.a0
+    # A jitter whose square underflows to zero is zero jitter, not a division by zero.
+    assert math.isinf(make_model(beta_m=0.5, sigma_s_m=3e-195).xi)
 
 
 def test_peak_fraction_saturates_for_huge_collector():
