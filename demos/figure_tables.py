@@ -2,8 +2,9 @@
 """Reproduce the headline sweep tables and dump them as CSV.
 
 Runs the transmit-power sweep on both terrain profiles plus the storm-grade
-dust sweep, writes one CSV per table next to this script, and prints a short
-summary of each. Equivalent to `marswpt sweep --preset <name>` for each name.
+dust sweep, writes one CSV per table to the current directory, and prints a
+short summary of each. Equivalent to `marswpt sweep --preset <name>` for
+each name.
 """
 
 from pathlib import Path
@@ -12,14 +13,13 @@ from marswpt.cli import rows_to_csv
 from marswpt.sweep import builtin_presets, run_sweep
 
 TABLES = ("fig3a", "fig3b", "fig5a")
-OUT_DIR = Path(__file__).resolve().parent
 
 
 def main() -> None:
     presets = builtin_presets()
     for name in TABLES:
         rows = run_sweep(presets[name], n_workers=4)
-        out_path = OUT_DIR / f"{name}.csv"
+        out_path = Path(f"{name}.csv")
         out_path.write_text(rows_to_csv(rows), encoding="utf-8")
 
         by_harvester: dict = {}

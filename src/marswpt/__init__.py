@@ -5,140 +5,9 @@ Crater terrain profiles, dust-storm extinction, Gaussian-beam misalignment
 fading under Rayleigh pointing jitter, and nonlinear rational harvester
 efficiency, composed into a seeded Monte Carlo estimator of harvested power
 with declarative parameter sweeps.
+
+The package root re-exports nothing: import from the modules
+(``marswpt.link``, ``marswpt.harvester``, ``marswpt.propagation``, ...).
 """
 
-from .quantities import (
-    SPEED_OF_LIGHT_M_S,
-    RfCarrier,
-    dbm_to_mw,
-    mw_to_dbm,
-    watts_to_dbm,
-    wavelength_of,
-)
-from .propagation import (
-    AREA1,
-    AREA2,
-    TERRAIN_PRESETS,
-    DustStorm,
-    TerrainProfile,
-    dust_attenuation_db,
-    dust_extinction_coefficient,
-    free_space_factor,
-    path_loss_db,
-    sample_shadowing,
-    terrain_preset,
-)
-from .pointing import (
-    MisalignmentModel,
-    PointingGeometry,
-    default_beam_waist,
-    derive_model,
-    fade_cdf,
-    fade_pdf,
-    fraction_at_offset,
-    mean_fraction,
-    sample_offset,
-)
-from .harvester import (
-    BUILTIN_HARVESTERS,
-    HARVESTER_A,
-    HARVESTER_B,
-    HARVESTER_C,
-    EfficiencySample,
-    FitError,
-    HarvesterModel,
-    efficiency_percent,
-    fit_model,
-    harvested_mw,
-    harvester_preset,
-    is_extrapolated,
-    raw_efficiency_percent,
-    read_model_file,
-    read_samples_csv,
-    write_model_file,
-)
-from .link import (
-    HarvestSamples,
-    HarvestStats,
-    LinkScenario,
-    MonteCarloSettings,
-    budget_terms,
-    derive_substream_seed,
-    estimate_harvest,
-    harvest_samples,
-    median_received_dbm,
-    sample_harvest_uw,
-)
-from .sweep import (
-    AXES,
-    ConfigError,
-    SweepRow,
-    SweepSpec,
-    axis_points,
-    builtin_presets,
-    run_sweep,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "SPEED_OF_LIGHT_M_S",
-    "RfCarrier",
-    "dbm_to_mw",
-    "mw_to_dbm",
-    "watts_to_dbm",
-    "wavelength_of",
-    "AREA1",
-    "AREA2",
-    "TERRAIN_PRESETS",
-    "DustStorm",
-    "TerrainProfile",
-    "dust_attenuation_db",
-    "dust_extinction_coefficient",
-    "free_space_factor",
-    "path_loss_db",
-    "sample_shadowing",
-    "terrain_preset",
-    "MisalignmentModel",
-    "PointingGeometry",
-    "default_beam_waist",
-    "derive_model",
-    "fade_cdf",
-    "fade_pdf",
-    "fraction_at_offset",
-    "mean_fraction",
-    "sample_offset",
-    "BUILTIN_HARVESTERS",
-    "HARVESTER_A",
-    "HARVESTER_B",
-    "HARVESTER_C",
-    "EfficiencySample",
-    "FitError",
-    "HarvesterModel",
-    "efficiency_percent",
-    "fit_model",
-    "harvested_mw",
-    "harvester_preset",
-    "is_extrapolated",
-    "raw_efficiency_percent",
-    "read_model_file",
-    "read_samples_csv",
-    "write_model_file",
-    "HarvestSamples",
-    "HarvestStats",
-    "LinkScenario",
-    "MonteCarloSettings",
-    "budget_terms",
-    "derive_substream_seed",
-    "estimate_harvest",
-    "harvest_samples",
-    "median_received_dbm",
-    "sample_harvest_uw",
-    "AXES",
-    "ConfigError",
-    "SweepRow",
-    "SweepSpec",
-    "axis_points",
-    "builtin_presets",
-    "run_sweep",
-]

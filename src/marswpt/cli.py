@@ -292,7 +292,13 @@ def _select_harvesters(cfg: dict[str, str], problems: list[str]) -> list[Harvest
             f"harvester must be one of {', '.join(sorted(BUILTIN_HARVESTERS))}, all, or none; got {choice!r}"
         )
     if "harvester_file" in cfg:
-        models.append(_attempt(problems, read_model_file, cfg["harvester_file"]))
+        loaded = _attempt(problems, read_model_file, cfg["harvester_file"])
+        # The report is keyed by model name, so a repeated name would hide a model.
+        if loaded is not None and any(model.name == loaded.name for model in models):
+            problems.append(
+                f"harvester_file model {loaded.name!r} has the name of a selected built-in model"
+            )
+        models.append(loaded)
     return models
 
 

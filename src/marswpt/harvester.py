@@ -79,8 +79,10 @@ class HarvesterModel:
                 "denominator P^3 + b2 P^2 + b1 P + b0 must be positive for every P >= 0"
             )
         lo, hi = self.valid_range_mw
-        if not (0.0 < lo < hi):
-            problems.append(f"valid_range_mw must satisfy 0 < min < max, got {self.valid_range_mw}")
+        if not 0.0 < lo < hi < math.inf:
+            problems.append(
+                f"valid_range_mw must be finite with 0 < min < max, got {self.valid_range_mw}"
+            )
         if problems:
             raise ValueError(f"model {self.name!r}: " + "; ".join(problems))
 

@@ -14,8 +14,9 @@ Determinism contract
 --------------------
 Every trial consumes a fixed budget of three uniforms from one counter-based
 Philox stream keyed by the seed, whether or not pointing and small-scale
-fading are enabled. Trial ``i`` owns draws ``3i..3i+2``, so a scalar-call
-loop, the vectorized path, and any worker count all produce bit-identical
+fading are enabled. Trial ``i`` owns draws ``3i..3i+2`` (row ``i`` of
+``Philox(key=seed).random((n, 3))``), so a run of ``n`` trials begins with
+the run of any shorter length, and any worker count produces bit-identical
 results. Uniforms are remapped once to the open interval so the inverse-CDF
 transforms stay finite.
 """
@@ -185,19 +186,6 @@ def _pointing_base_dbm(s: LinkScenario) -> tuple[MisalignmentModel | None, float
     base += terms["path_loss_db"] + terms["dust_db"]
     fade = derive_model(s.pointing) if s.pointing is not None else None
     return fade, base
-
-
-def sample_harvest_uw(s: LinkScenario, model: HarvesterModel, rng: np.random.Generator) -> float:
-    """One Monte Carlo trial: harvested power in microwatts.
-
-    Consumes exactly three uniforms from ``rng``, so a loop over this function
-    on a fresh Philox(seed) generator reproduces ``harvest_samples`` bit for
-    bit.
-    """
-    fade, base_dbm = _pointing_base_dbm(s)
-    u = _open_uniforms(rng.random(3)).reshape(1, 3)
-    _, p_h_uw, _, _ = _harvest_chunk(s, model, fade, base_dbm, u)
-    return float(p_h_uw[0])
 
 
 def harvest_samples(

@@ -22,8 +22,8 @@ With Rayleigh jitter the fade ``m`` then has the closed-form density
 
 with shape exponent ``xi = w_eq^2 / (4 sigma_s^2)``. All three pieces (the
 aligned fraction, the width, and the exponent) are mutually consistent; the
-tests check them against direct quadrature of the beam integral and against
-transformed Rayleigh samples.
+tests check them against direct quadrature of the beam integral, and check
+the fade law against the draws of the Monte Carlo engine in ``link``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import erf
 
 from .quantities import RfCarrier, field_problems
@@ -107,50 +106,6 @@ def derive_model(geom: PointingGeometry) -> MisalignmentModel:
     else:
         xi = w_eq_sq / (4.0 * geom.sigma_s_m**2)
     return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi, sigma_s_m=geom.sigma_s_m)
-
-
-def fraction_at_offset(model: MisalignmentModel, r_m):
-    """Collected power fraction at radial offset ``r_m`` (scalar or array)."""
-    r = np.asarray(r_m, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("offset r_m must be non-negative")
-    out = model.a0 * np.exp(-2.0 * r**2 / model.w_eq_m**2)
-    return out if isinstance(r_m, np.ndarray) else float(out)
-
-
-def sample_offset(sigma_s_m: float, rng: np.random.Generator, n: int | None = None):
-    """Draw radial offsets from Rayleigh(sigma_s).
-
-    Returns a scalar when ``n`` is None, else an array of ``n`` draws. A zero
-    deviation degenerates to an exact zero offset.
-    """
-    if sigma_s_m < 0.0:
-        raise ValueError(f"sigma_s_m must be non-negative, got {sigma_s_m}")
-    if sigma_s_m == 0.0:
-        return 0.0 if n is None else np.zeros(n)
-    if n is None:
-        return float(rng.rayleigh(sigma_s_m))
-    return rng.rayleigh(sigma_s_m, n)
-
-
-def fade_pdf(model: MisalignmentModel, zeta):
-    """Density of the fade coefficient on its support (0, a0]."""
-    if math.isinf(model.xi):
-        raise ValueError("fade density is degenerate when jitter is zero")
-    z = np.asarray(zeta, dtype=float)
-    if np.any((z <= 0.0) | (z > model.a0)):
-        raise ValueError(f"zeta must lie in (0, {model.a0}]")
-    out = (model.xi / model.a0**model.xi) * z ** (model.xi - 1.0)
-    return out if isinstance(zeta, np.ndarray) else float(out)
-
-
-def fade_cdf(model: MisalignmentModel, zeta):
-    """CDF of the fade coefficient, defined on the whole real line."""
-    if math.isinf(model.xi):
-        raise ValueError("fade distribution is degenerate when jitter is zero")
-    z = np.asarray(zeta, dtype=float)
-    out = np.clip(z / model.a0, 0.0, 1.0) ** model.xi
-    return out if isinstance(zeta, np.ndarray) else float(out)
 
 
 def mean_fraction(model: MisalignmentModel) -> float:

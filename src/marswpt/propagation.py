@@ -4,7 +4,8 @@ Three effects are modeled:
 
 * log-distance path loss with exponent ``alpha`` over the free-space factor
   ``K = 4*pi*d/lambda``,
-* log-normal shadowing, a zero-mean Gaussian term in dB,
+* log-normal shadowing, a zero-mean Gaussian term in dB of deviation
+  ``sigma_db`` (``link`` draws it per trial),
 * dust-storm extinction, linear in particle density, particle volume, and
   path length.
 
@@ -76,25 +77,10 @@ def free_space_factor(distance_m: float, carrier: RfCarrier) -> float:
     return 4.0 * np.pi * distance_m / carrier.wavelength_m
 
 
-def path_loss_db(
-    distance_m: float,
-    carrier: RfCarrier,
-    terrain: TerrainProfile,
-    shadow_db: float = 0.0,
-) -> float:
-    """Log-distance path loss in dB; shadow_db = 0 gives the median loss."""
+def path_loss_db(distance_m: float, carrier: RfCarrier, terrain: TerrainProfile) -> float:
+    """Median log-distance path loss in dB, without shadowing."""
     k = free_space_factor(distance_m, carrier)
-    return 10.0 * terrain.alpha * np.log10(k) + shadow_db
-
-
-def sample_shadowing(terrain: TerrainProfile, rng: np.random.Generator, n: int | None = None):
-    """Draw shadowing in dB from Normal(0, sigma_db^2).
-
-    Returns a scalar when ``n`` is None, else an array of ``n`` draws.
-    """
-    if n is None:
-        return terrain.sigma_db * rng.standard_normal()
-    return terrain.sigma_db * rng.standard_normal(n)
+    return 10.0 * terrain.alpha * np.log10(k)
 
 
 def dust_extinction_coefficient(storm: DustStorm, carrier: RfCarrier) -> float:

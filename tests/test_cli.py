@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,41 @@ def test_link_model_file_with_a_non_finite_coefficient_is_rejected(tmp_path, cap
     assert code == 2
     assert out == ""
     assert "a2 must be finite" in err
+
+
+def test_link_model_file_with_an_infinite_range_is_rejected(tmp_path, capsys):
+    path = tmp_path / "wide.model"
+    write_model_file(HARVESTER_C, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = ["valid_max_mw = inf" if line.startswith("valid_max_mw") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "link", "--json", "--harvester", "none", "--harvester-file", str(path),
+        "--n-samples", "200",
+    )
+    assert code == 2
+    assert out == ""
+    assert "valid_range_mw must be finite" in err
+
+
+def test_link_rejects_a_model_file_named_like_a_selected_builtin(tmp_path, capsys):
+    path = tmp_path / "a.model"
+    write_model_file(replace(HARVESTER_C, name="A"), path)
+    for choice in ("all", "A"):
+        code, out, err = run_cli(
+            capsys, "link", "--json", "--harvester", choice, "--harvester-file", str(path),
+            "--n-samples", "200",
+        )
+        assert code == 2
+        assert out == ""
+        assert "'A'" in err
+    # Beside a built-in of another name, the file's model gets its own entry.
+    code, out, _ = run_cli(
+        capsys, "link", "--json", "--harvester", "B", "--harvester-file", str(path),
+        "--n-samples", "200",
+    )
+    assert code == 0
+    assert set(json.loads(out)["harvesters"]) == {"A", "B"}
 
 
 def test_link_config_file(tmp_path, capsys):

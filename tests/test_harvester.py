@@ -365,6 +365,18 @@ def test_read_model_file_rejects_duplicate_keys_and_names_a_bad_value(tmp_path):
         read_model_file(path)
 
 
+def test_read_model_file_rejects_an_infinite_range_with_the_other_violations(tmp_path):
+    path = tmp_path / "wide.model"
+    write_model_file(HARVESTER_A, path)
+    replacements = {"a2": "a2 = nan", "valid_max_mw": "valid_max_mw = inf"}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    write_text(path, "\n".join(replacements.get(line.split(" = ")[0], line) for line in lines))
+    with pytest.raises(ValueError) as info:
+        read_model_file(path)
+    assert "a2 must be finite" in str(info.value)
+    assert "valid_range_mw must be finite" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # domain rule properties
 

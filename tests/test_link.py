@@ -1,11 +1,13 @@
 """Link budget composition and the Monte Carlo harvested-power estimator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from marswpt.harvester import (
     HARVESTER_A,
@@ -25,7 +27,6 @@ from marswpt.link import (
     estimate_harvest,
     harvest_samples,
     median_received_dbm,
-    sample_harvest_uw,
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
 from marswpt.propagation import AREA1, AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
@@ -118,17 +119,28 @@ def test_zero_jitter_pointing_is_static_a0_penalty():
 
 
 def test_scalar_loop_reproduces_vectorized_samples():
-    scenario = LinkScenario(
+    # Trial i owns row i of the Philox block: one trial at a time, row i
+    # gives trial i's shadowing. The engine's open-interval remap moves each
+    # uniform by at most 1e-16, far inside the tolerance.
+    scenario = LinkScenario()
+    mc = MonteCarloSettings(n_samples=50, seed=2024)
+    vectorized = harvest_samples(scenario, HARVESTER_C, mc).p_rx_dbm
+    rows = np.random.Generator(np.random.Philox(key=mc.seed)).random((mc.n_samples, 3))
+    median = median_received_dbm(scenario)
+    looped = np.array([median + scenario.terrain.sigma_db * float(ndtri(row[0])) for row in rows])
+    np.testing.assert_allclose(vectorized, looped, rtol=0.0, atol=1e-12)
+
+    # With every channel branch on, a shorter run is the prefix of a longer
+    # one, bit for bit.
+    full = LinkScenario(
         dust=DustStorm(n_t_per_m3=1e4, rho_p_m=1e-3),
         pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D),
         small_scale="rayleigh",
     )
-    mc = MonteCarloSettings(n_samples=50, seed=2024)
-    vectorized = harvest_samples(scenario, HARVESTER_C, mc)
-
-    rng = np.random.Generator(np.random.Philox(key=mc.seed))
-    looped = np.array([sample_harvest_uw(scenario, HARVESTER_C, rng) for _ in range(50)])
-    np.testing.assert_array_equal(looped, vectorized.p_h_uw)
+    long = harvest_samples(full, HARVESTER_C, mc)
+    short = harvest_samples(full, HARVESTER_C, MonteCarloSettings(n_samples=17, seed=mc.seed))
+    for name in ("p_rx_dbm", "p_h_uw", "clamped", "extrapolated"):
+        np.testing.assert_array_equal(getattr(long, name)[:17], getattr(short, name))
 
 
 def test_fixed_uniform_budget_keeps_features_independent():
@@ -376,3 +388,51 @@ def test_harvest_is_at_most_received_power_and_counters_lie_in_range(scenario, m
     stats = estimate_harvest(scenario, model, mc)
     assert 0 <= stats.clamp_count <= mc.n_samples
     assert 0 <= stats.extrapolated_count <= mc.n_samples
+
+
+@settings(max_examples=50, deadline=None)
+@given(SCENARIOS)
+def test_median_budget_is_the_ordered_sum_of_its_terms(scenario):
+    total = 0.0
+    for term in budget_terms(scenario).values():
+        total += term
+    assert median_received_dbm(scenario) == total
+
+
+# Each knob: its values, the scenario with the knob set, and whether every
+# trial's received power rises (+1) or falls (-1) as the knob grows. Trials
+# reuse their uniforms, so this holds exactly, not only on average. Jitter
+# starts above zero: zero jitter takes the static branch 10 log10(a0), which
+# can sit one rounding step below the jitter branch's (10 / ln 10) ln(a0).
+MONOTONE_KNOBS = {
+    "p_tx_w": (st.floats(0.1, 1000.0), lambda s, v: replace(s, p_tx_w=v), +1),
+    "distance_m": (st.floats(1.0, 1000.0), lambda s, v: replace(s, distance_m=v), -1),
+    "n_t_per_m3": (
+        st.floats(0.0, 1e6),
+        lambda s, v: replace(s, dust=replace(s.dust or DustStorm(), n_t_per_m3=v)),
+        -1,
+    ),
+    "sigma_s_m": (
+        st.floats(0.0, 2.0, exclude_min=True),
+        lambda s, v: replace(
+            s, pointing=replace(s.pointing or PointingGeometry(0.5, 0.0, R_D), sigma_s_m=v)
+        ),
+        -1,
+    ),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(MONOTONE_KNOBS))
+@settings(max_examples=25, deadline=None)
+@given(scenario=SCENARIOS, seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_each_trial_is_monotone_in_power_distance_dust_and_jitter(knob, scenario, seed, data):
+    values, with_knob, direction = MONOTONE_KNOBS[knob]
+    lo, hi = sorted((data.draw(values, label="lo"), data.draw(values, label="hi")))
+    mc = MonteCarloSettings(n_samples=64, seed=seed)
+    at_lo, at_hi = (
+        harvest_samples(with_knob(scenario, v), HARVESTER_C, mc).p_rx_dbm for v in (lo, hi)
+    )
+    if direction > 0:
+        assert np.all(at_hi >= at_lo)
+    else:
+        assert np.all(at_hi <= at_lo)

@@ -13,13 +13,10 @@ from marswpt.pointing import (
     PointingGeometry,
     default_beam_waist,
     derive_model,
-    fade_cdf,
-    fade_pdf,
-    fraction_at_offset,
     mean_fraction,
-    sample_offset,
 )
 from marswpt.quantities import RfCarrier
+from oracles import engine_fade_db, fade_cdf, fraction_at_offset
 
 CARRIER = RfCarrier(2.45e9)
 R_D = default_beam_waist(CARRIER)
@@ -27,6 +24,20 @@ R_D = default_beam_waist(CARRIER)
 
 def make_model(beta_m, sigma_s_m, r_d_m=R_D):
     return derive_model(PointingGeometry(beta_m=beta_m, sigma_s_m=sigma_s_m, r_d_m=r_d_m))
+
+
+def engine_fractions(sigma_s_m, n, seed, beta_m=0.5):
+    """The engine's fade m per trial."""
+    fade_db = engine_fade_db(PointingGeometry(beta_m, sigma_s_m, R_D), n, seed)
+    return make_model(beta_m, sigma_s_m).a0 * 10.0 ** (fade_db / 10.0)
+
+
+def engine_offsets(sigma_s_m, n, seed, beta_m=0.5):
+    """The radial offset behind each engine fade, by inverting m(r)."""
+    fade_db = engine_fade_db(PointingGeometry(beta_m, sigma_s_m, R_D), n, seed)
+    log_ratio = fade_db * (math.log(10.0) / 10.0)
+    # A fade a rounding error above a0 is an offset of zero.
+    return make_model(beta_m, sigma_s_m).w_eq_m * np.sqrt(np.maximum(-0.5 * log_ratio, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -156,49 +167,29 @@ def test_fraction_profile_shape():
     assert np.all(np.diff(values) < 0.0)
 
 
-def test_fraction_rejects_negative_offset():
-    model = make_model(0.5, 0.5)
-    with pytest.raises(ValueError):
-        fraction_at_offset(model, -0.1)
-
-
 # ---------------------------------------------------------------------------
-# radial offset sampling
+# radial offsets behind the engine's fades
 
 
 def test_offset_sampling_zero_jitter():
-    rng = np.random.default_rng(3)
-    assert sample_offset(0.0, rng) == 0.0
-    assert np.all(sample_offset(0.0, rng, n=50) == 0.0)
+    assert np.all(engine_fade_db(PointingGeometry(0.5, 0.0, R_D), 50, seed=3) == 0.0)
+    assert np.all(engine_offsets(0.0, 50, seed=3) == 0.0)
 
 
 def test_offset_sampling_matches_rayleigh_moments():
-    rng = np.random.default_rng(11)
-    draws = sample_offset(0.5, rng, n=1_000_000)
+    draws = engine_offsets(0.5, 1_000_000, seed=11)
     assert float(np.mean(draws)) == pytest.approx(0.5 * math.sqrt(math.pi / 2.0), rel=0.01)
     assert float(np.mean(draws**2)) == pytest.approx(2.0 * 0.5**2, rel=0.01)
 
 
 def test_offset_sampling_matches_rayleigh_cdf():
-    rng = np.random.default_rng(17)
-    draws = sample_offset(0.8, rng, n=100_000)
+    draws = engine_offsets(0.8, 100_000, seed=17)
     result = stats.kstest(draws, stats.rayleigh(scale=0.8).cdf)
     assert result.pvalue > 0.01
 
 
-def test_offset_sampling_rejects_negative_scale():
-    with pytest.raises(ValueError):
-        sample_offset(-0.5, np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # fade distribution
-
-
-def test_fade_pdf_normalizes_to_one():
-    model = make_model(0.5, 0.5)
-    total, _ = quad(lambda z: fade_pdf(model, z), 0.0, model.a0, limit=200)
-    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fade_cdf_reference_shape():
@@ -210,17 +201,6 @@ def test_fade_cdf_reference_shape():
     grid = np.linspace(1e-6, model.a0, 100)
     values = fade_cdf(model, grid)
     assert np.all(np.diff(values) > 0.0)
-
-
-def test_fade_pdf_rejects_out_of_support_and_degenerate_models():
-    model = make_model(0.5, 0.5)
-    with pytest.raises(ValueError):
-        fade_pdf(model, 0.0)
-    with pytest.raises(ValueError):
-        fade_pdf(model, model.a0 * 1.01)
-    degenerate = make_model(0.5, 0.0)
-    with pytest.raises(ValueError):
-        fade_pdf(degenerate, 0.2)
 
 
 def test_mean_fraction_closed_form():
@@ -242,9 +222,7 @@ def test_mean_fraction_decreases_with_jitter():
 
 def test_sampled_fraction_matches_closed_form_mean():
     model = make_model(0.5, 0.5)
-    rng = np.random.default_rng(2025)
-    offsets = sample_offset(0.5, rng, n=1_000_000)
-    fractions = fraction_at_offset(model, offsets)
+    fractions = engine_fractions(0.5, 1_000_000, seed=2025)
     expected = mean_fraction(model)
     stderr = float(np.std(fractions)) / math.sqrt(fractions.size)
     assert abs(float(np.mean(fractions)) - expected) < 3.0 * stderr
@@ -252,8 +230,6 @@ def test_sampled_fraction_matches_closed_form_mean():
 
 def test_sampled_fraction_matches_fade_cdf():
     model = make_model(0.5, 0.5)
-    rng = np.random.default_rng(31)
-    offsets = sample_offset(0.5, rng, n=100_000)
-    fractions = fraction_at_offset(model, offsets)
+    fractions = engine_fractions(0.5, 100_000, seed=31)
     result = stats.kstest(fractions, lambda z: fade_cdf(model, z))
     assert result.pvalue > 0.01

@@ -16,9 +16,10 @@ from marswpt.propagation import (
     dust_extinction_coefficient,
     free_space_factor,
     path_loss_db,
-    sample_shadowing,
     terrain_preset,
 )
+from marswpt.harvester import HARVESTER_C
+from marswpt.link import LinkScenario, MonteCarloSettings, harvest_samples, median_received_dbm
 from marswpt.quantities import RfCarrier
 
 CARRIER = RfCarrier(2.45e9)
@@ -84,16 +85,6 @@ def test_path_loss_zero_at_reference_distance():
     assert path_loss_db(d0, CARRIER, AREA1) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_path_loss_shadow_term_is_additive():
-    base = path_loss_db(50.0, CARRIER, AREA1)
-    assert path_loss_db(50.0, CARRIER, AREA1, shadow_db=4.5) == pytest.approx(
-        base + 4.5, rel=1e-12
-    )
-    assert path_loss_db(50.0, CARRIER, AREA1, shadow_db=-4.5) == pytest.approx(
-        base - 4.5, rel=1e-12
-    )
-
-
 def test_path_loss_increases_with_distance_and_exponent():
     distances = np.geomspace(1.0, 500.0, 40)
     losses = [path_loss_db(d, CARRIER, AREA1) for d in distances]
@@ -111,32 +102,35 @@ def test_path_loss_rejects_non_positive_distance():
 
 
 # ---------------------------------------------------------------------------
-# shadowing
+# shadowing, as the Monte Carlo engine draws it
+
+
+def engine_shadowing_db(terrain, n, seed):
+    """Per-trial shadowing of the engine: received power minus the median."""
+    scenario = LinkScenario(terrain=terrain)
+    draws = harvest_samples(scenario, HARVESTER_C, MonteCarloSettings(n_samples=n, seed=seed))
+    return draws.p_rx_dbm - median_received_dbm(scenario)
 
 
 def test_shadowing_zero_sigma_is_deterministic():
     calm = TerrainProfile("calm", alpha=2.0, sigma_db=0.0)
-    rng = np.random.default_rng(1)
-    assert sample_shadowing(calm, rng) == 0.0
-    assert np.all(sample_shadowing(calm, rng, n=100) == 0.0)
+    assert np.all(engine_shadowing_db(calm, 100, seed=1) == 0.0)
 
 
 def test_shadowing_matches_declared_moments():
-    rng = np.random.default_rng(2024)
-    draws = sample_shadowing(AREA1, rng, n=1_000_000)
+    draws = engine_shadowing_db(AREA1, 1_000_000, seed=2024)
     assert abs(float(np.mean(draws))) < 0.05
     assert float(np.std(draws)) == pytest.approx(11.41, rel=0.01)
 
 
 def test_shadowing_is_reproducible_for_fixed_seed():
-    a = sample_shadowing(AREA1, np.random.default_rng(7), n=1000)
-    b = sample_shadowing(AREA1, np.random.default_rng(7), n=1000)
+    a = engine_shadowing_db(AREA1, 1000, seed=7)
+    b = engine_shadowing_db(AREA1, 1000, seed=7)
     np.testing.assert_array_equal(a, b)
 
 
 def test_shadowing_is_normal_by_ks():
-    rng = np.random.default_rng(99)
-    draws = sample_shadowing(AREA2, rng, n=100_000)
+    draws = engine_shadowing_db(AREA2, 100_000, seed=99)
     result = stats.kstest(draws, stats.norm(loc=0.0, scale=13.26).cdf)
     assert result.pvalue > 0.01
 
