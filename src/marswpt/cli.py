@@ -42,6 +42,7 @@ from .link import (
     LinkScenario,
     MonteCarloSettings,
     budget_terms,
+    draw_channel,
     estimate_harvest,
     median_received_dbm,
 )
@@ -322,10 +323,12 @@ def cmd_link(args: argparse.Namespace) -> int:
         "budget_terms_db": terms,
         "harvesters": {},
     }
+    # Every model sees the same trials, so the channel is drawn once.
+    channel = draw_channel(scenario, mc, n_workers) if models else None
     for model in models:
         eta = efficiency_percent(model, median_mw)
         harvested_uw = harvested_mw(model, median_mw) * 1000.0
-        stats = estimate_harvest(scenario, model, mc, n_workers=n_workers)
+        stats = estimate_harvest(scenario, model, mc, n_workers=n_workers, channel=channel)
         report["harvesters"][model.name] = {
             "deterministic": {
                 "p_rx_mw": median_mw,

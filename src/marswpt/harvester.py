@@ -51,12 +51,11 @@ class EfficiencySample:
     efficiency_percent: float
 
     def __post_init__(self) -> None:
-        if not self.input_power_mw > 0.0:
-            raise ValueError(f"input_power_mw must be positive, got {self.input_power_mw}")
-        if not 0.0 <= self.efficiency_percent <= 100.0:
-            raise ValueError(
-                f"efficiency_percent must lie in [0, 100], got {self.efficiency_percent}"
-            )
+        problems = field_problems(self, input_power_mw="positive")
+        if math.isfinite(self.efficiency_percent) and not 0.0 <= self.efficiency_percent <= 100.0:
+            problems.append(f"efficiency_percent must lie in [0, 100], got {self.efficiency_percent}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,9 +16,15 @@ Every trial consumes a fixed budget of three uniforms from one counter-based
 Philox stream keyed by the seed, whether or not pointing and small-scale
 fading are enabled. Trial ``i`` owns draws ``3i..3i+2`` (row ``i`` of
 ``Philox(key=seed).random((n, 3))``), so a run of ``n`` trials begins with
-the run of any shorter length, and any worker count produces bit-identical
+the run of any shorter length. The trials are drawn in blocks; each block
+draws from its own Philox advanced to the block's first trial, which gives
+exactly that slice of the stream, so any worker count produces bit-identical
 results. Uniforms are remapped once to the open interval so the inverse-CDF
 transforms stay finite.
+
+The channel (``draw_channel``: the draws up to received power in dBm and mW)
+does not depend on the harvester: callers that compare models draw it once
+and pass it to ``estimate_harvest`` for each, with the same result.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ SMALL_SCALE_MODES = ("off", "rayleigh")
 
 _DB_PER_LN = 10.0 / math.log(10.0)
 _OPEN_INTERVAL_EPS = 1e-16
+# Trials per block: a multiple of 4, so that a block starts on a Philox
+# counter step, and small enough that its uniforms and temporaries stay in L2.
+_BLOCK_TRIALS = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +116,17 @@ class HarvestSamples:
     extrapolated: np.ndarray
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Channel:
+    """Per-trial received power of one scenario and seed; read-only, shared by models."""
+
+    scenario: LinkScenario
+    seed: int
+    n: int
+    p_rx_dbm: np.ndarray
+    p_mw: np.ndarray
+
+
 def budget_terms(s: LinkScenario) -> dict[str, float]:
     """Signed dB terms of the median budget; their ordered sum is the median P_RX."""
     if s.dust is not None:
@@ -142,92 +162,127 @@ def derive_substream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _open_uniforms(u: np.ndarray) -> np.ndarray:
-    return u * (1.0 - 2.0 * _OPEN_INTERVAL_EPS) + _OPEN_INTERVAL_EPS
-
-
-def _received_dbm_from_uniforms(
-    s: LinkScenario, fade: MisalignmentModel | None, base_dbm: float, u: np.ndarray
-) -> np.ndarray:
-    """Map a (n, 3) open-interval uniform block to received power in dBm."""
-    x = base_dbm + s.terrain.sigma_db * ndtri(u[:, 0])
-    if fade is not None:
-        if fade.sigma_s_m > 0.0:
-            # Rayleigh offset squared via inverse CDF; fade stays in the log
-            # domain so huge offsets cannot underflow to zero mW.
-            r_sq = -2.0 * fade.sigma_s_m**2 * np.log(u[:, 1])
-            x = x + _DB_PER_LN * (math.log(fade.a0) - 2.0 * r_sq / fade.w_eq_m**2)
-        else:
-            x = x + 10.0 * math.log10(fade.a0)
+def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, base_dbm: float,
+                  u: np.ndarray, x: np.ndarray) -> None:
+    """Map a (k, 3) block of open-interval uniforms to received dBm in ``x``, in place."""
+    ndtri(u[:, 0], out=x)
+    x *= s.terrain.sigma_db
+    x += base_dbm
+    if fade is not None and fade.sigma_s_m > 0.0:
+        # Rayleigh offset squared via inverse CDF; fade stays in the log
+        # domain so huge offsets cannot underflow to zero mW.
+        t = np.log(u[:, 1])
+        t *= -2.0 * fade.sigma_s_m**2
+        t *= 2.0
+        t /= fade.w_eq_m**2
+        np.subtract(math.log(fade.a0), t, out=t)
+        t *= _DB_PER_LN
+        x += t
+    elif fade is not None:
+        x += 10.0 * math.log10(fade.a0)
     if s.small_scale == "rayleigh":
-        x = x + _DB_PER_LN * np.log(-np.log(u[:, 2]))
-    return x
+        t = np.log(u[:, 2])
+        np.negative(t, out=t)
+        np.log(t, out=t)
+        t *= _DB_PER_LN
+        x += t
 
 
-def _harvest_chunk(
-    s: LinkScenario,
-    model: HarvesterModel,
-    fade: MisalignmentModel | None,
-    base_dbm: float,
-    u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    x_dbm = _received_dbm_from_uniforms(s, fade, base_dbm, u)
-    p_mw = 10.0 ** (x_dbm / 10.0)
-    raw = raw_efficiency_percent(model, p_mw)
-    eta = np.clip(raw, 0.0, 100.0)
-    p_h_uw = p_mw * eta * (1000.0 / 100.0)
-    return x_dbm, p_h_uw, raw != eta, is_extrapolated(model, p_mw)
-
-
-def _pointing_base_dbm(s: LinkScenario) -> tuple[MisalignmentModel | None, float]:
-    """Split the budget into the deterministic base (no pointing) and the fade model."""
-    terms = budget_terms(s)
-    base = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
-    base += terms["path_loss_db"] + terms["dust_db"]
-    fade = derive_model(s.pointing) if s.pointing is not None else None
-    return fade, base
-
-
-def harvest_samples(
-    s: LinkScenario,
-    model: HarvesterModel,
-    mc: MonteCarloSettings,
-    n_workers: int = 1,
-) -> HarvestSamples:
-    """All per-trial draws for a scenario, bit-identical for any worker count."""
+def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) -> Channel:
+    """The per-trial channel of ``s`` at ``mc``, bit-identical for any worker count."""
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    fade, base_dbm = _pointing_base_dbm(s)
-    gen = np.random.Generator(np.random.Philox(key=mc.seed))
-    u = _open_uniforms(gen.random((mc.n_samples, 3)))
+    # Every budget term but pointing is the same for all trials; pointing
+    # enters per trial through the fade model.
+    terms = budget_terms(s)
+    base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
+    base_dbm += terms["path_loss_db"] + terms["dust_db"]
+    fade = derive_model(s.pointing) if s.pointing is not None else None
+    n = mc.n_samples
+    p_rx_dbm, p_mw = np.empty(n), np.empty(n)
 
-    if n_workers == 1 or mc.n_samples < 4 * n_workers:
-        parts = [_harvest_chunk(s, model, fade, base_dbm, u)]
+    def fill(start: int) -> None:
+        # Twelve draws are three Philox counter steps, so a block that starts
+        # on a multiple of 4 trials begins exactly at row ``start``.
+        bitgen = np.random.Philox(key=mc.seed)
+        bitgen.advance(3 * start // 4)
+        stop = min(start + _BLOCK_TRIALS, n)
+        u = np.random.Generator(bitgen).random((stop - start, 3))
+        u *= 1.0 - 2.0 * _OPEN_INTERVAL_EPS
+        u += _OPEN_INTERVAL_EPS
+        _received_dbm(s, fade, base_dbm, u, p_rx_dbm[start:stop])
+        np.divide(p_rx_dbm[start:stop], 10.0, out=p_mw[start:stop])
+        np.power(10.0, p_mw[start:stop], out=p_mw[start:stop])
+
+    starts = range(0, n, _BLOCK_TRIALS)
+    if n_workers == 1 or len(starts) == 1:
+        for start in starts:
+            fill(start)
     else:
-        chunks = np.array_split(u, n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda c: _harvest_chunk(s, model, fade, base_dbm, c), chunks))
-
-    x_dbm = np.concatenate([part[0] for part in parts])
-    p_h_uw = np.concatenate([part[1] for part in parts])
-    clamped = np.concatenate([part[2] for part in parts])
-    extrapolated = np.concatenate([part[3] for part in parts])
-    return HarvestSamples(x_dbm, p_h_uw, clamped, extrapolated)
+        with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
+            list(pool.map(fill, starts))
+    p_rx_dbm.flags.writeable = p_mw.flags.writeable = False
+    return Channel(s, mc.seed, n, p_rx_dbm, p_mw)
 
 
-def estimate_harvest(
-    s: LinkScenario,
-    model: HarvesterModel,
-    mc: MonteCarloSettings,
-    n_workers: int = 1,
-) -> HarvestStats:
-    """Monte Carlo summary over ``mc.n_samples`` trials."""
-    draws = harvest_samples(s, model, mc, n_workers)
-    h = draws.p_h_uw
+def harvest_samples(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
+                    n_workers: int = 1, *, channel: Channel | None = None) -> HarvestSamples:
+    """All per-trial draws of one model, on ``channel`` when given, else on a new draw."""
+    if channel is None:
+        channel = draw_channel(s, mc, n_workers)
+    elif (channel.scenario, channel.seed, channel.n) != (s, mc.seed, mc.n_samples):
+        raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
+    n = channel.n
+    p_h_uw, clamped, extrapolated = np.empty(n), np.empty(n, bool), np.empty(n, bool)
+    # One thread: a model block is a few short ufuncs, and handing the GIL
+    # over after each one costs more than a second core saves.
+    for start in range(0, n, _BLOCK_TRIALS):
+        block = slice(start, start + _BLOCK_TRIALS)
+        p_mw = channel.p_mw[block]
+        raw = raw_efficiency_percent(model, p_mw)
+        eta = np.clip(raw, 0.0, 100.0, out=p_h_uw[block])
+        np.not_equal(raw, eta, out=clamped[block])
+        extrapolated[block] = is_extrapolated(model, p_mw)
+        eta *= p_mw
+        eta *= 1000.0 / 100.0
+    return HarvestSamples(channel.p_rx_dbm, p_h_uw, clamped, extrapolated)
+
+
+def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
+    """``np.median(h)`` and ``np.quantile(h, q)`` per q, bit for bit, from one partition.
+
+    The formulas are numpy's: the mean of the middle one or two values, and
+    linear interpolation that takes its ``t >= 0.5`` branch from the upper value.
+    Equal values must be identical; with both signed zeros, the sign of a zero
+    result depends on the partition's arrangement, in numpy's calls too.
+    """
+    last = h.size - 1
+    spots = {}
+    for q in quantiles:
+        virtual = last * q
+        lo = math.floor(virtual)
+        # numpy reads index -1 (the last value) at or past the end; t follows.
+        spots[q] = (lo, lo + 1, virtual - lo) if virtual < last else (last, last, virtual + 1)
+    kth = {last // 2, h.size // 2, last, *(i for lo, hi, _ in spots.values() for i in (lo, hi))}
+    part = np.partition(h, sorted(kth))
+    if math.isnan(part[last]):  # numpy sorts NaN last, and then reports NaN
+        return math.nan, dict.fromkeys(quantiles, math.nan)
+    out = {}
+    for q, (lo, hi, t) in spots.items():
+        a, b = part[lo], part[hi]
+        out[q] = float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return float(np.mean(part[last // 2 : h.size // 2 + 1])), out
+
+
+def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
+                     n_workers: int = 1, *, channel: Channel | None = None) -> HarvestStats:
+    """Monte Carlo summary over ``mc.n_samples`` trials, on ``channel`` when given."""
+    draws = harvest_samples(s, model, mc, n_workers, channel=channel)
+    median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
     return HarvestStats(
-        mean_uw=float(np.mean(h)),
-        median_uw=float(np.median(h)),
-        quantiles_uw={q: float(np.quantile(h, q)) for q in mc.quantiles},
+        mean_uw=float(np.mean(draws.p_h_uw)),
+        median_uw=median_uw,
+        quantiles_uw=quantiles_uw,
         mean_p_rx_dbm=float(np.mean(draws.p_rx_dbm)),
         clamp_count=int(np.count_nonzero(draws.clamped)),
         extrapolated_count=int(np.count_nonzero(draws.extrapolated)),

@@ -18,7 +18,9 @@ import marswpt
 from marswpt import cli
 from marswpt.cli import CSV_COLUMNS, main, rows_to_csv
 from marswpt.harvester import HARVESTER_C, efficiency_percent, write_model_file
-from marswpt.link import LinkScenario, MonteCarloSettings, estimate_harvest, median_received_dbm
+from marswpt.link import (
+    LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, median_received_dbm,
+)
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import SweepSpec, run_sweep
 
@@ -61,6 +63,20 @@ def test_link_json_matches_api(capsys):
 
     total = sum(report["budget_terms_db"].values())
     assert total == pytest.approx(report["median_p_rx_dbm"], abs=1e-9)
+
+
+def test_link_draws_one_channel_for_all_harvesters(capsys, monkeypatch):
+    draws = []
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args)
+        return draw_channel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "draw_channel", counting_draw)
+    code, out, _ = run_cli(capsys, "link", "--json", "--n-samples", "300", "--harvester", "all")
+    assert code == 0
+    assert sorted(json.loads(out)["harvesters"]) == ["A", "B", "C"]
+    assert len(draws) == 1
 
 
 def test_link_flag_overrides(capsys):
@@ -406,6 +422,17 @@ def test_fit_reports_malformed_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(samples))
     assert code == 2
     assert "line 3" in err
+
+
+def test_fit_names_the_line_of_an_infinite_power(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples)
+    with open(samples, "a", encoding="utf-8") as handle:
+        handle.write("inf,30\n")
+    code, out, err = run_cli(capsys, "fit", str(samples))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 32: input_power_mw must be finite, got inf\n"
 
 
 def test_fit_degenerate_curve_is_runtime_error(tmp_path, capsys):

@@ -307,6 +307,14 @@ def test_read_samples_csv_reports_offending_line(tmp_path):
         read_samples_csv(path)
 
 
+def test_read_samples_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "samples.csv"
+    for line, field in (("inf,30", "input_power_mw"), ("0.5,nan", "efficiency_percent")):
+        write_text(path, f"input_power_mw,efficiency_percent\n1.0,66.7\n{line}\n")
+        with pytest.raises(ValueError, match=f"^line 3: {field} must be finite"):
+            read_samples_csv(path)
+
+
 def test_read_samples_csv_empty_file(tmp_path):
     path = tmp_path / "samples.csv"
     write_text(path, "")

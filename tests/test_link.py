@@ -1,6 +1,7 @@
 """Link budget composition and the Monte Carlo harvested-power estimator."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from marswpt.harvester import (
     denominator_minimum,
     harvested_mw,
 )
+from marswpt import link
 from marswpt.link import (
     SMALL_SCALE_MODES,
     HarvestStats,
@@ -24,6 +26,7 @@ from marswpt.link import (
     MonteCarloSettings,
     budget_terms,
     derive_substream_seed,
+    draw_channel,
     estimate_harvest,
     harvest_samples,
     median_received_dbm,
@@ -175,6 +178,81 @@ def test_worker_count_does_not_change_results():
     threaded_draws = harvest_samples(scenario, HARVESTER_A, mc, n_workers=8)
     np.testing.assert_array_equal(serial_draws.p_h_uw, threaded_draws.p_h_uw)
     np.testing.assert_array_equal(serial_draws.p_rx_dbm, threaded_draws.p_rx_dbm)
+
+
+EVERY_BRANCH = LinkScenario(
+    terrain=AREA2,
+    dust=DustStorm(n_t_per_m3=1e4, rho_p_m=1e-4),
+    pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.3, r_d_m=R_D),
+    small_scale="rayleigh",
+)
+
+
+@pytest.mark.parametrize("block_trials", [4, 12])
+def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_trials):
+    cases = [(n, MonteCarloSettings(n_samples=n, seed=31 + n)) for n in (1, 3, 4, 5, 17, 50)]
+    default = {n: harvest_samples(EVERY_BRANCH, HARVESTER_B, mc) for n, mc in cases}
+    monkeypatch.setattr(link, "_BLOCK_TRIALS", block_trials)
+    for n, mc in cases:
+        for n_workers in (1, 2, 3):
+            draws = harvest_samples(EVERY_BRANCH, HARVESTER_B, mc, n_workers)
+            for name in ("p_rx_dbm", "p_h_uw", "clamped", "extrapolated"):
+                np.testing.assert_array_equal(getattr(draws, name), getattr(default[n], name))
+
+
+def test_shared_channel_gives_the_per_model_result():
+    mc = MonteCarloSettings(n_samples=20_001, seed=12345, quantiles=(0.01, 0.5, 0.95))
+    channel = draw_channel(EVERY_BRANCH, mc, n_workers=2)
+    for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
+        shared = estimate_harvest(EVERY_BRANCH, model, mc, channel=channel)
+        assert shared == estimate_harvest(EVERY_BRANCH, model, mc)
+
+
+def test_channel_must_match_scenario_seed_and_count():
+    mc = MonteCarloSettings(n_samples=100, seed=5)
+    channel = draw_channel(EVERY_BRANCH, mc)
+    for scenario, other in (
+        (EVERY_BRANCH, replace(mc, seed=6)),
+        (EVERY_BRANCH, replace(mc, n_samples=99)),
+        (LinkScenario(), mc),
+    ):
+        with pytest.raises(ValueError, match="channel"):
+            estimate_harvest(scenario, HARVESTER_C, other, channel=channel)
+
+
+def test_channel_arrays_are_read_only():
+    channel = draw_channel(EVERY_BRANCH, MonteCarloSettings(n_samples=10, seed=1))
+    for values in (channel.p_rx_dbm, channel.p_mw):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# Ties, zeros (B clamps about half its trials to 0) and the odd NaN. Zeros
+# are +0.0, as the engine's are: where +0.0 and -0.0 both occur, the sign of
+# a zero order statistic depends on how the partition arranged them, in
+# numpy's own calls too.
+ORDER_VALUES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, math.nan]) | st.floats(
+    -1e3, 1e3, allow_subnormal=False
+).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ORDER_VALUES, min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.05, 0.95, 1e-9, 1 - 1e-9, 0.25, 0.01]) | st.floats(1e-9, 1 - 1e-9),
+             max_size=4),
+)
+def test_one_partition_matches_numpy_median_and_quantile(values, extra):
+    h = np.array(values)
+    quantiles = (0.5, 1e-9, 1 - 1e-9, *extra)
+    median, by_q = link._order_statistics(h, quantiles)
+    assert _bits(median) == _bits(float(np.median(h)))
+    for q in quantiles:
+        assert _bits(by_q[q]) == _bits(float(np.quantile(h, q)))
 
 
 def test_same_seed_reproduces_and_new_seed_differs():
