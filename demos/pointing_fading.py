@@ -12,8 +12,8 @@ from marswpt.harvester import HARVESTER_C
 from marswpt.link import (
     LinkScenario,
     MonteCarloSettings,
+    draw_channel,
     estimate_harvest,
-    harvest_samples,
     median_received_dbm,
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
@@ -41,8 +41,8 @@ def main() -> None:
     # sits 10 log10(m / a0) dB from the aligned-beam median.
     calm = TerrainProfile("calm", alpha=AREA1.alpha, sigma_db=0.0)
     scenario = LinkScenario(terrain=calm, pointing=geometry)
-    draws = harvest_samples(scenario, HARVESTER_C, MonteCarloSettings(N_DRAWS, SEED))
-    fades = model.a0 * 10.0 ** ((draws.p_rx_dbm - median_received_dbm(scenario)) / 10.0)
+    channel = draw_channel(scenario, MonteCarloSettings(N_DRAWS, SEED))
+    fades = model.a0 * 10.0 ** ((channel.p_rx_dbm - median_received_dbm(scenario)) / 10.0)
     sampled = float(np.mean(fades))
     closed = mean_fraction(model)
     print(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -92,12 +92,14 @@ _MC_FIELDS = _flat_fields(MonteCarloSettings, _PARSERS)
 
 _SCENARIO_KEYS = (*_TOP_FIELDS, "area", *(key for keys in _PART_FIELDS.values() for key in keys))
 _MC_KEYS = (*_MC_FIELDS, "n_workers")
+# The CSV has fixed p05 and p95 columns, so a sweep takes no quantiles.
+_SWEEP_MC_KEYS = tuple(key for key in _MC_KEYS if key != "quantiles")
 _SWEEP_KEYS = (
     "axis", "axis_min", "axis_max", "axis_count", "axis_spacing",
     "axis_points", "secondary", "secondary_values", "harvesters",
 )
 _LINK_KEYS = _SCENARIO_KEYS + _MC_KEYS + ("harvester", "harvester_file")
-_SWEEP_CONFIG_KEYS = _SCENARIO_KEYS + _MC_KEYS + _SWEEP_KEYS
+_SWEEP_CONFIG_KEYS = _SCENARIO_KEYS + _SWEEP_MC_KEYS + _SWEEP_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +271,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _with_csv_quantiles(mc: MonteCarloSettings) -> MonteCarloSettings:
-    needed = {0.05, 0.95}
-    if needed.issubset(mc.quantiles):
-        return mc
-    return replace(mc, quantiles=tuple(sorted(set(mc.quantiles) | needed)))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -328,7 +323,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     for model in models:
         eta = efficiency_percent(model, median_mw)
         harvested_uw = harvested_mw(model, median_mw) * 1000.0
-        stats = estimate_harvest(scenario, model, mc, n_workers=n_workers, channel=channel)
+        stats = estimate_harvest(scenario, model, mc, channel=channel)
         report["harvesters"][model.name] = {
             "deterministic": {
                 "p_rx_mw": median_mw,
@@ -336,16 +331,8 @@ def cmd_link(args: argparse.Namespace) -> int:
                 "harvested_uw": harvested_uw,
                 "extrapolated": bool(is_extrapolated(model, median_mw)),
             },
-            "monte_carlo": {
-                "mean_uw": stats.mean_uw,
-                "median_uw": stats.median_uw,
-                "quantiles_uw": {str(q): v for q, v in stats.quantiles_uw.items()},
-                "mean_p_rx_dbm": stats.mean_p_rx_dbm,
-                "clamp_count": stats.clamp_count,
-                "extrapolated_count": stats.extrapolated_count,
-                "n_samples": stats.n_samples,
-                "seed": stats.seed,
-            },
+            # json writes the float quantile keys as their repr, such as "0.05".
+            "monte_carlo": asdict(stats),
         }
 
     if args.json:
@@ -386,7 +373,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(presets))}"
             )
-        cfg = _merge_config(args, _MC_KEYS)
+        cfg = _merge_config(args, _SWEEP_MC_KEYS)
         spec = presets[args.preset]
         spec = replace(spec, mc=build_mc(cfg, problems, spec.mc) or spec.mc)
     else:
@@ -396,7 +383,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if problems:
         raise ConfigError("; ".join(problems))
 
-    spec = replace(spec, mc=_with_csv_quantiles(spec.mc))
     rows = run_sweep(spec, n_workers=n_workers)
     text = rows_to_csv(rows)
     if args.out is None:
@@ -409,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     samples = read_samples_csv(args.samples)
-    model = fit_model(samples, name=args.name, refine=not args.no_refine)
+    model = fit_model(samples, name=args.name)
     powers = np.array([s.input_power_mw for s in samples])
     measured = np.array([s.efficiency_percent for s in samples])
     residual = raw_efficiency_percent(model, powers) - measured
@@ -478,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("samples", metavar="SAMPLES.csv")
     fit.add_argument("--name", default="fitted", metavar="NAME")
     fit.add_argument("--out", default=None, metavar="PATH")
-    fit.add_argument("--no-refine", dest="no_refine", action="store_true")
     fit.set_defaults(func=cmd_fit)
 
     presets = sub.add_parser("presets", help="list built-in sweep presets")

@@ -14,12 +14,14 @@ not only inside the certified range, because shadowing sends Monte Carlo
 trials orders of magnitude beyond it. ``denominator_minimum`` computes the
 exact minimum over P >= 0; ``HarvesterModel`` rejects a model whose minimum is
 not positive when it is built, so every model that exists can be evaluated at
-any non-negative power.
+any non-negative power up to about 5e102 mW. Past that the cubic overflows a
+float64, and ``raw_efficiency_percent`` raises ValueError rather than return a
+wrong number.
 
 ``fit_model`` recovers coefficients from measured (power, efficiency) points:
 a linear least-squares stage on the relinearized identity
-eta*(P^3+b2 P^2+b1 P+b0) = a2 P^2+a1 P+a0, then an optional nonlinear
-refinement of the true residual that is penalized against denominator
+eta*(P^3+b2 P^2+b1 P+b0) = a2 P^2+a1 P+a0, then a nonlinear refinement of
+the true residual, which always runs and is penalized against denominator
 sign changes inside the sample range. Only candidates that obey the domain
 rule are kept.
 """
@@ -132,9 +134,12 @@ def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
     p = np.asarray(p_rx_mw, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_rx_mw must be non-negative")
-    den = ((p + model.b2) * p + model.b1) * p + model.b0
-    num = (model.a2 * p + model.a1) * p + model.a0
-    out = num / den
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            den = ((p + model.b2) * p + model.b1) * p + model.b0
+            out = ((model.a2 * p + model.a1) * p + model.a0) / den
+        except FloatingPointError:
+            raise ValueError(f"model {model.name!r} overflows at received power {np.max(p):.6g} mW") from None
     return out if isinstance(p_rx_mw, np.ndarray) else float(out)
 
 
@@ -173,12 +178,7 @@ def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def fit_model(
-    samples: list[EfficiencySample],
-    *,
-    name: str = "fitted",
-    refine: bool = True,
-) -> HarvesterModel:
+def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> HarvesterModel:
     """Fit a rational efficiency model to measured samples.
 
     Requires at least 6 distinct input powers. Raises FitError when the
@@ -221,24 +221,22 @@ def fit_model(
         start[:3] = np.linalg.lstsq(numer_design, y * den_fixed, rcond=None)[0]
         candidates.insert(0, start)
 
-    if refine:
+    def residuals_with_margin(margin: float):
+        def residuals(coef: np.ndarray) -> np.ndarray:
+            penalty = np.minimum(den_on_grid(coef) / grid_scale - margin, 0.0) * 1e6
+            return np.concatenate([_rational(coef, p) - y, penalty])
 
-        def residuals_with_margin(margin: float):
-            def residuals(coef: np.ndarray) -> np.ndarray:
-                penalty = np.minimum(den_on_grid(coef) / grid_scale - margin, 0.0) * 1e6
-                return np.concatenate([_rational(coef, p) - y, penalty])
+        return residuals
 
-            return residuals
-
-        # Two refinements: one barely constrained, one that keeps the
-        # denominator well clear of zero. Noisy data can lure the first into
-        # a near-pole basin; the second stays smooth at a small cost in
-        # sample residual, and the ranking below arbitrates.
-        for margin in (1e-6, 1e-3):
-            solution = least_squares(
-                residuals_with_margin(margin), start, method="trf", ftol=1e-9, max_nfev=1400
-            )
-            candidates.insert(0, solution.x)
+    # Two refinements: one barely constrained, one that keeps the
+    # denominator well clear of zero. Noisy data can lure the first into
+    # a near-pole basin; the second stays smooth at a small cost in
+    # sample residual, and the ranking below arbitrates.
+    for margin in (1e-6, 1e-3):
+        solution = least_squares(
+            residuals_with_margin(margin), start, method="trf", ftol=1e-9, max_nfev=1400
+        )
+        candidates.insert(0, solution.x)
 
     best: np.ndarray | None = None
     best_score = np.inf

@@ -22,9 +22,14 @@ exactly that slice of the stream, so any worker count produces bit-identical
 results. Uniforms are remapped once to the open interval so the inverse-CDF
 transforms stay finite.
 
-The channel (``draw_channel``: the draws up to received power in dBm and mW)
-does not depend on the harvester: callers that compare models draw it once
-and pass it to ``estimate_harvest`` for each, with the same result.
+Stages
+------
+``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
+power in dBm and mW. It does not depend on the harvester.
+``harvest_samples(model, channel)`` evaluates one model on it, trial by
+trial, and ``estimate_harvest`` reduces those trials to a ``HarvestStats``.
+Callers that compare models draw the channel once and pass it to
+``estimate_harvest`` for each, with the same result as a fresh draw.
 """
 
 from __future__ import annotations
@@ -108,9 +113,8 @@ class HarvestStats:
 
 @dataclass(frozen=True, slots=True)
 class HarvestSamples:
-    """Raw per-trial draws behind a HarvestStats summary."""
+    """Per-trial outcomes of one model on a channel, behind a HarvestStats summary."""
 
-    p_rx_dbm: np.ndarray
     p_h_uw: np.ndarray
     clamped: np.ndarray
     extrapolated: np.ndarray
@@ -162,6 +166,17 @@ def derive_substream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+def thread_map(fn, items, n_workers: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of up to ``n_workers`` threads."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    items = list(items)
+    if n_workers == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, base_dbm: float,
                   u: np.ndarray, x: np.ndarray) -> None:
     """Map a (k, 3) block of open-interval uniforms to received dBm in ``x``, in place."""
@@ -190,8 +205,6 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, base_dbm: flo
 
 def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) -> Channel:
     """The per-trial channel of ``s`` at ``mc``, bit-identical for any worker count."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     # Every budget term but pointing is the same for all trials; pointing
     # enters per trial through the fade model.
     terms = budget_terms(s)
@@ -210,28 +223,23 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
         u = np.random.Generator(bitgen).random((stop - start, 3))
         u *= 1.0 - 2.0 * _OPEN_INTERVAL_EPS
         u += _OPEN_INTERVAL_EPS
-        _received_dbm(s, fade, base_dbm, u, p_rx_dbm[start:stop])
-        np.divide(p_rx_dbm[start:stop], 10.0, out=p_mw[start:stop])
-        np.power(10.0, p_mw[start:stop], out=p_mw[start:stop])
+        # The error state is per thread, so each block sets its own.
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                _received_dbm(s, fade, base_dbm, u, p_rx_dbm[start:stop])
+                np.divide(p_rx_dbm[start:stop], 10.0, out=p_mw[start:stop])
+                np.power(10.0, p_mw[start:stop], out=p_mw[start:stop])
+            except FloatingPointError:
+                median = median_received_dbm(s)
+                raise ValueError(f"received power overflows float64 mW (median {median:.6g} dBm)") from None
 
-    starts = range(0, n, _BLOCK_TRIALS)
-    if n_workers == 1 or len(starts) == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
-            list(pool.map(fill, starts))
+    thread_map(fill, range(0, n, _BLOCK_TRIALS), n_workers)
     p_rx_dbm.flags.writeable = p_mw.flags.writeable = False
     return Channel(s, mc.seed, n, p_rx_dbm, p_mw)
 
 
-def harvest_samples(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
-                    n_workers: int = 1, *, channel: Channel | None = None) -> HarvestSamples:
-    """All per-trial draws of one model, on ``channel`` when given, else on a new draw."""
-    if channel is None:
-        channel = draw_channel(s, mc, n_workers)
-    elif (channel.scenario, channel.seed, channel.n) != (s, mc.seed, mc.n_samples):
-        raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
+def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
+    """Every trial's harvested power, clamp and range flag for ``model`` on ``channel``."""
     n = channel.n
     p_h_uw, clamped, extrapolated = np.empty(n), np.empty(n, bool), np.empty(n, bool)
     # One thread: a model block is a few short ufuncs, and handing the GIL
@@ -245,7 +253,7 @@ def harvest_samples(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettin
         extrapolated[block] = is_extrapolated(model, p_mw)
         eta *= p_mw
         eta *= 1000.0 / 100.0
-    return HarvestSamples(channel.p_rx_dbm, p_h_uw, clamped, extrapolated)
+    return HarvestSamples(p_h_uw, clamped, extrapolated)
 
 
 def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
@@ -275,15 +283,19 @@ def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[floa
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
-                     n_workers: int = 1, *, channel: Channel | None = None) -> HarvestStats:
+                     *, channel: Channel | None = None) -> HarvestStats:
     """Monte Carlo summary over ``mc.n_samples`` trials, on ``channel`` when given."""
-    draws = harvest_samples(s, model, mc, n_workers, channel=channel)
+    if channel is None:
+        channel = draw_channel(s, mc)
+    elif (channel.scenario, channel.seed, channel.n) != (s, mc.seed, mc.n_samples):
+        raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
+    draws = harvest_samples(model, channel)
     median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
     return HarvestStats(
         mean_uw=float(np.mean(draws.p_h_uw)),
         median_uw=median_uw,
         quantiles_uw=quantiles_uw,
-        mean_p_rx_dbm=float(np.mean(draws.p_rx_dbm)),
+        mean_p_rx_dbm=float(np.mean(channel.p_rx_dbm)),
         clamp_count=int(np.count_nonzero(draws.clamped)),
         extrapolated_count=int(np.count_nonzero(draws.extrapolated)),
         n_samples=mc.n_samples,

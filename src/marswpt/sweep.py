@@ -15,7 +15,6 @@ density, distance, and jitter deviation, for each of the two terrain areas.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .link import (
     derive_substream_seed,
     estimate_harvest,
     median_received_dbm,
+    thread_map,
 )
 from .pointing import default_pointing
 from .propagation import AREA1, AREA2, DustStorm, terrain_preset
@@ -131,13 +131,12 @@ def _apply_secondary(base: LinkScenario, kind: str | None, value) -> LinkScenari
         return replace(base, terrain=terrain_preset(value))
     if kind == "rho_p_m":
         return replace(base, dust=replace(base.dust or DustStorm(), rho_p_m=float(value)))
-    if kind == "beta_m":
-        if base.pointing is not None:
-            geom = replace(base.pointing, beta_m=float(value))
-        else:
-            geom = default_pointing(base.carrier, float(value))
-        return replace(base, pointing=geom)
-    raise ConfigError(f"secondary must be one of {SECONDARY_KINDS}, got {kind!r}")
+    # SweepSpec has checked the kind, so this one is beta_m.
+    if base.pointing is not None:
+        geom = replace(base.pointing, beta_m=float(value))
+    else:
+        geom = default_pointing(base.carrier, float(value))
+    return replace(base, pointing=geom)
 
 
 def _apply_axis(scenario: LinkScenario, axis: str, value: float) -> LinkScenario:
@@ -147,19 +146,14 @@ def _apply_axis(scenario: LinkScenario, axis: str, value: float) -> LinkScenario
         return replace(scenario, distance_m=value)
     if axis == "dust_density":
         return replace(scenario, dust=replace(scenario.dust or DustStorm(), n_t_per_m3=value))
-    if axis == "jitter_sigma":
-        if scenario.pointing is None:
-            raise ConfigError(
-                "jitter_sigma axis needs base pointing geometry or a beta_m secondary"
-            )
-        return replace(scenario, pointing=replace(scenario.pointing, sigma_s_m=value))
-    raise ConfigError(f"axis must be one of {AXES}, got {axis!r}")
+    # SweepSpec has checked the axis, so this one is jitter_sigma.
+    if scenario.pointing is None:
+        raise ConfigError("jitter_sigma axis needs base pointing geometry or a beta_m secondary")
+    return replace(scenario, pointing=replace(scenario.pointing, sigma_s_m=value))
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     """Run every grid point; rows ordered axis-major, then secondary, then harvester."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     secondary_values = spec.secondary_values if spec.secondary is not None else (None,)
 
     jobs = []
@@ -189,10 +183,7 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
             stats=stats,
         )
 
-    if n_workers == 1:
-        return [run_job(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run_job, jobs))
+    return thread_map(run_job, jobs, n_workers)
 
 
 def builtin_presets() -> dict[str, SweepSpec]:

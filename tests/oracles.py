@@ -1,14 +1,13 @@
 """Closed-form references for the pointing fade, and the engine's fade draws.
 
 The package samples the fade only inside the Monte Carlo engine, so the
-tests read it back from ``harvest_samples`` and compare it with these
+tests read it back from ``draw_channel`` and compare it with these
 formulas.
 """
 
 import numpy as np
 
-from marswpt.harvester import HARVESTER_C
-from marswpt.link import LinkScenario, MonteCarloSettings, harvest_samples, median_received_dbm
+from marswpt.link import LinkScenario, MonteCarloSettings, draw_channel, median_received_dbm
 from marswpt.propagation import TerrainProfile
 
 CALM = TerrainProfile("calm", alpha=2.12, sigma_db=0.0)
@@ -31,5 +30,5 @@ def engine_fade_db(geometry, n, seed):
     term, so it is the received power minus the aligned-beam median.
     """
     scenario = LinkScenario(terrain=CALM, pointing=geometry)
-    draws = harvest_samples(scenario, HARVESTER_C, MonteCarloSettings(n_samples=n, seed=seed))
-    return draws.p_rx_dbm - median_received_dbm(scenario)
+    channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=seed))
+    return channel.p_rx_dbm - median_received_dbm(scenario)

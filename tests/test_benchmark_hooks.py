@@ -1,0 +1,49 @@
+"""The names the benchmark harness in ``perfbench/`` reaches into, checked without running it.
+
+``perfbench/workloads.py`` wraps module attributes in timing spans and calls
+``link.estimate_harvest`` directly. A rename in the package breaks only the
+slow benchmark self-tests; this reads the harness source with ``ast`` and
+checks the same names here.
+"""
+
+import ast
+import importlib
+from dataclasses import replace
+from pathlib import Path
+
+from marswpt import link
+from marswpt.harvester import harvester_preset
+from marswpt.sweep import builtin_presets
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _calls(tree, module, attr):
+    """Calls of ``<module>.<attr>(...)``; any receiver when ``module`` is None."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and (module is None or isinstance(node.func.value, ast.Name) and node.func.value.id == module)
+    ]
+
+
+def test_every_rebound_attribute_exists():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    hooks = set()
+    for call in _calls(tree, None, "rebind"):
+        module, attr = call.args[:2]
+        hooks.add((module.id, attr.value))
+    assert ("link", "harvest_samples") in hooks
+    for module, attr in sorted(hooks):
+        assert hasattr(importlib.import_module(f"marswpt.{module}"), attr), f"{module}.{attr}"
+
+
+def test_estimate_harvest_takes_the_warm_up_call():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    warm_ups = _calls(tree, "link", "estimate_harvest")
+    assert warm_ups and all(len(c.args) == 3 and not c.keywords for c in warm_ups)
+    spec = builtin_presets()["fig3a"]
+    mc = replace(spec.mc, n_samples=200, seed=link.derive_substream_seed(12345, 0))
+    stats = link.estimate_harvest(spec.base, harvester_preset(spec.harvesters[0]), mc)
+    assert stats.n_samples == 200

@@ -118,6 +118,18 @@ def test_link_rejects_bad_values(capsys):
     assert code == 2
     assert "beta_m" in err
 
+    code, _, err = run_cli(capsys, "link", "--p-tx-w", "abc")
+    assert code == 2
+    assert "p_tx_w: could not parse 'abc' as a number" in err
+
+    code, _, err = run_cli(capsys, "link", "--harvester", "X")
+    assert code == 2
+    assert "harvester must be one of A, B, C, all, or none; got 'X'" in err
+
+    code, _, err = run_cli(capsys, "link", "--n-workers", "0")
+    assert code == 2
+    assert "n_workers must be at least 1, got 0" in err
+
     code, _, err = run_cli(capsys, "link", "--small-scale", "rician")
     assert code == 2
     assert "small_scale" in err
@@ -132,6 +144,19 @@ def test_link_rejects_non_finite_values(capsys):
         code, out, err = run_cli(capsys, "link", "--beta-m", "0.5", flag, value, "--json")
         assert code == 2, flag
         assert name in err and out == ""
+
+
+@pytest.mark.parametrize("gain_db", ["1050", "3000"])
+def test_link_reports_a_harvester_overflow_as_an_input_error(capsys, gain_db):
+    # Received power near 1e104 and 1e296 mW overflows the cubic, whose ratio
+    # then reads 0 % or NaN.
+    code, out, err = run_cli(
+        capsys, "link", "--harvester", "C", "--n-samples", "1000", "--json", "--g-t-db", gain_db
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: model 'C' overflows at received power")
 
 
 def test_link_lists_every_violation_at_once(capsys):
@@ -346,6 +371,35 @@ def test_sweep_config_lists_every_violation(tmp_path, capsys):
     assert "strictly increasing" in err
 
 
+def test_sweep_config_with_an_area_secondary(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "axis = p_tx\naxis_points = 1,10\nharvesters = C\nn_samples = 100\n"
+        "secondary = area\nsecondary_values = area2, area1\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    records = list(csv.DictReader(out.splitlines()))
+    assert [(r["secondary"], r["secondary_value"], r["area"]) for r in records] == [
+        ("area", "area2", "area2"), ("area", "area1", "area1"),
+    ] * 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("axis = p_tx\naxis_min = 1\naxis_max = 10\n", "(missing: axis_count)"),
+    ("axis = p_tx\naxis_points = 1,10\nquantiles = 0.1,0.9\n", "unknown config key 'quantiles'"),
+    ("axis = p_tx\naxis_points = 1,10\nn_workers = 0\n", "n_workers must be at least 1, got 0"),
+], ids=["no_axis_count", "quantiles", "zero_workers"])
+def test_sweep_config_problems_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_unwritable_output_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--preset", "fig6a", "--n-samples", "10",
@@ -398,12 +452,13 @@ def test_fit_command_round_trip(tmp_path, capsys):
     assert deviation < 0.1
 
 
-def test_fit_without_refinement(tmp_path, capsys):
+def test_fit_has_no_refinement_switch(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     write_samples_csv(samples)
-    code, out, _ = run_cli(capsys, "fit", str(samples), "--no-refine")
-    assert code == 0
-    assert "fitted model" in out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", str(samples), "--no-refine"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --no-refine" in capsys.readouterr().err
 
 
 def test_fit_rejects_underdetermined_input(tmp_path, capsys):
@@ -471,7 +526,7 @@ def test_flags_and_config_keys_are_the_documented_sets():
         "axis_points", "secondary", "secondary_values", "harvesters",
     }
     assert set(cli._LINK_KEYS) == scenario | mc | {"harvester", "harvester_file"}
-    assert set(cli._SWEEP_CONFIG_KEYS) == scenario | mc | sweep
+    assert set(cli._SWEEP_CONFIG_KEYS) == scenario | (mc - {"quantiles"}) | sweep
 
     subcommands = next(
         action for action in cli.build_parser()._actions

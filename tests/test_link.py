@@ -112,9 +112,9 @@ def test_zero_shadowing_collapses_to_deterministic_harvest():
 def test_zero_jitter_pointing_is_static_a0_penalty():
     pointing = PointingGeometry(beta_m=0.5, sigma_s_m=0.0, r_d_m=R_D)
     scenario = LinkScenario(terrain=CALM_AREA1, pointing=pointing)
-    draws = harvest_samples(scenario, HARVESTER_C, MonteCarloSettings(n_samples=100, seed=3))
-    assert np.all(draws.p_rx_dbm == draws.p_rx_dbm[0])
-    assert draws.p_rx_dbm[0] == pytest.approx(median_received_dbm(scenario), abs=1e-12)
+    p_rx_dbm = draw_channel(scenario, MonteCarloSettings(n_samples=100, seed=3)).p_rx_dbm
+    assert np.all(p_rx_dbm == p_rx_dbm[0])
+    assert p_rx_dbm[0] == pytest.approx(median_received_dbm(scenario), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_scalar_loop_reproduces_vectorized_samples():
     # uniform by at most 1e-16, far inside the tolerance.
     scenario = LinkScenario()
     mc = MonteCarloSettings(n_samples=50, seed=2024)
-    vectorized = harvest_samples(scenario, HARVESTER_C, mc).p_rx_dbm
+    vectorized = draw_channel(scenario, mc).p_rx_dbm
     rows = np.random.Generator(np.random.Philox(key=mc.seed)).random((mc.n_samples, 3))
     median = median_received_dbm(scenario)
     looped = np.array([median + scenario.terrain.sigma_db * float(ndtri(row[0])) for row in rows])
@@ -140,9 +140,12 @@ def test_scalar_loop_reproduces_vectorized_samples():
         pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D),
         small_scale="rayleigh",
     )
-    long = harvest_samples(full, HARVESTER_C, mc)
-    short = harvest_samples(full, HARVESTER_C, MonteCarloSettings(n_samples=17, seed=mc.seed))
-    for name in ("p_rx_dbm", "p_h_uw", "clamped", "extrapolated"):
+    long_channel = draw_channel(full, mc)
+    short_channel = draw_channel(full, MonteCarloSettings(n_samples=17, seed=mc.seed))
+    np.testing.assert_array_equal(long_channel.p_rx_dbm[:17], short_channel.p_rx_dbm)
+    long = harvest_samples(HARVESTER_C, long_channel)
+    short = harvest_samples(HARVESTER_C, short_channel)
+    for name in ("p_h_uw", "clamped", "extrapolated"):
         np.testing.assert_array_equal(getattr(long, name)[:17], getattr(short, name))
 
 
@@ -152,12 +155,10 @@ def test_fixed_uniform_budget_keeps_features_independent():
     mc = MonteCarloSettings(n_samples=1000, seed=5)
     pointing = PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D)
 
-    plain = harvest_samples(LinkScenario(), HARVESTER_C, mc).p_rx_dbm
-    pointed = harvest_samples(LinkScenario(pointing=pointing), HARVESTER_C, mc).p_rx_dbm
-    faded = harvest_samples(LinkScenario(small_scale="rayleigh"), HARVESTER_C, mc).p_rx_dbm
-    both = harvest_samples(
-        LinkScenario(pointing=pointing, small_scale="rayleigh"), HARVESTER_C, mc
-    ).p_rx_dbm
+    plain = draw_channel(LinkScenario(), mc).p_rx_dbm
+    pointed = draw_channel(LinkScenario(pointing=pointing), mc).p_rx_dbm
+    faded = draw_channel(LinkScenario(small_scale="rayleigh"), mc).p_rx_dbm
+    both = draw_channel(LinkScenario(pointing=pointing, small_scale="rayleigh"), mc).p_rx_dbm
 
     # The pointing fade never exceeds its aligned-beam ceiling ...
     fade_db = pointed - plain
@@ -170,14 +171,17 @@ def test_fixed_uniform_budget_keeps_features_independent():
 def test_worker_count_does_not_change_results():
     scenario = LinkScenario(small_scale="rayleigh")
     mc = MonteCarloSettings(n_samples=10_007, seed=99)
-    serial = estimate_harvest(scenario, HARVESTER_A, mc, n_workers=1)
-    threaded = estimate_harvest(scenario, HARVESTER_A, mc, n_workers=4)
+    serial = estimate_harvest(scenario, HARVESTER_A, mc, channel=draw_channel(scenario, mc, 1))
+    threaded = estimate_harvest(scenario, HARVESTER_A, mc, channel=draw_channel(scenario, mc, 4))
     assert serial == threaded
 
-    serial_draws = harvest_samples(scenario, HARVESTER_A, mc, n_workers=1)
-    threaded_draws = harvest_samples(scenario, HARVESTER_A, mc, n_workers=8)
-    np.testing.assert_array_equal(serial_draws.p_h_uw, threaded_draws.p_h_uw)
-    np.testing.assert_array_equal(serial_draws.p_rx_dbm, threaded_draws.p_rx_dbm)
+    serial_channel = draw_channel(scenario, mc, n_workers=1)
+    threaded_channel = draw_channel(scenario, mc, n_workers=8)
+    np.testing.assert_array_equal(
+        harvest_samples(HARVESTER_A, serial_channel).p_h_uw,
+        harvest_samples(HARVESTER_A, threaded_channel).p_h_uw,
+    )
+    np.testing.assert_array_equal(serial_channel.p_rx_dbm, threaded_channel.p_rx_dbm)
 
 
 EVERY_BRANCH = LinkScenario(
@@ -191,13 +195,18 @@ EVERY_BRANCH = LinkScenario(
 @pytest.mark.parametrize("block_trials", [4, 12])
 def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_trials):
     cases = [(n, MonteCarloSettings(n_samples=n, seed=31 + n)) for n in (1, 3, 4, 5, 17, 50)]
-    default = {n: harvest_samples(EVERY_BRANCH, HARVESTER_B, mc) for n, mc in cases}
+
+    def outcomes(mc, n_workers=1):
+        channel = draw_channel(EVERY_BRANCH, mc, n_workers)
+        draws = harvest_samples(HARVESTER_B, channel)
+        return channel.p_rx_dbm, channel.p_mw, draws.p_h_uw, draws.clamped, draws.extrapolated
+
+    default = {n: outcomes(mc) for n, mc in cases}
     monkeypatch.setattr(link, "_BLOCK_TRIALS", block_trials)
     for n, mc in cases:
         for n_workers in (1, 2, 3):
-            draws = harvest_samples(EVERY_BRANCH, HARVESTER_B, mc, n_workers)
-            for name in ("p_rx_dbm", "p_h_uw", "clamped", "extrapolated"):
-                np.testing.assert_array_equal(getattr(draws, name), getattr(default[n], name))
+            for got, want in zip(outcomes(mc, n_workers), default[n]):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_shared_channel_gives_the_per_model_result():
@@ -280,7 +289,8 @@ def test_substream_seed_derivation():
 def test_pointing_fade_matches_closed_form_mean():
     pointing = PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D)
     scenario = LinkScenario(terrain=CALM_AREA1, pointing=pointing)
-    draws = harvest_samples(scenario, FLAT_5PCT, MonteCarloSettings(n_samples=1_000_000, seed=777))
+    channel = draw_channel(scenario, MonteCarloSettings(n_samples=1_000_000, seed=777))
+    draws = harvest_samples(FLAT_5PCT, channel)
 
     aligned_uw = harvested_mw(FLAT_5PCT, dbm_to_mw(median_received_dbm(scenario))) * 1e3
     ratio = draws.p_h_uw / aligned_uw
@@ -292,8 +302,8 @@ def test_pointing_fade_matches_closed_form_mean():
 
 def test_small_scale_gain_has_unit_mean():
     mc = MonteCarloSettings(n_samples=1_000_000, seed=31337)
-    plain = harvest_samples(LinkScenario(), HARVESTER_C, mc)
-    faded = harvest_samples(LinkScenario(small_scale="rayleigh"), HARVESTER_C, mc)
+    plain = draw_channel(LinkScenario(), mc)
+    faded = draw_channel(LinkScenario(small_scale="rayleigh"), mc)
     lin_plain = 10.0 ** (plain.p_rx_dbm / 10.0)
     lin_faded = 10.0 ** (faded.p_rx_dbm / 10.0)
     paired_diff = lin_faded - lin_plain
@@ -307,9 +317,10 @@ def test_harvested_power_bounded_by_received_power():
         pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D),
         small_scale="rayleigh",
     )
+    channel = draw_channel(scenario, MonteCarloSettings(n_samples=5000, seed=8))
+    received_uw = 10.0 ** (channel.p_rx_dbm / 10.0) * 1e3
     for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
-        draws = harvest_samples(scenario, model, MonteCarloSettings(n_samples=5000, seed=8))
-        received_uw = 10.0 ** (draws.p_rx_dbm / 10.0) * 1e3
+        draws = harvest_samples(model, channel)
         assert np.all(draws.p_h_uw <= received_uw * (1.0 + 1e-12))
 
 
@@ -422,9 +433,17 @@ def test_monte_carlo_settings_validation():
         MonteCarloSettings(n_samples=0, seed=-1, quantiles=(0.5, float("nan")))
 
 
-def test_harvest_samples_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        harvest_samples(LinkScenario(), HARVESTER_C, MonteCarloSettings(10, 1), n_workers=0)
+def test_draw_channel_rejects_bad_worker_count():
+    with pytest.raises(ValueError, match="n_workers must be at least 1, got 0"):
+        draw_channel(LinkScenario(), MonteCarloSettings(10, 1), n_workers=0)
+
+
+def test_draw_channel_rejects_a_received_power_past_float64():
+    # 10^(P/10) mW overflows past about 3083 dBm; pool threads must raise too.
+    mc = MonteCarloSettings(n_samples=40_000, seed=1)
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError, match="received power overflows"):
+            draw_channel(LinkScenario(g_t_db=5000.0), mc, n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +478,9 @@ SCENARIOS = st.builds(
 )
 def test_harvest_is_at_most_received_power_and_counters_lie_in_range(scenario, model, seed):
     mc = MonteCarloSettings(n_samples=200, seed=seed)
-    draws = harvest_samples(scenario, model, mc)
-    received_uw = 1e3 * 10.0 ** (draws.p_rx_dbm / 10.0)
+    channel = draw_channel(scenario, mc)
+    draws = harvest_samples(model, channel)
+    received_uw = 1e3 * 10.0 ** (channel.p_rx_dbm / 10.0)
     assert np.all(draws.p_h_uw >= 0.0)
     assert np.all(draws.p_h_uw <= received_uw * (1.0 + 1e-12))
     stats = estimate_harvest(scenario, model, mc)
@@ -508,7 +528,7 @@ def test_each_trial_is_monotone_in_power_distance_dust_and_jitter(knob, scenario
     lo, hi = sorted((data.draw(values, label="lo"), data.draw(values, label="hi")))
     mc = MonteCarloSettings(n_samples=64, seed=seed)
     at_lo, at_hi = (
-        harvest_samples(with_knob(scenario, v), HARVESTER_C, mc).p_rx_dbm for v in (lo, hi)
+        draw_channel(with_knob(scenario, v), mc).p_rx_dbm for v in (lo, hi)
     )
     if direction > 0:
         assert np.all(at_hi >= at_lo)

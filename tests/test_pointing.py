@@ -116,6 +116,10 @@ def test_geometry_validation():
         MisalignmentModel(a0=1.2, w_eq_m=1.0, xi=1.0, sigma_s_m=0.5)
     with pytest.raises(ValueError):
         MisalignmentModel(a0=0.5, w_eq_m=-1.0, xi=1.0, sigma_s_m=0.5)
+    with pytest.raises(ValueError, match="xi must be positive"):
+        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=0.0, sigma_s_m=0.5)
+    with pytest.raises(ValueError, match="sigma_s_m must be non-negative"):
+        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=1.0, sigma_s_m=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from marswpt.propagation import (
     path_loss_db,
     terrain_preset,
 )
-from marswpt.harvester import HARVESTER_C
-from marswpt.link import LinkScenario, MonteCarloSettings, harvest_samples, median_received_dbm
+from marswpt.link import LinkScenario, MonteCarloSettings, draw_channel, median_received_dbm
 from marswpt.quantities import RfCarrier
 
 CARRIER = RfCarrier(2.45e9)
@@ -108,8 +107,8 @@ def test_path_loss_rejects_non_positive_distance():
 def engine_shadowing_db(terrain, n, seed):
     """Per-trial shadowing of the engine: received power minus the median."""
     scenario = LinkScenario(terrain=terrain)
-    draws = harvest_samples(scenario, HARVESTER_C, MonteCarloSettings(n_samples=n, seed=seed))
-    return draws.p_rx_dbm - median_received_dbm(scenario)
+    channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=seed))
+    return channel.p_rx_dbm - median_received_dbm(scenario)
 
 
 def test_shadowing_zero_sigma_is_deterministic():

@@ -81,6 +81,8 @@ def test_spec_rejects_secondary_mismatches():
         SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary_values=(1.0,))
     with pytest.raises(ConfigError, match="needs secondary_values"):
         SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary="rho_p_m")
+    with pytest.raises(ConfigError, match="secondary must be one of"):
+        SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary="gain", secondary_values=(1.0,))
     with pytest.raises(ConfigError, match="unknown area"):
         SweepSpec(
             LinkScenario(), ("A",), "p_tx", (1.0, 2.0),
@@ -126,6 +128,8 @@ def test_spec_collects_every_violation():
     assert "axis must be one of" in message
     assert "strictly increasing" in message
     assert "harvesters must be non-empty" in message
+    with pytest.raises(ConfigError, match="points must be non-empty"):
+        SweepSpec(LinkScenario(), ("A",), "p_tx", points=())
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +215,19 @@ def test_jitter_axis_creates_pointing_with_default_beam():
         beta_m=0.5, sigma_s_m=1.0, r_d_m=default_beam_waist(LinkScenario().carrier)
     )
     scenario = LinkScenario(pointing=geometry)
+    assert rows[1].p_rx_median_dbm == median_received_dbm(scenario)
+    expected_mc = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, 1))
+    assert rows[1].stats == estimate_harvest(scenario, harvester_preset("C"), expected_mc)
+
+
+def test_beta_secondary_keeps_the_base_jitter_and_waist():
+    base = LinkScenario(pointing=PointingGeometry(0.5, 0.3, 1.0))
+    spec = SweepSpec(
+        base=base, harvesters=("C",), axis="p_tx", points=(1.0, 10.0),
+        secondary="beta_m", secondary_values=(0.7,), mc=SMALL_MC,
+    )
+    rows = run_sweep(spec)
+    scenario = LinkScenario(p_tx_w=10.0, pointing=PointingGeometry(0.7, 0.3, 1.0))
     assert rows[1].p_rx_median_dbm == median_received_dbm(scenario)
     expected_mc = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, 1))
     assert rows[1].stats == estimate_harvest(scenario, harvester_preset("C"), expected_mc)
