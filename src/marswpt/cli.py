@@ -26,6 +26,7 @@ import numpy as np
 
 from .harvester import (
     BUILTIN_HARVESTERS,
+    COEFFICIENTS,
     FitError,
     HarvesterModel,
     efficiency_percent,
@@ -402,7 +403,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rms = float(np.sqrt(np.mean(residual**2)))
     lo, hi = model.valid_range_mw
     print(f"fitted model {model.name!r} over [{lo:.17g}, {hi:.17g}] mW")
-    for key in ("a2", "a1", "a0", "b2", "b1", "b0"):
+    for key in COEFFICIENTS:
         print(f"  {key} = {getattr(model, key):.17g}")
     print(f"residual RMS: {rms:.6g} % (over {len(samples)} samples)")
     if args.out is not None:

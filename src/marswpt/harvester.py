@@ -43,6 +43,8 @@ class FitError(RuntimeError):
 
 
 _DEN_GRID_SIZE = 2048
+# The coefficient fields of HarvesterModel, in model-file and report order.
+COEFFICIENTS = ("a2", "a1", "a0", "b2", "b1", "b0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,16 +123,16 @@ BUILTIN_HARVESTERS = {"A": HARVESTER_A, "B": HARVESTER_B, "C": HARVESTER_C}
 
 
 def harvester_preset(name: str) -> HarvesterModel:
-    """Look up a built-in harvester by name ("A", "B", or "C"), case-insensitively."""
+    """Look up a built-in harvester by its exact name: "A", "B", or "C"."""
     try:
-        return BUILTIN_HARVESTERS[name.upper()]
+        return BUILTIN_HARVESTERS[name]
     except KeyError:
         valid = ", ".join(sorted(BUILTIN_HARVESTERS))
         raise ValueError(f"unknown harvester {name!r}; valid names: {valid}") from None
 
 
 def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
-    """Unclamped rational efficiency in percent. Scalar or array input."""
+    """Unclamped rational efficiency in percent; a numpy scalar for a scalar input."""
     p = np.asarray(p_rx_mw, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_rx_mw must be non-negative")
@@ -140,27 +142,24 @@ def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
             out = ((model.a2 * p + model.a1) * p + model.a0) / den
         except FloatingPointError:
             raise ValueError(f"model {model.name!r} overflows at received power {np.max(p):.6g} mW") from None
-    return out if isinstance(p_rx_mw, np.ndarray) else float(out)
+    return out
 
 
 def efficiency_percent(model: HarvesterModel, p_rx_mw):
     """Conversion efficiency in percent, clamped to [0, 100]."""
-    out = np.clip(raw_efficiency_percent(model, p_rx_mw), 0.0, 100.0)
-    return out if isinstance(p_rx_mw, np.ndarray) else float(out)
+    return np.clip(raw_efficiency_percent(model, p_rx_mw), 0.0, 100.0)
 
 
 def harvested_mw(model: HarvesterModel, p_rx_mw):
     """DC power harvested from ``p_rx_mw`` of incident RF power."""
-    p = np.asarray(p_rx_mw, dtype=float) if isinstance(p_rx_mw, np.ndarray) else p_rx_mw
-    return p * efficiency_percent(model, p_rx_mw) / 100.0
+    return np.asarray(p_rx_mw, dtype=float) * efficiency_percent(model, p_rx_mw) / 100.0
 
 
 def is_extrapolated(model: HarvesterModel, p_rx_mw):
     """Whether the power sits outside the model's certified range."""
     lo, hi = model.valid_range_mw
     p = np.asarray(p_rx_mw, dtype=float)
-    out = (p < lo) | (p > hi)
-    return out if isinstance(p_rx_mw, np.ndarray) else bool(out)
+    return (p < lo) | (p > hi)
 
 
 def _stage1_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -194,14 +193,6 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
 
     grid = np.unique(np.concatenate([p, np.geomspace(p.min(), p.max(), _DEN_GRID_SIZE)]))
     grid_scale = ((grid + 1.0) * grid + 1.0) * grid + 1.0
-
-    # Log-linear interpolation of the measurements, used when ranking
-    # candidates so a model cannot hide a spike between sample points.
-    p_distinct, where = np.unique(p, return_inverse=True)
-    y_pooled = np.zeros_like(p_distinct)
-    np.add.at(y_pooled, where, y)
-    y_pooled /= np.bincount(where)
-    envelope = np.interp(np.log(grid), np.log(p_distinct), y_pooled)
 
     def den_on_grid(coef: np.ndarray) -> np.ndarray:
         return ((grid + coef[3]) * grid + coef[4]) * grid + coef[5]
@@ -238,23 +229,20 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
         )
         candidates.insert(0, solution.x)
 
+    # Rank by the worst sample error; the domain rule keeps poles out of the range.
     best: np.ndarray | None = None
     best_score = np.inf
     for coef in candidates:
         if not denominator_minimum(*coef[3:]) > 0.0:
             continue
-        at_samples = float(np.abs(_rational(coef, p) - y).max())
-        between = float(np.abs(_rational(coef, grid) - envelope).max())
-        score = max(at_samples, 0.5 * between)
+        score = float(np.abs(_rational(coef, p) - y).max())
         if score < best_score:
             best, best_score = coef, score
     if best is None:
         raise FitError("no candidate keeps the denominator positive for every P >= 0")
 
     return HarvesterModel(
-        name,
-        a2=float(best[0]), a1=float(best[1]), a0=float(best[2]),
-        b2=float(best[3]), b1=float(best[4]), b0=float(best[5]),
+        name, **{key: float(value) for key, value in zip(COEFFICIENTS, best)},
         valid_range_mw=(float(p.min()), float(p.max())),
     )
 
@@ -294,14 +282,13 @@ def read_samples_csv(path) -> list[EfficiencySample]:
     return samples
 
 
-_MODEL_KEYS = ("a2", "a1", "a0", "b2", "b1", "b0", "valid_min_mw", "valid_max_mw")
+_MODEL_KEYS = (*COEFFICIENTS, "valid_min_mw", "valid_max_mw")
 
 
 def write_model_file(model: HarvesterModel, path) -> None:
     """Persist a model as flat key=value text, 17 significant digits."""
     lines = [f"name = {model.name}"]
-    values = (model.a2, model.a1, model.a0, model.b2, model.b1, model.b0,
-              model.valid_range_mw[0], model.valid_range_mw[1])
+    values = (*(getattr(model, key) for key in COEFFICIENTS), *model.valid_range_mw)
     lines += [f"{key} = {value:.17g}" for key, value in zip(_MODEL_KEYS, values)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -354,8 +341,6 @@ def read_model_file(path) -> HarvesterModel:
     if problems:
         raise ValueError("; ".join(problems))
     return HarvesterModel(
-        entries["name"][1],
-        a2=numbers["a2"], a1=numbers["a1"], a0=numbers["a0"],
-        b2=numbers["b2"], b1=numbers["b1"], b0=numbers["b0"],
+        entries["name"][1], **{key: numbers[key] for key in COEFFICIENTS},
         valid_range_mw=(numbers["valid_min_mw"], numbers["valid_max_mw"]),
     )

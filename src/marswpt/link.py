@@ -44,7 +44,7 @@ from scipy.special import ndtri
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
-from .quantities import RfCarrier, field_problems, watts_to_dbm
+from .quantities import RfCarrier, dbm_to_mw, field_problems, watts_to_dbm
 
 SMALL_SCALE_MODES = ("off", "rayleigh")
 
@@ -93,6 +93,8 @@ class MonteCarloSettings:
             problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if any(not 0.0 < q < 1.0 for q in self.quantiles):
             problems.append(f"quantiles must lie strictly inside (0, 1), got {self.quantiles}")
+        if len(set(self.quantiles)) < len(self.quantiles):
+            problems.append(f"quantiles must not repeat, got {self.quantiles}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -131,32 +133,40 @@ class Channel:
     p_mw: np.ndarray
 
 
+def _ordered_sum(terms: dict[str, float]) -> float:
+    total = 0.0
+    for term in terms.values():
+        total += term
+    return total
+
+
 def budget_terms(s: LinkScenario) -> dict[str, float]:
-    """Signed dB terms of the median budget; their ordered sum is the median P_RX."""
-    if s.dust is not None:
-        dust_db = -dust_attenuation_db(s.dust, s.distance_m, s.carrier)
-    else:
-        dust_db = 0.0
-    if s.pointing is not None:
-        pointing_db = 10.0 * math.log10(derive_model(s.pointing).a0)
-    else:
-        pointing_db = 0.0
-    return {
-        "p_tx_dbm": watts_to_dbm(s.p_tx_w),
-        "g_t_db": s.g_t_db,
-        "g_r_db": s.g_r_db,
-        "path_loss_db": -path_loss_db(s.distance_m, s.carrier, s.terrain),
-        "dust_db": dust_db,
-        "pointing_db": pointing_db,
-    }
+    """Signed dB terms of the median budget; their ordered sum is the median P_RX.
+
+    Raises ValueError unless every term, their sum and its mW value are finite.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            terms = {
+                "p_tx_dbm": watts_to_dbm(s.p_tx_w),
+                "g_t_db": s.g_t_db,
+                "g_r_db": s.g_r_db,
+                "path_loss_db": -path_loss_db(s.distance_m, s.carrier, s.terrain),
+                "dust_db": -dust_attenuation_db(s.dust, s.distance_m, s.carrier) if s.dust else 0.0,
+                "pointing_db": 10.0 * math.log10(derive_model(s.pointing).a0) if s.pointing else 0.0,
+            }
+            total = _ordered_sum(terms)
+            finite = all(map(math.isfinite, (*terms.values(), total, dbm_to_mw(total))))
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError("the median link budget lies outside the float64 range")
+    return terms
 
 
 def median_received_dbm(s: LinkScenario) -> float:
     """Median received power: zero shadowing, aligned beam (m = a0), fading off."""
-    total = 0.0
-    for term in budget_terms(s).values():
-        total += term
-    return total
+    return _ordered_sum(budget_terms(s))
 
 
 def derive_substream_seed(seed: int, index: int) -> int:
@@ -177,12 +187,15 @@ def thread_map(fn, items, n_workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, base_dbm: float,
+def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[str, float],
                   u: np.ndarray, x: np.ndarray) -> None:
     """Map a (k, 3) block of open-interval uniforms to received dBm in ``x``, in place."""
     ndtri(u[:, 0], out=x)
     x *= s.terrain.sigma_db
-    x += base_dbm
+    # Every budget term but pointing is the same for all trials; pointing
+    # enters per trial through the fade model.
+    base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
+    x += base_dbm + (terms["path_loss_db"] + terms["dust_db"])
     if fade is not None and fade.sigma_s_m > 0.0:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW.
@@ -205,11 +218,7 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, base_dbm: flo
 
 def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) -> Channel:
     """The per-trial channel of ``s`` at ``mc``, bit-identical for any worker count."""
-    # Every budget term but pointing is the same for all trials; pointing
-    # enters per trial through the fade model.
     terms = budget_terms(s)
-    base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
-    base_dbm += terms["path_loss_db"] + terms["dust_db"]
     fade = derive_model(s.pointing) if s.pointing is not None else None
     n = mc.n_samples
     p_rx_dbm, p_mw = np.empty(n), np.empty(n)
@@ -224,14 +233,14 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
         u *= 1.0 - 2.0 * _OPEN_INTERVAL_EPS
         u += _OPEN_INTERVAL_EPS
         # The error state is per thread, so each block sets its own.
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             try:
-                _received_dbm(s, fade, base_dbm, u, p_rx_dbm[start:stop])
+                _received_dbm(s, fade, terms, u, p_rx_dbm[start:stop])
                 np.divide(p_rx_dbm[start:stop], 10.0, out=p_mw[start:stop])
                 np.power(10.0, p_mw[start:stop], out=p_mw[start:stop])
-            except FloatingPointError:
+            except ArithmeticError:
                 median = median_received_dbm(s)
-                raise ValueError(f"received power overflows float64 mW (median {median:.6g} dBm)") from None
+                raise ValueError(f"received power overflows float64 in a trial (median {median:.6g} dBm)") from None
 
     thread_map(fill, range(0, n, _BLOCK_TRIALS), n_workers)
     p_rx_dbm.flags.writeable = p_mw.flags.writeable = False
@@ -291,11 +300,17 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
         raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
     draws = harvest_samples(model, channel)
     median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
+    # Each trial is finite, but the sum behind a mean of huge dBm values may not be.
+    with np.errstate(over="raise"):
+        try:
+            mean_p_rx_dbm = float(np.mean(channel.p_rx_dbm))
+        except FloatingPointError:
+            raise ValueError("the mean received power in dBm overflows float64") from None
     return HarvestStats(
         mean_uw=float(np.mean(draws.p_h_uw)),
         median_uw=median_uw,
         quantiles_uw=quantiles_uw,
-        mean_p_rx_dbm=float(np.mean(channel.p_rx_dbm)),
+        mean_p_rx_dbm=mean_p_rx_dbm,
         clamp_count=int(np.count_nonzero(draws.clamped)),
         extrapolated_count=int(np.count_nonzero(draws.extrapolated)),
         n_samples=mc.n_samples,

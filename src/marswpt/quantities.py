@@ -15,13 +15,6 @@ import numpy as np
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
-def wavelength_of(frequency_hz: float) -> float:
-    """Free-space wavelength in meters for a carrier frequency in hertz."""
-    if not frequency_hz > 0.0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT_M_S / frequency_hz
-
-
 def field_problems(obj, **rules: str) -> list[str]:
     """Every violation among the float fields of dataclass ``obj``.
 
@@ -55,7 +48,7 @@ class RfCarrier:
 
     @property
     def wavelength_m(self) -> float:
-        return wavelength_of(self.frequency_hz)
+        return SPEED_OF_LIGHT_M_S / self.frequency_hz
 
 
 def dbm_to_mw(p_dbm):

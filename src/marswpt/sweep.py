@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harvester import BUILTIN_HARVESTERS, harvester_preset
+from .harvester import harvester_preset
 from .link import (
     LinkScenario,
     MonteCarloSettings,
@@ -79,10 +79,10 @@ class SweepSpec:
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
         for name in self.harvesters:
-            if name not in BUILTIN_HARVESTERS:
-                problems.append(
-                    f"unknown harvester {name!r}; valid names: {', '.join(sorted(BUILTIN_HARVESTERS))}"
-                )
+            try:
+                harvester_preset(name)
+            except ValueError as exc:
+                problems.append(str(exc))
         if self.secondary is None:
             if self.secondary_values:
                 problems.append("secondary_values given without a secondary kind")

@@ -1,8 +1,10 @@
 """Command-line behaviour: parsing, exit codes, CSV round-trips."""
 
 import argparse
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import shutil
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marswpt
 from marswpt import cli
@@ -135,6 +139,38 @@ def test_link_rejects_bad_values(capsys):
     assert "small_scale" in err
 
 
+NUMERIC_SCENARIO_KEYS = (
+    "p_tx_w", "distance_m", "frequency_hz", "g_t_db", "g_r_db", "alpha", "sigma_db",
+    "n_t_per_m3", "rho_p_m", "eps_re", "eps_im", "beta_m", "sigma_s_m", "r_d_m",
+)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.fixed_dictionaries({}, optional={
+        key: st.floats(allow_nan=False, allow_infinity=False) for key in NUMERIC_SCENARIO_KEYS
+    }),
+    harvester=st.sampled_from(["all", "none"]),
+)
+def test_link_gives_a_result_or_one_error_line_for_any_finite_input(values, harvester):
+    # "--key=value" keeps argparse from reading a value such as -1e-300 as a flag.
+    argv = ["link", "--json", "--n-samples", "8", "--harvester", harvester]
+    argv += [f"--{key.replace('_', '-')}={value!r}" for key, value in values.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_not_json)
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
 def test_link_rejects_non_finite_values(capsys):
     for flag, value, name in (
         ("--g-t-db", "nan", "g_t_db"), ("--p-tx-w", "inf", "p_tx_w"),
@@ -157,6 +193,24 @@ def test_link_reports_a_harvester_overflow_as_an_input_error(capsys, gain_db):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: model 'C' overflows at received power")
+
+
+@pytest.mark.parametrize("flags", [
+    "--beta-m 0.5 --sigma-s-m 1e200",
+    "--beta-m 1e-200 --r-d-m 1e200",
+    "--rho-p-m 1e200 --n-t-per-m3 1",
+    "--eps-re -2 --eps-im 1e-300 --n-t-per-m3 1",
+    "--p-tx-w 1e308 --harvester none --json",
+    "--frequency-hz 1e-300 --harvester none --json",
+    "--g-t-db 1e308 --g-r-db 1e308 --harvester none --json",
+    "--g-t-db 5000 --harvester none --json",
+], ids=["jitter_squared", "waist_squared", "radius_cubed", "dust_pole", "tx_power",
+        "frequency", "gain_sum", "median_mw"])
+def test_link_budget_outside_float64_is_an_input_error(capsys, flags):
+    code, out, err = run_cli(capsys, "link", "--n-samples", "100", *flags.split())
+    assert code == 2
+    assert out == ""
+    assert err == "error: the median link budget lies outside the float64 range\n"
 
 
 def test_link_lists_every_violation_at_once(capsys):

@@ -62,6 +62,9 @@ def test_builtin_coefficients_and_ranges():
 def test_harvester_preset_rejects_unknown_name():
     with pytest.raises(ValueError, match="A, B, C"):
         harvester_preset("D")
+    # Names match exactly, as in a sweep config and the link --harvester flag.
+    with pytest.raises(ValueError, match="unknown harvester 'a'"):
+        harvester_preset("a")
 
 
 def test_efficiency_reference_values():

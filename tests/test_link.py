@@ -431,6 +431,9 @@ def test_monte_carlo_settings_validation():
         MonteCarloSettings(quantiles=(0.0, 0.5))
     with pytest.raises(ValueError, match="n_samples.*; seed.*; quantiles"):
         MonteCarloSettings(n_samples=0, seed=-1, quantiles=(0.5, float("nan")))
+    # A report keyed by quantile would merge a repeated one.
+    with pytest.raises(ValueError, match=r"n_samples.*; quantiles must not repeat, got \(0.5, 0.1, 0.5\)"):
+        MonteCarloSettings(n_samples=0, quantiles=(0.5, 0.1, 0.5))
 
 
 def test_draw_channel_rejects_bad_worker_count():
@@ -440,10 +443,26 @@ def test_draw_channel_rejects_bad_worker_count():
 
 def test_draw_channel_rejects_a_received_power_past_float64():
     # 10^(P/10) mW overflows past about 3083 dBm; pool threads must raise too.
+    # The median, 3061 dBm, is finite, so only single trials overflow.
     mc = MonteCarloSettings(n_samples=40_000, seed=1)
-    for n_workers in (1, 2):
-        with pytest.raises(ValueError, match="received power overflows"):
-            draw_channel(LinkScenario(g_t_db=5000.0), mc, n_workers)
+    # The budget's ordered sum is finite, but the trials add path loss and
+    # dust (each near -1e308 dB) before the gain, and that sum is not.
+    steep_and_dusty = LinkScenario(
+        g_t_db=1.7e308, terrain=TerrainProfile("steep", alpha=2.7e306, sigma_db=0.0),
+        dust=DustStorm(n_t_per_m3=4.08e304, rho_p_m=1.0),
+    )
+    for scenario in (LinkScenario(g_t_db=3100.0), steep_and_dusty):
+        for n_workers in (1, 2):
+            with pytest.raises(ValueError, match="received power overflows"):
+                draw_channel(scenario, mc, n_workers)
+
+
+def test_a_mean_received_power_past_float64_is_an_input_error():
+    # Every trial sits near -3.7e307 dBm, a finite value, but eight of them sum past float64.
+    steep = LinkScenario(terrain=TerrainProfile("steep", alpha=1e306, sigma_db=0.0))
+    assert math.isfinite(median_received_dbm(steep))
+    with pytest.raises(ValueError, match="mean received power in dBm overflows float64"):
+        estimate_harvest(steep, HARVESTER_C, MonteCarloSettings(n_samples=8, seed=1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from marswpt.quantities import (
     dbm_to_mw,
     mw_to_dbm,
     watts_to_dbm,
-    wavelength_of,
 )
 
 
@@ -46,16 +45,17 @@ def test_adding_db_multiplies_linear_power():
 
 
 def test_wavelength_reference_points():
-    assert wavelength_of(2.45e9) == pytest.approx(0.122364, abs=1e-6)
-    assert wavelength_of(SPEED_OF_LIGHT_M_S) == 1.0
-    assert wavelength_of(1.0) == SPEED_OF_LIGHT_M_S
+    assert RfCarrier(2.45e9).wavelength_m == pytest.approx(0.122364, abs=1e-6)
+    assert RfCarrier(SPEED_OF_LIGHT_M_S).wavelength_m == 1.0
+    assert RfCarrier(1.0).wavelength_m == SPEED_OF_LIGHT_M_S
 
 
 def test_wavelength_rejects_non_positive_frequency():
-    with pytest.raises(ValueError):
-        wavelength_of(0.0)
-    with pytest.raises(ValueError):
-        wavelength_of(-1e9)
+    # A carrier only exists with a positive frequency, so its wavelength is defined.
+    with pytest.raises(ValueError, match="frequency_hz must be positive"):
+        RfCarrier(0.0)
+    with pytest.raises(ValueError, match="frequency_hz must be positive"):
+        RfCarrier(-1e9)
 
 
 def test_carrier_wavelength_property():

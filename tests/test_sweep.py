@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from marswpt.link import (
     LinkScenario,
@@ -13,7 +14,7 @@ from marswpt.link import (
     median_received_dbm,
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist
-from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db
+from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db, terrain_preset
 from marswpt.harvester import harvester_preset
 from marswpt.sweep import (
     AXES,
@@ -24,6 +25,8 @@ from marswpt.sweep import (
     builtin_presets,
     run_sweep,
 )
+
+from oracles import gaussian_harvest_moments
 
 SMALL_MC = MonteCarloSettings(n_samples=200, seed=12345)
 
@@ -69,6 +72,8 @@ def test_spec_rejects_unknown_axis():
 def test_spec_rejects_unknown_harvester():
     with pytest.raises(ConfigError, match="unknown harvester"):
         SweepSpec(LinkScenario(), ("A", "Z"), "p_tx", (1.0, 2.0))
+    with pytest.raises(ConfigError, match="unknown harvester 'a'; valid names: A, B, C"):
+        SweepSpec(LinkScenario(), ("a",), "p_tx", (1.0, 2.0))
 
 
 def test_spec_rejects_unsorted_points():
@@ -338,3 +343,32 @@ def test_haze_grade_dust_is_negligible(fig5a_rows):
         _, medians = harvester_series(fig5a_rows, 1e-4, name)
         assert medians[-1] > 0.5 * medians[0]
         assert min(medians) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# every row of the Gaussian-channel presets against a quadrature oracle
+
+# Fixed before looking at any result: k = 5 standard errors, and its
+# two-sided normal tail for the exact binomial test of the range counts.
+K_SE = 5.0
+MIN_TAIL = 5.7e-7
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig5a", "fig5b", "fig6a", "fig6b"])
+def test_gaussian_preset_rows_match_the_quadrature_oracle(name):
+    # No pointing and no small-scale fading: each trial's received power is
+    # N(p_rx_median_dbm, sigma_db) in dBm, so a row's moments are 1-D integrals.
+    spec = builtin_presets()[name]
+    assert spec.base.pointing is None and spec.base.small_scale == "off"
+    rows = run_sweep(spec, n_workers=2)
+    assert len(rows) in (75, 150)
+    for row in rows:
+        n = row.stats.n_samples
+        mean, variance, p_out = gaussian_harvest_moments(
+            harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db
+        )
+        where = f"{name} {row.axis}={row.axis_value:g} {row.secondary_value} {row.harvester}"
+        assert abs(row.stats.mean_uw - mean) <= K_SE * np.sqrt(variance / n), where
+        k = row.stats.extrapolated_count
+        tail = 2.0 * min(binom.cdf(k, n, p_out), binom.sf(k - 1, n, p_out))
+        assert tail >= MIN_TAIL, where
