@@ -9,8 +9,9 @@ configuration error.
 Configuration is flat ``key = value`` text with units embedded in key names
 (p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...); the keys are the fields of
 the scenario and Monte Carlo dataclasses. Flags override config file values.
-Range rules live on the dataclasses: this module only turns strings into
-numbers, passes the keys that were given to the constructors, and lists every
+Range rules live on the dataclasses, and the rule that turns flat keys into a
+scenario is ``link.scenario_with``, which sweeps use too: this module only
+turns strings into numbers, passes the keys that were given, and lists every
 violation they reject at once. A run is fully determined by (flags, config,
 seed): nothing in the numeric path reads clocks or ambient entropy.
 """
@@ -40,16 +41,16 @@ from .harvester import (
     write_model_file,
 )
 from .link import (
+    SCENARIO_PARTS,
     LinkScenario,
     MonteCarloSettings,
     budget_terms,
     draw_channel,
     estimate_harvest,
     median_received_dbm,
+    scenario_with,
 )
-from .pointing import PointingGeometry, default_pointing
-from .propagation import DustStorm, TerrainProfile, terrain_preset
-from .quantities import RfCarrier, dbm_to_mw
+from .quantities import attempt, dbm_to_mw
 from .sweep import (
     ConfigError,
     SweepRow,
@@ -76,22 +77,21 @@ _PARSERS = {
     _FLOATS: (lambda text: tuple(float(cell) for cell in text.split(",")),
               "comma-separated numbers"),
 }
-# The pieces of a LinkScenario whose numeric fields are flat config keys.
-_PARTS = {
-    "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm,
-    "pointing": PointingGeometry,
-}
 
 
 def _flat_fields(cls, kinds) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls) if f.type in kinds}
 
 
-_TOP_FIELDS = _flat_fields(LinkScenario, _PARSERS)
-_PART_FIELDS = {part: _flat_fields(cls, ("float",)) for part, cls in _PARTS.items()}
+# The keys of link.scenario_with: the scenario's own fields, area, and the
+# float fields of its parts.
+_SCENARIO_FIELDS = {
+    **_flat_fields(LinkScenario, _PARSERS), "area": "str",
+    **{key: "float" for cls in SCENARIO_PARTS.values() for key in _flat_fields(cls, ("float",))},
+}
 _MC_FIELDS = _flat_fields(MonteCarloSettings, _PARSERS)
 
-_SCENARIO_KEYS = (*_TOP_FIELDS, "area", *(key for keys in _PART_FIELDS.values() for key in keys))
+_SCENARIO_KEYS = tuple(_SCENARIO_FIELDS)
 _MC_KEYS = (*_MC_FIELDS, "n_workers")
 # The CSV has fixed p05 and p95 columns, so a sweep takes no quantiles.
 _SWEEP_MC_KEYS = tuple(key for key in _MC_KEYS if key != "quantiles")
@@ -140,39 +140,11 @@ def _parse_fields(cfg: dict[str, str], flat_fields: dict[str, str], problems: li
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _attempt(problems: list[str], build, *args, **kwargs):
-    """Return ``build(*args, **kwargs)``, or None after adding its ValueError to ``problems``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        problems.append(str(exc))
-        return None
-
-
 def build_scenario(cfg: dict[str, str], problems: list[str]) -> LinkScenario | None:
-    """Assemble a LinkScenario from flat config, appending every violation found.
-
-    Only the keys given reach the constructors, so every default and range
-    rule is the dataclasses' own.
-    """
+    """Assemble a LinkScenario from flat config, appending every violation found."""
     before = len(problems)
-    for key in ("sigma_s_m", "r_d_m"):
-        if key in cfg and "beta_m" not in cfg:
-            problems.append(f"{key} was given but beta_m is missing; pointing needs an aperture radius")
-    given = {part: _parse_fields(cfg, keys, problems) for part, keys in _PART_FIELDS.items()}
-    defaults = LinkScenario()
-    carrier = _attempt(problems, RfCarrier, **given["carrier"])
-    terrain = _attempt(problems, terrain_preset, cfg["area"]) if "area" in cfg else defaults.terrain
-    if terrain is not None and given["terrain"]:
-        terrain = _attempt(problems, replace, terrain, name="custom", **given["terrain"])
-    dust = _attempt(problems, DustStorm, **given["dust"]) if given["dust"] else None
-    pointing = None
-    if "beta_m" in given["pointing"]:
-        pointing = _attempt(problems, default_pointing, carrier or defaults.carrier, **given["pointing"])
-    scenario = _attempt(
-        problems, LinkScenario, carrier=carrier, terrain=terrain, dust=dust, pointing=pointing,
-        **_parse_fields(cfg, _TOP_FIELDS, problems),
-    )
+    values = _parse_fields(cfg, _SCENARIO_FIELDS, problems)
+    scenario = attempt(problems, scenario_with, LinkScenario(), **values)
     return scenario if len(problems) == before else None
 
 
@@ -180,7 +152,7 @@ def build_mc(
     cfg: dict[str, str], problems: list[str], base: MonteCarloSettings = MonteCarloSettings()
 ) -> MonteCarloSettings | None:
     """``base`` with the Monte Carlo keys given in flat config, appending every violation."""
-    return _attempt(problems, replace, base, **_parse_fields(cfg, _MC_FIELDS, problems))
+    return attempt(problems, replace, base, **_parse_fields(cfg, _MC_FIELDS, problems))
 
 
 def _parse_workers(cfg: dict[str, str], problems: list[str]) -> int:
@@ -213,7 +185,7 @@ def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | No
                 f" (missing: {', '.join(missing)})"
             )
         elif None not in (lo, hi, count):
-            points = _attempt(problems, axis_points, lo, hi, count, cfg.get("axis_spacing", "linear"))
+            points = attempt(problems, axis_points, lo, hi, count, cfg.get("axis_spacing", "linear"))
 
     secondary = cfg.get("secondary")
     if secondary == "area":
@@ -225,7 +197,7 @@ def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | No
 
     harvesters = tuple(cell.strip() for cell in cfg.get("harvesters", "A,B,C").split(",") if cell.strip())
 
-    return _attempt(
+    return attempt(
         problems, SweepSpec, base=base or LinkScenario(), harvesters=harvesters,
         axis=cfg.get("axis"), points=points or (), secondary=secondary,
         secondary_values=secondary_values, mc=mc or MonteCarloSettings(),
@@ -289,7 +261,7 @@ def _select_harvesters(cfg: dict[str, str], problems: list[str]) -> list[Harvest
             f"harvester must be one of {', '.join(sorted(BUILTIN_HARVESTERS))}, all, or none; got {choice!r}"
         )
     if "harvester_file" in cfg:
-        loaded = _attempt(problems, read_model_file, cfg["harvester_file"])
+        loaded = attempt(problems, read_model_file, cfg["harvester_file"])
         # The report is keyed by model name, so a repeated name would hide a model.
         if loaded is not None and any(model.name == loaded.name for model in models):
             problems.append(
@@ -458,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", default=None, metavar="NAME")
     group.add_argument("--config", default=None, metavar="PATH")
     sweep.add_argument("-o", "--out", default=None, metavar="PATH")
-    _add_flags(sweep, ("seed", "n_samples", "n_workers"))
+    _add_flags(sweep, _SWEEP_MC_KEYS)
     sweep.set_defaults(func=cmd_sweep)
 
     fit = sub.add_parser("fit", help="fit a rational efficiency model to sample CSV")
@@ -478,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FitError, OSError) as exc:
+    except (FitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -36,15 +36,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
-from .pointing import MisalignmentModel, PointingGeometry, derive_model
-from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
-from .quantities import RfCarrier, dbm_to_mw, field_problems, watts_to_dbm
+from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
+from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
+from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, watts_to_dbm
 
 SMALL_SCALE_MODES = ("off", "rayleigh")
 
@@ -77,6 +77,48 @@ class LinkScenario:
             )
         if problems:
             raise ValueError("; ".join(problems))
+
+
+# The parts of a LinkScenario whose float fields are flat keys of scenario_with.
+SCENARIO_PARTS = {
+    "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm, "pointing": PointingGeometry,
+}
+
+
+def scenario_with(s: LinkScenario, **values) -> LinkScenario:
+    """``s`` with flat keys set: its own fields, ``area``, and the float fields of its parts.
+
+    An existing part is replaced. A missing dust part starts from ``DustStorm()``,
+    and a missing pointing part from ``default_pointing`` on the new carrier, so
+    it needs ``beta_m``. ``area`` picks a terrain preset, which ``alpha`` or
+    ``sigma_db`` then make a "custom" terrain. Raises one ValueError that lists
+    every violation.
+    """
+    given = {
+        part: {f.name: values.pop(f.name) for f in fields(cls) if f.type == "float" and f.name in values}
+        for part, cls in SCENARIO_PARTS.items()
+    }
+    problems: list[str] = []
+    new = {}
+    if given["carrier"]:
+        new["carrier"] = attempt(problems, replace, s.carrier, **given["carrier"])
+    new["terrain"] = attempt(problems, terrain_preset, values.pop("area")) if "area" in values else s.terrain
+    if new["terrain"] is not None and given["terrain"]:
+        new["terrain"] = attempt(problems, replace, new["terrain"], name="custom", **given["terrain"])
+    if given["dust"]:
+        new["dust"] = attempt(problems, replace, s.dust or DustStorm(), **given["dust"])
+    pointing = given["pointing"]
+    if pointing and s.pointing is not None:
+        new["pointing"] = attempt(problems, replace, s.pointing, **pointing)
+    elif "beta_m" in pointing:
+        new["pointing"] = attempt(problems, default_pointing, new.get("carrier") or s.carrier, **pointing)
+    else:
+        problems += [f"{key} needs beta_m, the aperture radius of the pointing geometry" for key in pointing]
+    # A part that failed keeps its old value, so the scenario's own rules still run.
+    scenario = attempt(problems, replace, s, **{k: v for k, v in new.items() if v is not None}, **values)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return scenario
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,9 +235,10 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
     ndtri(u[:, 0], out=x)
     x *= s.terrain.sigma_db
     # Every budget term but pointing is the same for all trials; pointing
-    # enters per trial through the fade model.
+    # enters per trial through the fade model. The losses add as a numpy
+    # scalar, so that an overflow of their sum raises under errstate.
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
-    x += base_dbm + (terms["path_loss_db"] + terms["dust_db"])
+    x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
     if fade is not None and fade.sigma_s_m > 0.0:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW.

@@ -80,7 +80,7 @@ def free_space_factor(distance_m: float, carrier: RfCarrier) -> float:
 def path_loss_db(distance_m: float, carrier: RfCarrier, terrain: TerrainProfile) -> float:
     """Median log-distance path loss in dB, without shadowing."""
     k = free_space_factor(distance_m, carrier)
-    return 10.0 * terrain.alpha * np.log10(k)
+    return float(10.0 * terrain.alpha * np.log10(k))
 
 
 def dust_extinction_coefficient(storm: DustStorm, carrier: RfCarrier) -> float:

@@ -1,5 +1,5 @@
-"""Unit-safe power conversions, RF carrier constants and the field-rule check
-shared by every module.
+"""Unit-safe power conversions, RF carrier constants, and the field-rule check
+and problem collector shared by every module.
 
 All link arithmetic happens in dB/dBm; the single dB-to-mW conversion sits at
 the harvester boundary, where the efficiency model wants milliwatts.
@@ -36,6 +36,15 @@ def field_problems(obj, **rules: str) -> list[str]:
     return problems
 
 
+def attempt(problems: list[str], build, *args, **kwargs):
+    """Return ``build(*args, **kwargs)``, or None after adding its ValueError to ``problems``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        problems.append(str(exc))
+        return None
+
+
 @dataclass(frozen=True, slots=True)
 class RfCarrier:
     """Continuous-wave carrier pinned by its frequency."""
@@ -53,7 +62,7 @@ class RfCarrier:
 
 def dbm_to_mw(p_dbm):
     """Power in mW for a level in dBm. Accepts scalars or arrays."""
-    return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0) if isinstance(p_dbm, np.ndarray) else 10.0 ** (p_dbm / 10.0)
+    return 10.0 ** (p_dbm / 10.0)
 
 
 def mw_to_dbm(p_mw):
@@ -65,4 +74,4 @@ def mw_to_dbm(p_mw):
 
 def watts_to_dbm(p_w: float) -> float:
     """Level in dBm for a power in watts."""
-    return mw_to_dbm(p_w * 1e3)
+    return float(mw_to_dbm(p_w * 1e3))

@@ -6,7 +6,9 @@ aperture radius, or terrain area), and runs the Monte Carlo estimator for
 each requested harvester at every grid point. Rows are emitted axis-major,
 then secondary, then harvester, and each row draws from its own substream
 derived from (seed, row index), so tables are reproducible regardless of
-execution order.
+execution order. Each axis sets one scenario key, a secondary kind is one,
+and ``link.scenario_with`` turns the pair into a grid point's scenario, by
+the same rule that builds a scenario from flat config.
 
 ``builtin_presets`` bundles the eight standard experiment tables (fig3a/b,
 fig5a/b, fig6a/b, fig7a/b): harvested power versus transmit power, dust
@@ -27,12 +29,14 @@ from .link import (
     derive_substream_seed,
     estimate_harvest,
     median_received_dbm,
+    scenario_with,
     thread_map,
 )
-from .pointing import default_pointing
-from .propagation import AREA1, AREA2, DustStorm, terrain_preset
+from .propagation import AREA1, AREA2
+from .quantities import attempt
 
-AXES = ("p_tx", "distance", "dust_density", "jitter_sigma")
+# Each axis sets one scenario key; each secondary kind is a scenario key.
+AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
 SECONDARY_KINDS = ("rho_p_m", "beta_m", "area")
 
 
@@ -68,10 +72,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "harvesters", tuple(self.harvesters))
         object.__setattr__(self, "points", tuple(float(x) for x in self.points))
-        object.__setattr__(self, "secondary_values", tuple(self.secondary_values))
         problems = []
+        values = self.secondary_values
+        if self.secondary in ("rho_p_m", "beta_m"):
+            values = [attempt(problems, float, value) for value in values]
+        object.__setattr__(self, "secondary_values", tuple(values))
         if self.axis not in AXES:
-            problems.append(f"axis must be one of {AXES}, got {self.axis!r}")
+            problems.append(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if not self.points:
             problems.append("points must be non-empty")
         elif any(b <= a for a, b in zip(self.points, self.points[1:])):
@@ -79,10 +86,7 @@ class SweepSpec:
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
         for name in self.harvesters:
-            try:
-                harvester_preset(name)
-            except ValueError as exc:
-                problems.append(str(exc))
+            attempt(problems, harvester_preset, name)
         if self.secondary is None:
             if self.secondary_values:
                 problems.append("secondary_values given without a secondary kind")
@@ -93,21 +97,18 @@ class SweepSpec:
         # The scenario rules do the range checks. Each is an interval, so the
         # smallest and largest point, crossed with every secondary value,
         # break any rule that some grid point breaks.
-        ends = (min(self.points), max(self.points)) if self.points and self.axis in AXES else ()
-        kind = self.secondary if self.secondary in SECONDARY_KINDS and self.secondary_values else None
-        for value in self.secondary_values if kind else (None,):
-            try:
-                scenario = _apply_secondary(self.base, kind, value)
-            except ValueError as exc:
-                problems.append(str(exc))
-                continue
+        ends = (min(self.points), max(self.points)) if self.points and self.axis in AXES else (None,)
+        for value in (self.secondary_values if self.secondary in SECONDARY_KINDS else ()) or (None,):
             for point in ends:
-                try:
-                    _apply_axis(scenario, self.axis, point)
-                except ValueError as exc:
-                    problems.append(str(exc))
+                attempt(problems, self.scenario_at, point, value)
         if problems:
-            raise ConfigError("; ".join(dict.fromkeys(problems)))
+            # A grid point's message joins its violations; each is listed once.
+            raise ConfigError("; ".join(dict.fromkeys("; ".join(problems).split("; "))))
+
+    def scenario_at(self, axis_value: float | None, secondary_value) -> LinkScenario:
+        """The base scenario at one grid point; a None value leaves its key unset."""
+        keys = {AXES.get(self.axis): axis_value, self.secondary: secondary_value}
+        return scenario_with(self.base, **{key: value for key, value in keys.items() if value is not None})
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,34 +125,6 @@ class SweepRow:
     stats: HarvestStats
 
 
-def _apply_secondary(base: LinkScenario, kind: str | None, value) -> LinkScenario:
-    if kind is None:
-        return base
-    if kind == "area":
-        return replace(base, terrain=terrain_preset(value))
-    if kind == "rho_p_m":
-        return replace(base, dust=replace(base.dust or DustStorm(), rho_p_m=float(value)))
-    # SweepSpec has checked the kind, so this one is beta_m.
-    if base.pointing is not None:
-        geom = replace(base.pointing, beta_m=float(value))
-    else:
-        geom = default_pointing(base.carrier, float(value))
-    return replace(base, pointing=geom)
-
-
-def _apply_axis(scenario: LinkScenario, axis: str, value: float) -> LinkScenario:
-    if axis == "p_tx":
-        return replace(scenario, p_tx_w=value)
-    if axis == "distance":
-        return replace(scenario, distance_m=value)
-    if axis == "dust_density":
-        return replace(scenario, dust=replace(scenario.dust or DustStorm(), n_t_per_m3=value))
-    # SweepSpec has checked the axis, so this one is jitter_sigma.
-    if scenario.pointing is None:
-        raise ConfigError("jitter_sigma axis needs base pointing geometry or a beta_m secondary")
-    return replace(scenario, pointing=replace(scenario.pointing, sigma_s_m=value))
-
-
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     """Run every grid point; rows ordered axis-major, then secondary, then harvester."""
     secondary_values = spec.secondary_values if spec.secondary is not None else (None,)
@@ -160,8 +133,7 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     row_index = 0
     for axis_value in spec.points:
         for secondary_value in secondary_values:
-            scenario = _apply_secondary(spec.base, spec.secondary, secondary_value)
-            scenario = _apply_axis(scenario, spec.axis, axis_value)
+            scenario = spec.scenario_at(axis_value, secondary_value)
             for name in spec.harvesters:
                 mc_row = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, row_index))
                 jobs.append((axis_value, secondary_value, scenario, name, mc_row))

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from marswpt.link import (
     LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, median_received_dbm,
 )
 from marswpt.harvester import harvester_preset, read_model_file
-from marswpt.sweep import SweepSpec, run_sweep
+from marswpt.sweep import AXES, SweepSpec, builtin_presets, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -452,6 +453,86 @@ def test_sweep_config_problems_exit_2(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+SECONDARIES = {
+    "rho_p_m": finite.map(repr),
+    "beta_m": finite.map(repr),
+    "area": st.sampled_from(["area1", "area2", "area7", "dust"]),
+}
+
+
+@st.composite
+def sweep_configs(draw):
+    lo, hi = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    lines = [f"axis = {draw(st.sampled_from(sorted(AXES)))}", f"axis_points = {lo!r},{hi!r}"]
+    n_secondary = 1
+    secondary = draw(st.none() | st.sampled_from(sorted(SECONDARIES)))
+    if secondary is not None:
+        values = draw(st.lists(SECONDARIES[secondary], min_size=1, max_size=2))
+        lines += [f"secondary = {secondary}", f"secondary_values = {','.join(values)}"]
+        n_secondary = len(values)
+    return "\n".join(lines) + "\n", 2 * n_secondary
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=sweep_configs())
+def test_sweep_config_gives_a_table_or_one_error_line(tmp_path_factory, config):
+    text, n_grid_points = config
+    path = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--config", str(path), "--n-samples", "8"])
+    assert caught == []
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 1 + n_grid_points * 3
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("name", sorted(builtin_presets()))
+def test_flat_config_and_sweep_grid_points_build_the_same_scenario(name):
+    spec = builtin_presets()[name]
+    spec = replace(spec, mc=replace(spec.mc, n_samples=8), harvesters=("C",))
+    rows = run_sweep(spec)
+    assert len(rows) == len(spec.points) * max(len(spec.secondary_values), 1)
+    for row in rows:
+        cfg = {AXES[spec.axis]: repr(row.axis_value), "area": spec.base.terrain.name}
+        if spec.secondary is not None:
+            cfg[spec.secondary] = repr(row.secondary_value)
+        problems = []
+        scenario = cli.build_scenario(cfg, problems)
+        assert problems == []
+        assert scenario == spec.scenario_at(row.axis_value, row.secondary_value)
+        assert (row.area, row.p_tx_w, row.distance_m, row.p_rx_median_dbm) == (
+            scenario.terrain.name, scenario.p_tx_w, scenario.distance_m,
+            median_received_dbm(scenario),
+        )
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["link", "--n-samples", str(10**15), "--harvester", "C"], None),
+    (["sweep"], f"axis = p_tx\naxis_min = 1\naxis_max = 10\naxis_count = {10**15}\n"),
+], ids=["link_trials", "sweep_axis_count"])
+def test_an_allocation_that_cannot_succeed_is_a_runtime_error(tmp_path, capsys, argv, config):
+    # 10**15 float64 values are 8e15 bytes, past a 47-bit address space, so
+    # the allocation fails at once whatever the overcommit policy.
+    if config is not None:
+        path = tmp_path / "huge.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_sweep_unwritable_output_is_runtime_error(capsys):

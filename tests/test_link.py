@@ -85,6 +85,16 @@ def test_budget_terms_match_component_models():
     assert median_received_dbm(scenario) == total
 
 
+@pytest.mark.parametrize("scenario", [
+    LinkScenario(),
+    LinkScenario(dust=DustStorm(n_t_per_m3=1e4), pointing=PointingGeometry(0.5, 0.2, R_D)),
+], ids=["default", "dust_and_pointing"])
+def test_budget_terms_are_plain_floats(scenario):
+    terms = budget_terms(scenario)
+    assert all(type(value) is float for value in terms.values()), terms
+    assert type(median_received_dbm(scenario)) is float
+
+
 def test_huge_collector_removes_pointing_penalty():
     wide = LinkScenario(pointing=PointingGeometry(beta_m=50.0, sigma_s_m=0.5, r_d_m=R_D))
     assert median_received_dbm(wide) == pytest.approx(

@@ -110,10 +110,17 @@ def test_spec_range_rules_come_from_the_scenario():
             secondary="rho_p_m", secondary_values=(1e-4, 5e-3),
         )
     assert str(excinfo.value).count("n_t_per_m3") == 1
+    # So is each violation of a grid point that breaks two rules at once.
+    with pytest.raises(ConfigError) as excinfo:
+        SweepSpec(
+            LinkScenario(), ("A",), "dust_density", (-5.0, 1.0),
+            secondary="rho_p_m", secondary_values=(0.0, 1e-4),
+        )
+    assert str(excinfo.value) == "n_t_per_m3 must be non-negative, got -5.0; rho_p_m must be positive, got 0.0"
 
 
 def test_spec_jitter_axis_needs_pointing_context():
-    with pytest.raises(ConfigError, match="jitter_sigma axis needs"):
+    with pytest.raises(ConfigError, match="sigma_s_m needs beta_m"):
         SweepSpec(LinkScenario(), ("A",), "jitter_sigma", (0.1, 0.5))
     # Either a base pointing geometry or a collector-radius secondary works.
     SweepSpec(
@@ -124,6 +131,17 @@ def test_spec_jitter_axis_needs_pointing_context():
         LinkScenario(), ("A",), "jitter_sigma", (0.1, 0.5),
         secondary="beta_m", secondary_values=(0.5, 1.0),
     )
+
+
+def test_numeric_secondary_values_become_floats():
+    spec = SweepSpec(
+        LinkScenario(), ("C",), "jitter_sigma", (0.1, 0.5),
+        secondary="beta_m", secondary_values=(1, 2), mc=SMALL_MC,
+    )
+    assert spec.secondary_values == (1.0, 2.0)
+    assert all(type(value) is float for value in spec.secondary_values)
+    with pytest.raises(ConfigError, match="could not convert string to float: 'x'"):
+        SweepSpec(LinkScenario(), ("C",), "p_tx", (1.0, 2.0), secondary="rho_p_m", secondary_values=("x",))
 
 
 def test_spec_collects_every_violation():
