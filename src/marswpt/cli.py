@@ -52,6 +52,7 @@ from .link import (
 )
 from .quantities import attempt, dbm_to_mw
 from .sweep import (
+    SECONDARY_KINDS,
     ConfigError,
     SweepRow,
     SweepSpec,
@@ -170,7 +171,17 @@ def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | No
     The spec is built even after an earlier problem, with placeholders for
     the parts that failed, so that its own rules are reported too.
     """
-    base = build_scenario(cfg, problems)
+    secondary = cfg.get("secondary")
+    if secondary == "area":
+        secondary_values = tuple(
+            cell.strip() for cell in cfg.get("secondary_values", "").split(",") if cell.strip()
+        )
+    else:
+        secondary_values = _parse(cfg, "secondary_values", _FLOATS, problems) or ()
+    # Every grid point sets the secondary's key, so the base takes the first
+    # value; a beta_m secondary then gives the pointing part its aperture.
+    first = {secondary: str(secondary_values[0])} if secondary in SECONDARY_KINDS and secondary_values else {}
+    base = build_scenario({**cfg, **first}, problems)
     mc = build_mc(cfg, problems)
 
     points = _parse(cfg, "axis_points", _FLOATS, problems)
@@ -186,14 +197,6 @@ def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | No
             )
         elif None not in (lo, hi, count):
             points = attempt(problems, axis_points, lo, hi, count, cfg.get("axis_spacing", "linear"))
-
-    secondary = cfg.get("secondary")
-    if secondary == "area":
-        secondary_values = tuple(
-            cell.strip() for cell in cfg.get("secondary_values", "").split(",") if cell.strip()
-        )
-    else:
-        secondary_values = _parse(cfg, "secondary_values", _FLOATS, problems) or ()
 
     harvesters = tuple(cell.strip() for cell in cfg.get("harvesters", "A,B,C").split(",") if cell.strip())
 

@@ -309,29 +309,10 @@ def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
 
 
 def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
-    """``np.median(h)`` and ``np.quantile(h, q)`` per q, bit for bit, from one partition.
-
-    The formulas are numpy's: the mean of the middle one or two values, and
-    linear interpolation that takes its ``t >= 0.5`` branch from the upper value.
-    Equal values must be identical; with both signed zeros, the sign of a zero
-    result depends on the partition's arrangement, in numpy's calls too.
-    """
-    last = h.size - 1
-    spots = {}
-    for q in quantiles:
-        virtual = last * q
-        lo = math.floor(virtual)
-        # numpy reads index -1 (the last value) at or past the end; t follows.
-        spots[q] = (lo, lo + 1, virtual - lo) if virtual < last else (last, last, virtual + 1)
-    kth = {last // 2, h.size // 2, last, *(i for lo, hi, _ in spots.values() for i in (lo, hi))}
-    part = np.partition(h, sorted(kth))
-    if math.isnan(part[last]):  # numpy sorts NaN last, and then reports NaN
-        return math.nan, dict.fromkeys(quantiles, math.nan)
-    out = {}
-    for q, (lo, hi, t) in spots.items():
-        a, b = part[lo], part[hi]
-        out[q] = float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-    return float(np.mean(part[last // 2 : h.size // 2 + 1])), out
+    """numpy's median and quantiles of ``h`` on one sorted copy; with both signed zeros, a zero's sign may vary."""
+    s = np.sort(h)
+    median = float(np.median(s, overwrite_input=True))
+    return median, dict(zip(quantiles, np.quantile(s, quantiles, overwrite_input=True).tolist()))
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,

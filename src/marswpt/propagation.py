@@ -42,9 +42,9 @@ TERRAIN_PRESETS = {"area1": AREA1, "area2": AREA2}
 
 
 def terrain_preset(name: str) -> TerrainProfile:
-    """Look up a built-in terrain by name ("area1" or "area2"), case-insensitively."""
+    """Look up a built-in terrain by its exact name, "area1" or "area2"."""
     try:
-        return TERRAIN_PRESETS[name.lower()]
+        return TERRAIN_PRESETS[name]
     except KeyError:
         valid = ", ".join(sorted(TERRAIN_PRESETS))
         raise ValueError(f"unknown area {name!r}; valid names: {valid}") from None

@@ -41,7 +41,11 @@ SECONDARY_KINDS = ("rho_p_m", "beta_m", "area")
 
 
 class ConfigError(ValueError):
-    """Invalid sweep or run configuration; the message lists every violation."""
+    """Invalid sweep or run configuration; the message lists every violation once."""
+
+    def __init__(self, message: str) -> None:
+        # Callers join violations with "; "; a base and its grid points may share one.
+        super().__init__("; ".join(dict.fromkeys(message.split("; "))))
 
 
 def axis_points(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -102,8 +106,7 @@ class SweepSpec:
             for point in ends:
                 attempt(problems, self.scenario_at, point, value)
         if problems:
-            # A grid point's message joins its violations; each is listed once.
-            raise ConfigError("; ".join(dict.fromkeys("; ".join(problems).split("; "))))
+            raise ConfigError("; ".join(problems))
 
     def scenario_at(self, axis_value: float | None, secondary_value) -> LinkScenario:
         """The base scenario at one grid point; a None value leaves its key unset."""

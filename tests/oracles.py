@@ -1,5 +1,6 @@
 """Closed-form references for the pointing fade, and the engine's fade draws,
-and a quadrature oracle for Monte Carlo rows whose channel is Gaussian in dB.
+and quadrature oracles for Monte Carlo rows whose channel in dB is Gaussian,
+or Gaussian minus an exponential pointing fade.
 
 The package samples the fade only inside the Monte Carlo engine, so the
 tests read it back from ``draw_channel`` and compare it with these
@@ -7,7 +8,7 @@ formulas.
 """
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from marswpt.link import LinkScenario, MonteCarloSettings, draw_channel, median_received_dbm
 from marswpt.propagation import TerrainProfile
@@ -36,6 +37,19 @@ def engine_fade_db(geometry, n, seed):
     return channel.p_rx_dbm - median_received_dbm(scenario)
 
 
+def _harvest_uw(model, p_dbm):
+    """One trial's harvested power in uW at received power ``p_dbm``, clamped as the engine does."""
+    p = 10.0 ** (p_dbm / 10.0)
+    eta = (model.a2 * p**2 + model.a1 * p + model.a0) / (p**3 + model.b2 * p**2 + model.b1 * p + model.b0)
+    return p * np.clip(eta, 0.0, 100.0) * 10.0
+
+
+def _trapezoid_moments(weight, h_uw):
+    weight[[0, -1]] *= 0.5
+    mean = weight @ h_uw
+    return mean, weight @ (h_uw - mean) ** 2
+
+
 def gaussian_harvest_moments(model, median_dbm, sigma_db, n_grid=4001):
     """Mean and variance of one trial's harvested power in uW, and the
     probability that it lies outside ``model``'s certified range, when the
@@ -47,12 +61,33 @@ def gaussian_harvest_moments(model, median_dbm, sigma_db, n_grid=4001):
     """
     z = np.linspace(-9.0, 9.0, n_grid)
     weight = np.exp(-0.5 * z * z) * (z[1] - z[0]) / np.sqrt(2.0 * np.pi)
-    weight[[0, -1]] *= 0.5
-    p = 10.0 ** ((median_dbm + sigma_db * z) / 10.0)
-    eta = (model.a2 * p**2 + model.a1 * p + model.a0) / (p**3 + model.b2 * p**2 + model.b1 * p + model.b0)
-    h_uw = p * np.clip(eta, 0.0, 100.0) * 10.0
-    mean = weight @ h_uw
-    variance = weight @ (h_uw - mean) ** 2
+    mean, variance = _trapezoid_moments(weight, _harvest_uw(model, median_dbm + sigma_db * z))
     lo_dbm, hi_dbm = 10.0 * np.log10(model.valid_range_mw)
     p_out = ndtr((lo_dbm - median_dbm) / sigma_db) + ndtr((median_dbm - hi_dbm) / sigma_db)
+    return mean, variance, p_out
+
+
+def emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_grid=40_001):
+    """As ``gaussian_harvest_moments``, when the received power in dBm is
+    ``median_dbm + sigma_db Z - E`` with E exponential of mean ``fade_mean_db``.
+
+    The offset x = sigma_db Z - E has the exponentially modified Gaussian
+    density lam exp(lam x + lam^2 sigma^2 / 2) Phi(-x / sigma - lam sigma),
+    lam = 1 / fade_mean_db, and the CDF Phi(x / sigma) plus that density over
+    lam. Both are written with ``log_ndtr``: an ``erfcx`` product is 0 * inf in
+    the tails. The trapezoid grid spans 9 sigma above the median and 9 sigma
+    plus 40 fade means below it.
+    """
+    lam = 1.0 / fade_mean_db
+
+    def density_over_lam(x):
+        return np.exp(lam * x + 0.5 * (lam * sigma_db) ** 2 + log_ndtr(-x / sigma_db - lam * sigma_db))
+
+    x = np.linspace(-9.0 * sigma_db - 40.0 * fade_mean_db, 9.0 * sigma_db, n_grid)
+    weight = lam * density_over_lam(x) * (x[1] - x[0])
+    mean, variance = _trapezoid_moments(weight, _harvest_uw(model, median_dbm + x))
+    lo, hi = 10.0 * np.log10(model.valid_range_mw) - median_dbm
+    # 1 - CDF at hi: the normal upper tail less the fade term, floored at 0 against rounding.
+    above = max(ndtr(-hi / sigma_db) - density_over_lam(hi), 0.0)
+    p_out = ndtr(lo / sigma_db) + density_over_lam(lo) + above
     return mean, variance, p_out

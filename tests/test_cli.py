@@ -24,7 +24,8 @@ from marswpt import cli
 from marswpt.cli import CSV_COLUMNS, main, rows_to_csv
 from marswpt.harvester import HARVESTER_C, efficiency_percent, write_model_file
 from marswpt.link import (
-    LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, median_received_dbm,
+    LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
+    median_received_dbm,
 )
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import AXES, SweepSpec, builtin_presets, run_sweep
@@ -70,6 +71,23 @@ def test_link_json_matches_api(capsys):
     assert total == pytest.approx(report["median_p_rx_dbm"], abs=1e-9)
 
 
+def test_link_json_order_statistics_are_numpys(capsys):
+    code, out, _ = run_cli(
+        capsys, "link", "--json", "--n-samples", "20001", "--seed", "7", "--quantiles", "0.01,0.5,0.99"
+    )
+    assert code == 0
+    harvesters = json.loads(out)["harvesters"]
+    assert sorted(harvesters) == ["A", "B", "C"]
+    channel = draw_channel(LinkScenario(), MonteCarloSettings(n_samples=20_001, seed=7))
+    for name, entry in harvesters.items():
+        h = harvest_samples(harvester_preset(name), channel).p_h_uw
+        mc_part = entry["monte_carlo"]
+        assert mc_part["median_uw"] == np.median(h)
+        assert mc_part["quantiles_uw"] == {
+            key: np.quantile(h, float(key)) for key in ("0.01", "0.5", "0.99")
+        }
+
+
 def test_link_draws_one_channel_for_all_harvesters(capsys, monkeypatch):
     draws = []
 
@@ -108,6 +126,13 @@ def test_link_requested_quantiles(capsys):
     assert code == 0
     quantiles = json.loads(out)["harvesters"]["C"]["monte_carlo"]["quantiles_uw"]
     assert set(quantiles) == {"0.1", "0.9"}
+
+
+def test_link_matches_area_names_exactly(capsys):
+    # As harvester names do: AREA2 is not area2.
+    code, out, err = run_cli(capsys, "link", "--area", "AREA2")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown area 'AREA2'; valid names: area1, area2\n"
 
 
 def test_link_rejects_bad_values(capsys):
@@ -439,6 +464,33 @@ def test_sweep_config_with_an_area_secondary(tmp_path, capsys):
     assert [(r["secondary"], r["secondary_value"], r["area"]) for r in records] == [
         ("area", "area2", "area2"), ("area", "area1", "area1"),
     ] * 2
+
+
+BETA_SECONDARY = (
+    "axis = jitter_sigma\naxis_points = 0.1,0.2\nharvesters = A,C\nn_samples = 100\n"
+    "secondary = beta_m\nsecondary_values = 0.5, 1\nr_d_m = 0.8\n"
+)
+
+
+def test_sweep_config_takes_the_aperture_from_a_beta_secondary(tmp_path, capsys):
+    # Every grid point sets beta_m, so r_d_m needs no beta_m key of its own.
+    outputs = []
+    for extra in ("", "beta_m = 7\n"):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(BETA_SECONDARY + extra, encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 2 * 2 * 2
+
+
+def test_sweep_config_lists_a_bad_secondary_value_once(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(BETA_SECONDARY.replace("0.5, 1", "-1, 1"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: beta_m must be positive, got -1.0\n"
 
 
 @pytest.mark.parametrize("text, message", [

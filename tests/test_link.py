@@ -252,7 +252,7 @@ def _bits(value: float) -> bytes:
 
 # Ties, zeros (B clamps about half its trials to 0) and the odd NaN. Zeros
 # are +0.0, as the engine's are: where +0.0 and -0.0 both occur, the sign of
-# a zero order statistic depends on how the partition arranged them, in
+# a zero order statistic depends on how a sort or partition arranged them, in
 # numpy's own calls too.
 ORDER_VALUES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, math.nan]) | st.floats(
     -1e3, 1e3, allow_subnormal=False
@@ -265,10 +265,25 @@ ORDER_VALUES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, math.nan]) | st.floats(
     st.lists(st.sampled_from([0.05, 0.95, 1e-9, 1 - 1e-9, 0.25, 0.01]) | st.floats(1e-9, 1 - 1e-9),
              max_size=4),
 )
-def test_one_partition_matches_numpy_median_and_quantile(values, extra):
+def test_order_statistics_match_numpy_median_and_quantile(values, extra):
     h = np.array(values)
     quantiles = (0.5, 1e-9, 1 - 1e-9, *extra)
     median, by_q = link._order_statistics(h, quantiles)
+    assert _bits(median) == _bits(float(np.median(h)))
+    for q in quantiles:
+        assert _bits(by_q[q]) == _bits(float(np.quantile(h, q)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 19_999, 20_000, 1_000_000])
+def test_order_statistics_match_numpy_at_engine_sizes(n):
+    rng = np.random.default_rng(n)
+    h = rng.lognormal(0.0, 3.0, n)
+    h[rng.random(n) < 0.1] = 0.0
+    before = h.copy()
+    quantiles = (0.05, 0.95, 0.01, 1e-9, 1 - 1e-9, 0.5)
+    median, by_q = link._order_statistics(h, quantiles)
+    # The mean is taken from the same trials afterwards, in their own order.
+    assert h.tobytes() == before.tobytes()
     assert _bits(median) == _bits(float(np.median(h)))
     for q in quantiles:
         assert _bits(by_q[q]) == _bits(float(np.quantile(h, q)))

@@ -34,13 +34,16 @@ def test_builtin_terrain_profiles():
     assert AREA2.alpha == 2.37
     assert AREA2.sigma_db == 13.26
     assert terrain_preset("area1") is AREA1
-    assert terrain_preset("AREA2") is AREA2
+    assert terrain_preset("area2") is AREA2
     assert set(TERRAIN_PRESETS) == {"area1", "area2"}
 
 
 def test_terrain_preset_rejects_unknown_name():
     with pytest.raises(ValueError, match="area1"):
         terrain_preset("area9")
+    # Names match exactly, as harvester names do.
+    with pytest.raises(ValueError, match="unknown area 'AREA2'"):
+        terrain_preset("AREA2")
 
 
 def test_terrain_profile_validation():

@@ -13,7 +13,7 @@ from marswpt.link import (
     estimate_harvest,
     median_received_dbm,
 )
-from marswpt.pointing import PointingGeometry, default_beam_waist
+from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db, terrain_preset
 from marswpt.harvester import harvester_preset
 from marswpt.sweep import (
@@ -26,7 +26,7 @@ from marswpt.sweep import (
     run_sweep,
 )
 
-from oracles import gaussian_harvest_moments
+from oracles import emg_harvest_moments, gaussian_harvest_moments
 
 SMALL_MC = MonteCarloSettings(n_samples=200, seed=12345)
 
@@ -364,12 +364,25 @@ def test_haze_grade_dust_is_negligible(fig5a_rows):
 
 
 # ---------------------------------------------------------------------------
-# every row of the Gaussian-channel presets against a quadrature oracle
+# every row of the presets against a quadrature oracle
 
 # Fixed before looking at any result: k = 5 standard errors, and its
 # two-sided normal tail for the exact binomial test of the range counts.
 K_SE = 5.0
 MIN_TAIL = 5.7e-7
+
+
+def assert_rows_match(name, rows, moments):
+    """Each row's mean within K_SE standard errors of ``moments(row)``, and its
+    extrapolated count inside the binomial tail of that oracle's probability."""
+    for row in rows:
+        n = row.stats.n_samples
+        mean, variance, p_out = moments(row)
+        where = f"{name} {row.axis}={row.axis_value:g} {row.secondary_value} {row.harvester}"
+        assert abs(row.stats.mean_uw - mean) <= K_SE * np.sqrt(variance / n), where
+        k = row.stats.extrapolated_count
+        tail = 2.0 * min(binom.cdf(k, n, p_out), binom.sf(k - 1, n, p_out))
+        assert tail >= MIN_TAIL, where
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig5a", "fig5b", "fig6a", "fig6b"])
@@ -380,13 +393,26 @@ def test_gaussian_preset_rows_match_the_quadrature_oracle(name):
     assert spec.base.pointing is None and spec.base.small_scale == "off"
     rows = run_sweep(spec, n_workers=2)
     assert len(rows) in (75, 150)
-    for row in rows:
-        n = row.stats.n_samples
-        mean, variance, p_out = gaussian_harvest_moments(
-            harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db
+    assert_rows_match(name, rows, lambda row: gaussian_harvest_moments(
+        harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db
+    ))
+
+
+@pytest.mark.parametrize("name", ["fig7a", "fig7b"])
+def test_pointing_preset_rows_match_the_quadrature_oracle(name):
+    # The pointing fade in dB is -(10 / ln 10) 2 r^2 / w_eq^2 below the aligned
+    # beam, with r^2 exponential, so it is an exponential of mean
+    # (10 / ln 10) / xi; shadowing minus it is an exponentially modified Gaussian.
+    spec = builtin_presets()[name]
+    assert spec.base.small_scale == "off"
+    rows = run_sweep(spec, n_workers=2)
+    assert len(rows) == 150
+
+    def moments(row):
+        fade = derive_model(spec.scenario_at(row.axis_value, row.secondary_value).pointing)
+        return emg_harvest_moments(
+            harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db,
+            10.0 / np.log(10.0) / fade.xi,
         )
-        where = f"{name} {row.axis}={row.axis_value:g} {row.secondary_value} {row.harvester}"
-        assert abs(row.stats.mean_uw - mean) <= K_SE * np.sqrt(variance / n), where
-        k = row.stats.extrapolated_count
-        tail = 2.0 * min(binom.cdf(k, n, p_out), binom.sf(k - 1, n, p_out))
-        assert tail >= MIN_TAIL, where
+
+    assert_rows_match(name, rows, moments)
