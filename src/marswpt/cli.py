@@ -49,6 +49,7 @@ from .link import (
     estimate_harvest,
     median_received_dbm,
     scenario_with,
+    thread_map,
 )
 from .quantities import attempt, dbm_to_mw
 from .sweep import (
@@ -292,24 +293,24 @@ def cmd_link(args: argparse.Namespace) -> int:
         "median_p_rx_dbm": median_dbm,
         "median_p_rx_mw": median_mw,
         "budget_terms_db": terms,
-        "harvesters": {},
     }
-    # Every model sees the same trials, so the channel is drawn once.
+    # Every model sees the same trials, so the channel is drawn once; the
+    # models then reduce it side by side.
     channel = draw_channel(scenario, mc, n_workers) if models else None
-    for model in models:
-        eta = efficiency_percent(model, median_mw)
-        harvested_uw = harvested_mw(model, median_mw) * 1000.0
-        stats = estimate_harvest(scenario, model, mc, channel=channel)
-        report["harvesters"][model.name] = {
-            "deterministic": {
-                "p_rx_mw": median_mw,
-                "efficiency_percent": eta,
-                "harvested_uw": harvested_uw,
-                "extrapolated": bool(is_extrapolated(model, median_mw)),
-            },
-            # json writes the float quantile keys as their repr, such as "0.05".
-            "monte_carlo": asdict(stats),
+
+    def harvester_entry(model: HarvesterModel) -> dict:
+        deterministic = {
+            "p_rx_mw": median_mw,
+            "efficiency_percent": efficiency_percent(model, median_mw),
+            "harvested_uw": harvested_mw(model, median_mw) * 1000.0,
+            "extrapolated": bool(is_extrapolated(model, median_mw)),
         }
+        stats = estimate_harvest(scenario, model, mc, channel=channel)
+        # json writes the float quantile keys as their repr, such as "0.05".
+        return {"deterministic": deterministic, "monte_carlo": asdict(stats)}
+
+    entries = thread_map(harvester_entry, models, n_workers)
+    report["harvesters"] = {model.name: entry for model, entry in zip(models, entries)}
 
     if args.json:
         print(json.dumps(report, indent=2))

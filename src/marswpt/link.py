@@ -27,15 +27,21 @@ Stages
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
 power in dBm and mW. It does not depend on the harvester.
 ``harvest_samples(model, channel)`` evaluates one model on it, trial by
-trial, and ``estimate_harvest`` reduces those trials to a ``HarvestStats``.
-Callers that compare models draw the channel once and pass it to
-``estimate_harvest`` for each, with the same result as a fresh draw.
+trial, into the one n-sized array an estimate owns, and counts the clamped
+and extrapolated trials block by block. ``estimate_harvest`` takes the mean
+of that array in trial order, then sorts it in place for the median and
+quantiles, and returns a ``HarvestStats``. Callers that compare models draw
+the channel once and pass it to ``estimate_harvest`` for each, with the same
+result as a fresh draw; the channel is read-only, so the models can reduce it
+side by side on ``thread_map``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -157,11 +163,11 @@ class HarvestStats:
 
 @dataclass(frozen=True, slots=True)
 class HarvestSamples:
-    """Per-trial outcomes of one model on a channel, behind a HarvestStats summary."""
+    """Per-trial harvested power of one model on a channel, and how many trials it clamped or extrapolated."""
 
     p_h_uw: np.ndarray
-    clamped: np.ndarray
-    extrapolated: np.ndarray
+    clamp_count: int
+    extrapolated_count: int
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -218,15 +224,59 @@ def derive_substream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
+# One long-lived pool per helper count. A thread that lives across calls
+# reuses its malloc arena, where a fresh pool's threads would each keep one.
+_HELPER_POOLS: dict[int, ThreadPoolExecutor] = {}
+_HELPER_POOLS_LOCK = threading.Lock()
+
+
+def _helper_pool(n_helpers: int) -> ThreadPoolExecutor:
+    with _HELPER_POOLS_LOCK:
+        if n_helpers not in _HELPER_POOLS:
+            _HELPER_POOLS[n_helpers] = ThreadPoolExecutor(n_helpers, thread_name_prefix="marswpt-helper")
+        return _HELPER_POOLS[n_helpers]
+
+
 def thread_map(fn, items, n_workers: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of up to ``n_workers`` threads."""
+    """``[fn(item) for item in items]``, on the calling thread and up to ``n_workers - 1`` helpers.
+
+    Every thread takes the next item index from one shared counter, and stops
+    taking them once an item has failed. Every index below a failing one was
+    taken before it and runs, so the exception raised is the one of the
+    lowest failing index, as in a serial run. When this returns or raises, no
+    helper runs one of its items: a helper task that has started is waited
+    on, and one that has not is cancelled, so a nested call cannot deadlock.
+    """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     items = list(items)
-    if n_workers == 1 or len(items) < 2:
+    n_helpers = min(n_workers, len(items)) - 1
+    if n_helpers < 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    # next() on a count is one atomic step under the GIL.
+    indices = itertools.count()
+
+    def work() -> None:
+        while not errors:
+            i = next(indices)
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    tasks = [_helper_pool(n_helpers).submit(work) for _ in range(n_helpers)]
+    try:
+        work()
+    finally:
+        # wait() would block on a cancelled task until a helper dequeued it.
+        wait([task for task in tasks if not task.cancel()])
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[str, float],
@@ -291,28 +341,32 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
 
 
 def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
-    """Every trial's harvested power, clamp and range flag for ``model`` on ``channel``."""
-    n = channel.n
-    p_h_uw, clamped, extrapolated = np.empty(n), np.empty(n, bool), np.empty(n, bool)
+    """Every trial's harvested power for ``model`` on ``channel``, and its clamp and range counts."""
+    p_h_uw = np.empty(channel.n)
+    clamped = extrapolated = 0
     # One thread: a model block is a few short ufuncs, and handing the GIL
     # over after each one costs more than a second core saves.
-    for start in range(0, n, _BLOCK_TRIALS):
+    for start in range(0, channel.n, _BLOCK_TRIALS):
         block = slice(start, start + _BLOCK_TRIALS)
         p_mw = channel.p_mw[block]
         raw = raw_efficiency_percent(model, p_mw)
         eta = np.clip(raw, 0.0, 100.0, out=p_h_uw[block])
-        np.not_equal(raw, eta, out=clamped[block])
-        extrapolated[block] = is_extrapolated(model, p_mw)
+        clamped += int(np.count_nonzero(raw != eta))
+        extrapolated += int(np.count_nonzero(is_extrapolated(model, p_mw)))
         eta *= p_mw
         eta *= 1000.0 / 100.0
     return HarvestSamples(p_h_uw, clamped, extrapolated)
 
 
 def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
-    """numpy's median and quantiles of ``h`` on one sorted copy; with both signed zeros, a zero's sign may vary."""
-    s = np.sort(h)
-    median = float(np.median(s, overwrite_input=True))
-    return median, dict(zip(quantiles, np.quantile(s, quantiles, overwrite_input=True).tolist()))
+    """numpy's median and quantiles of ``h``, which this reorders in place.
+
+    ``h`` is sorted first, so that the partitions behind the median and the
+    quantiles run on sorted data. With both signed zeros, a zero's sign may vary.
+    """
+    h.sort()
+    median = float(np.median(h, overwrite_input=True))
+    return median, dict(zip(quantiles, np.quantile(h, quantiles, overwrite_input=True).tolist()))
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
@@ -323,6 +377,8 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
     elif (channel.scenario, channel.seed, channel.n) != (s, mc.seed, mc.n_samples):
         raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
     draws = harvest_samples(model, channel)
+    # The mean sums the trials in their own order, before the reduce sorts them.
+    mean_uw = float(np.mean(draws.p_h_uw))
     median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
     # Each trial is finite, but the sum behind a mean of huge dBm values may not be.
     with np.errstate(over="raise"):
@@ -331,12 +387,12 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
         except FloatingPointError:
             raise ValueError("the mean received power in dBm overflows float64") from None
     return HarvestStats(
-        mean_uw=float(np.mean(draws.p_h_uw)),
+        mean_uw=mean_uw,
         median_uw=median_uw,
         quantiles_uw=quantiles_uw,
         mean_p_rx_dbm=mean_p_rx_dbm,
-        clamp_count=int(np.count_nonzero(draws.clamped)),
-        extrapolated_count=int(np.count_nonzero(draws.extrapolated)),
+        clamp_count=draws.clamp_count,
+        extrapolated_count=draws.extrapolated_count,
         n_samples=mc.n_samples,
         seed=mc.seed,
     )

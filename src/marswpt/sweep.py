@@ -32,7 +32,7 @@ from .link import (
     scenario_with,
     thread_map,
 )
-from .propagation import AREA1, AREA2
+from .propagation import AREA1, AREA2, TERRAIN_PRESETS
 from .quantities import attempt
 
 # Each axis sets one scenario key; each secondary kind is a scenario key.
@@ -98,6 +98,12 @@ class SweepSpec:
             problems.append(f"secondary must be one of {SECONDARY_KINDS}, got {self.secondary!r}")
         elif not self.secondary_values:
             problems.append(f"secondary {self.secondary!r} needs secondary_values")
+        elif self.secondary == "area" and self.base.terrain not in TERRAIN_PRESETS.values():
+            # A grid point's area would replace the custom terrain unseen.
+            problems.append(
+                "secondary 'area' sets a preset terrain at every grid point, so the base terrain must"
+                f" be a preset, not {self.base.terrain.name!r}: alpha and sigma_db cannot be given with it"
+            )
         # The scenario rules do the range checks. Each is an interval, so the
         # smallest and largest point, crossed with every secondary value,
         # break any rule that some grid point breaks.

@@ -316,6 +316,32 @@ def test_link_rejects_a_model_file_named_like_a_selected_builtin(tmp_path, capsy
     assert set(json.loads(out)["harvesters"]) == {"A", "B"}
 
 
+def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys):
+    path = tmp_path / "d.model"
+    write_model_file(replace(HARVESTER_C, name="D"), path)
+    reports = set()
+    for n_workers in ("1", "2", "3"):
+        code, out, err = run_cli(
+            capsys, "link", "--json", "--harvester-file", str(path), "--n-samples", "20001",
+            "--small-scale", "rayleigh", "--n-workers", n_workers,
+        )
+        assert (code, err) == (0, "")
+        reports.add(out)
+    assert len(reports) == 1
+    assert list(json.loads(reports.pop())["harvesters"]) == ["A", "B", "C", "D"]
+
+
+def test_link_raises_the_first_model_error_at_any_worker_count(capsys):
+    # At 1050 dB of gain every model overflows; a serial run stops at A.
+    for n_workers in ("1", "3"):
+        code, out, err = run_cli(
+            capsys, "link", "--g-t-db", "1050", "--n-samples", "1000", "--n-workers", n_workers
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: model 'A' overflows at received power")
+
+
 def test_link_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -464,6 +490,21 @@ def test_sweep_config_with_an_area_secondary(tmp_path, capsys):
     assert [(r["secondary"], r["secondary_value"], r["area"]) for r in records] == [
         ("area", "area2", "area2"), ("area", "area1", "area1"),
     ] * 2
+
+
+@pytest.mark.parametrize("terrain_key", ["alpha = 2.0", "sigma_db = 3"])
+def test_sweep_config_rejects_a_custom_terrain_with_an_area_secondary(tmp_path, capsys, terrain_key):
+    # Each grid point's area would replace the custom terrain without a word.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "axis = p_tx\naxis_points = 1,10\nharvesters = C\nn_samples = 100\n"
+        f"secondary = area\nsecondary_values = area1, area2\n{terrain_key}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: secondary 'area' sets a preset terrain at every grid point")
 
 
 BETA_SECONDARY = (

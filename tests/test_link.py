@@ -2,6 +2,10 @@
 
 import math
 import struct
+import sys
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +21,8 @@ from marswpt.harvester import (
     HarvesterModel,
     denominator_minimum,
     harvested_mw,
+    is_extrapolated,
+    raw_efficiency_percent,
 )
 from marswpt import link
 from marswpt.link import (
@@ -155,8 +161,16 @@ def test_scalar_loop_reproduces_vectorized_samples():
     np.testing.assert_array_equal(long_channel.p_rx_dbm[:17], short_channel.p_rx_dbm)
     long = harvest_samples(HARVESTER_C, long_channel)
     short = harvest_samples(HARVESTER_C, short_channel)
-    for name in ("p_h_uw", "clamped", "extrapolated"):
-        np.testing.assert_array_equal(getattr(long, name)[:17], getattr(short, name))
+    np.testing.assert_array_equal(long.p_h_uw[:17], short.p_h_uw)
+    for channel, draws in ((long_channel, long), (short_channel, short)):
+        assert (draws.clamp_count, draws.extrapolated_count) == _recount(HARVESTER_C, channel)
+
+
+def _recount(model, channel):
+    """(clamped, extrapolated) trials of ``model`` on ``channel``, over all trials at once."""
+    raw = raw_efficiency_percent(model, channel.p_mw)
+    clamped = np.count_nonzero(~((raw >= 0.0) & (raw <= 100.0)))
+    return int(clamped), int(np.count_nonzero(is_extrapolated(model, channel.p_mw)))
 
 
 def test_fixed_uniform_budget_keeps_features_independent():
@@ -209,7 +223,9 @@ def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_tr
     def outcomes(mc, n_workers=1):
         channel = draw_channel(EVERY_BRANCH, mc, n_workers)
         draws = harvest_samples(HARVESTER_B, channel)
-        return channel.p_rx_dbm, channel.p_mw, draws.p_h_uw, draws.clamped, draws.extrapolated
+        counts = draws.clamp_count, draws.extrapolated_count
+        assert counts == _recount(HARVESTER_B, channel)
+        return channel.p_rx_dbm, channel.p_mw, draws.p_h_uw, counts
 
     default = {n: outcomes(mc) for n, mc in cases}
     monkeypatch.setattr(link, "_BLOCK_TRIALS", block_trials)
@@ -282,11 +298,36 @@ def test_order_statistics_match_numpy_at_engine_sizes(n):
     before = h.copy()
     quantiles = (0.05, 0.95, 0.01, 1e-9, 1 - 1e-9, 0.5)
     median, by_q = link._order_statistics(h, quantiles)
-    # The mean is taken from the same trials afterwards, in their own order.
-    assert h.tobytes() == before.tobytes()
-    assert _bits(median) == _bits(float(np.median(h)))
+    # The reduce sorts and partitions its argument in place, so that it
+    # needs no copy: the trials are all still there, in another order.
+    assert np.sort(h).tobytes() == np.sort(before).tobytes()
+    assert _bits(median) == _bits(float(np.median(before)))
     for q in quantiles:
-        assert _bits(by_q[q]) == _bits(float(np.quantile(h, q)))
+        assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
+
+
+def test_mean_sums_the_trials_in_their_own_order():
+    # Summation order changes the last bits of a mean, so it must be taken
+    # before the reduce sorts the trials.
+    mc = MonteCarloSettings(n_samples=100_003, seed=17)
+    channel = draw_channel(EVERY_BRANCH, mc)
+    p_h_uw = harvest_samples(HARVESTER_A, channel).p_h_uw
+    stats = estimate_harvest(EVERY_BRANCH, HARVESTER_A, mc, channel=channel)
+    assert _bits(stats.mean_uw) == _bits(float(np.mean(p_h_uw)))
+    assert _bits(float(np.mean(np.sort(p_h_uw)))) != _bits(float(np.mean(p_h_uw)))
+
+
+def test_one_estimate_owns_one_trial_array():
+    mc = MonteCarloSettings(n_samples=1_000_000, seed=3)
+    channel = draw_channel(EVERY_BRANCH, mc)
+    tracemalloc.start()
+    try:
+        estimate_harvest(EVERY_BRANCH, HARVESTER_B, mc, channel=channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 8 MB of harvested power, plus one block's temporaries.
+    assert peak < 10e6
 
 
 def test_same_seed_reproduces_and_new_seed_differs():
@@ -459,6 +500,79 @@ def test_monte_carlo_settings_validation():
     # A report keyed by quantile would merge a repeated one.
     with pytest.raises(ValueError, match=r"n_samples.*; quantiles must not repeat, got \(0.5, 0.1, 0.5\)"):
         MonteCarloSettings(n_samples=0, quantiles=(0.5, 0.1, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# thread_map
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+def test_thread_map_keeps_item_order(n_workers):
+    for n in range(41):
+        assert link.thread_map(lambda i: i * i, range(n), n_workers) == [i * i for i in range(n)]
+
+
+def test_thread_map_runs_each_item_once_under_frequent_switches():
+    # More threads than cores, switching every microsecond: a lost update of
+    # the shared index would run an item twice or skip it.
+    calls, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            calls.append(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            assert link.thread_map(fn, range(500), 8) == [-i for i in range(500)]
+            assert sorted(calls) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ItemError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
+def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(n_workers):
+    # Item 1 fails last, after a pause in which later items fail on other threads.
+    running, lock = set(), threading.Lock()
+
+    def fn(i):
+        with lock:
+            running.add(i)
+        try:
+            if i == 1:
+                time.sleep(0.05)
+            if i in (1, 2, 3, 5, 30):
+                raise ItemError(i)
+            return i
+        finally:
+            with lock:
+                running.discard(i)
+
+    with pytest.raises(ItemError) as raised:
+        link.thread_map(fn, range(40), n_workers)
+    assert raised.value.args == (1,)
+    assert running == set()
+
+
+def test_thread_map_nested_in_an_item_finishes():
+    # Outer items hold every helper while inner calls queue helper tasks.
+    results = []
+
+    def outer(i):
+        return sum(link.thread_map(lambda j: i * j, range(6), 2))
+
+    worker = threading.Thread(target=lambda: results.append(link.thread_map(outer, range(8), 2)), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "nested thread_map did not finish"
+    assert results == [[15 * i for i in range(8)]]
 
 
 def test_draw_channel_rejects_bad_worker_count():
