@@ -9,11 +9,12 @@ configuration error.
 Configuration is flat ``key = value`` text with units embedded in key names
 (p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...); the keys are the fields of
 the scenario and Monte Carlo dataclasses. Flags override config file values.
-Range rules live on the dataclasses, and the rule that turns flat keys into a
-scenario is ``link.scenario_with``, which sweeps use too: this module only
-turns strings into numbers, passes the keys that were given, and lists every
-violation they reject at once. A run is fully determined by (flags, config,
-seed): nothing in the numeric path reads clocks or ambient entropy.
+Each key has one kind, and ``harvester.parse_values`` turns its text into a
+typed value, as it does for model files. Range rules live on the dataclasses,
+and ``link.scenario_with`` turns flat keys into a scenario, for sweeps too:
+this module only passes the keys that were given and lists every violation
+they reject at once. A run is fully determined by (flags, config, seed):
+nothing in the numeric path reads clocks or ambient entropy.
 """
 
 from __future__ import annotations
@@ -22,18 +23,21 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from decimal import Decimal
 
 import numpy as np
 
 from .harvester import (
     BUILTIN_HARVESTERS,
     COEFFICIENTS,
+    VALUE_KINDS,
     FitError,
     HarvesterModel,
     efficiency_percent,
     fit_model,
     harvested_mw,
     is_extrapolated,
+    parse_values,
     raw_efficiency_percent,
     read_key_value_file,
     read_model_file,
@@ -69,140 +73,92 @@ CSV_COLUMNS = (
     "clamp_count", "extrapolated_count",
 )
 
-# How one config string becomes a value, keyed by the annotation of the
-# dataclass field it fills.
-_FLOATS = "tuple[float, ...]"
-_PARSERS = {
-    "float": (float, "a number"),
-    "int": (int, "an integer"),
-    "str": (str, "text"),
-    _FLOATS: (lambda text: tuple(float(cell) for cell in text.split(",")),
-              "comma-separated numbers"),
-}
-
 
 def _flat_fields(cls, kinds) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls) if f.type in kinds}
 
 
-# The keys of link.scenario_with: the scenario's own fields, area, and the
-# float fields of its parts.
-_SCENARIO_FIELDS = {
-    **_flat_fields(LinkScenario, _PARSERS), "area": "str",
+# Every flat key and its kind (see harvester.VALUE_KINDS). The keys of
+# link.scenario_with are the scenario's own fields, area, and the float
+# fields of its parts.
+_SCENARIO_KEYS = {
+    **_flat_fields(LinkScenario, VALUE_KINDS), "area": "str",
     **{key: "float" for cls in SCENARIO_PARTS.values() for key in _flat_fields(cls, ("float",))},
 }
-_MC_FIELDS = _flat_fields(MonteCarloSettings, _PARSERS)
-
-_SCENARIO_KEYS = tuple(_SCENARIO_FIELDS)
-_MC_KEYS = (*_MC_FIELDS, "n_workers")
+_MC_FIELDS = _flat_fields(MonteCarloSettings, VALUE_KINDS)
+_MC_KEYS = {**_MC_FIELDS, "n_workers": "int"}
 # The CSV has fixed p05 and p95 columns, so a sweep takes no quantiles.
-_SWEEP_MC_KEYS = tuple(key for key in _MC_KEYS if key != "quantiles")
-_SWEEP_KEYS = (
-    "axis", "axis_min", "axis_max", "axis_count", "axis_spacing",
-    "axis_points", "secondary", "secondary_values", "harvesters",
-)
-_LINK_KEYS = _SCENARIO_KEYS + _MC_KEYS + ("harvester", "harvester_file")
-_SWEEP_CONFIG_KEYS = _SCENARIO_KEYS + _SWEEP_MC_KEYS + _SWEEP_KEYS
+_SWEEP_MC_KEYS = {key: kind for key, kind in _MC_KEYS.items() if key != "quantiles"}
+_SWEEP_KEYS = {
+    "axis": "str", "axis_min": "float", "axis_max": "float", "axis_count": "int",
+    "axis_spacing": "str", "axis_points": "tuple[float, ...]", "secondary": "str",
+    "secondary_values": "tuple[str, ...]", "harvesters": "tuple[str, ...]",
+}
+_LINK_KEYS = {**_SCENARIO_KEYS, **_MC_KEYS, "harvester": "str", "harvester_file": "str"}
+_SWEEP_CONFIG_KEYS = {**_SCENARIO_KEYS, **_SWEEP_MC_KEYS, **_SWEEP_KEYS}
 
 
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
-def _merge_config(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
-        cfg.update({key: value for key, (_, value) in read_key_value_file(args.config).items()})
-        unknown = sorted(key for key in cfg if key not in allowed)
-        if unknown:
-            raise ConfigError(
-                "; ".join(f"unknown config key {key!r}" for key in unknown)
-            )
-    for key in allowed:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: list[str]) -> dict:
+    """The typed values of the config file's keys and the flags given, which override them."""
+    entries = read_key_value_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(key for key in entries if key not in kinds)
+    if unknown:
+        raise ConfigError("; ".join(f"unknown config key {key!r}" for key in unknown))
+    entries.update({key: (None, flag) for key in kinds if (flag := getattr(args, key, None)) is not None})
+    # A secondary value is parsed as the key that the secondary names.
+    secondary = entries.get("secondary", (None, None))[1]
+    if secondary in SECONDARY_KINDS:
+        kinds = {**kinds, "secondary_values": f"tuple[{kinds[secondary]}, ...]"}
+    return parse_values(entries, kinds, problems)
 
 
-def _parse(cfg: dict[str, str], key: str, kind: str, problems: list[str]):
-    """The value of ``key`` parsed as ``kind``; None when absent or unparseable."""
-    if key not in cfg:
-        return None
-    parse, noun = _PARSERS[kind]
-    try:
-        return parse(cfg[key])
-    except ValueError:
-        problems.append(f"{key}: could not parse {cfg[key]!r} as {noun}")
-        return None
-
-
-def _parse_fields(cfg: dict[str, str], flat_fields: dict[str, str], problems: list[str]) -> dict:
-    """The given, parseable values of ``flat_fields``, keyed by field name."""
-    values = {key: _parse(cfg, key, kind, problems) for key, kind in flat_fields.items()}
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def build_scenario(cfg: dict[str, str], problems: list[str]) -> LinkScenario | None:
-    """Assemble a LinkScenario from flat config, appending every violation found."""
-    before = len(problems)
-    values = _parse_fields(cfg, _SCENARIO_FIELDS, problems)
-    scenario = attempt(problems, scenario_with, LinkScenario(), **values)
-    return scenario if len(problems) == before else None
+def build_scenario(cfg: dict, problems: list[str]) -> LinkScenario | None:
+    """A LinkScenario from typed flat values, appending every violation found."""
+    values = {key: value for key, value in cfg.items() if key in _SCENARIO_KEYS}
+    return attempt(problems, scenario_with, LinkScenario(), **values)
 
 
 def build_mc(
-    cfg: dict[str, str], problems: list[str], base: MonteCarloSettings = MonteCarloSettings()
+    cfg: dict, problems: list[str], base: MonteCarloSettings = MonteCarloSettings()
 ) -> MonteCarloSettings | None:
-    """``base`` with the Monte Carlo keys given in flat config, appending every violation."""
-    return attempt(problems, replace, base, **_parse_fields(cfg, _MC_FIELDS, problems))
+    """``base`` with the Monte Carlo values given; appends every violation, n_workers's included."""
+    mc = attempt(problems, replace, base, **{key: cfg[key] for key in _MC_FIELDS if key in cfg})
+    if cfg.get("n_workers", 1) < 1:
+        problems.append(f"n_workers must be at least 1, got {cfg['n_workers']}")
+    return mc
 
 
-def _parse_workers(cfg: dict[str, str], problems: list[str]) -> int:
-    n_workers = _parse(cfg, "n_workers", "int", problems)
-    if n_workers is None:
-        return 1
-    if n_workers < 1:
-        problems.append(f"n_workers must be at least 1, got {n_workers}")
-    return max(n_workers, 1)
-
-
-def build_sweep_spec(cfg: dict[str, str], problems: list[str]) -> SweepSpec | None:
-    """Assemble a SweepSpec from flat config keys, appending every violation found.
+def build_sweep_spec(cfg: dict, problems: list[str]) -> SweepSpec | None:
+    """A SweepSpec from typed flat values, appending every violation found.
 
     The spec is built even after an earlier problem, with placeholders for
     the parts that failed, so that its own rules are reported too.
     """
     secondary = cfg.get("secondary")
-    if secondary == "area":
-        secondary_values = tuple(
-            cell.strip() for cell in cfg.get("secondary_values", "").split(",") if cell.strip()
-        )
-    else:
-        secondary_values = _parse(cfg, "secondary_values", _FLOATS, problems) or ()
+    secondary_values = cfg.get("secondary_values", ())
     # Every grid point sets the secondary's key, so the base takes the first
     # value; a beta_m secondary then gives the pointing part its aperture.
-    first = {secondary: str(secondary_values[0])} if secondary in SECONDARY_KINDS and secondary_values else {}
+    first = {secondary: secondary_values[0]} if secondary in SECONDARY_KINDS and secondary_values else {}
     base = build_scenario({**cfg, **first}, problems)
     mc = build_mc(cfg, problems)
 
-    points = _parse(cfg, "axis_points", _FLOATS, problems)
-    if "axis_points" not in cfg:
+    points = cfg.get("axis_points")
+    if points is None:
         missing = [key for key in ("axis_min", "axis_max", "axis_count") if key not in cfg]
-        lo = _parse(cfg, "axis_min", "float", problems)
-        hi = _parse(cfg, "axis_max", "float", problems)
-        count = _parse(cfg, "axis_count", "int", problems)
         if missing:
             problems.append(
                 "either axis_points or all of axis_min/axis_max/axis_count are required"
                 f" (missing: {', '.join(missing)})"
             )
-        elif None not in (lo, hi, count):
-            points = attempt(problems, axis_points, lo, hi, count, cfg.get("axis_spacing", "linear"))
-
-    harvesters = tuple(cell.strip() for cell in cfg.get("harvesters", "A,B,C").split(",") if cell.strip())
+        else:
+            points = attempt(problems, axis_points, cfg["axis_min"], cfg["axis_max"], cfg["axis_count"],
+                             cfg.get("axis_spacing", "linear"))
 
     return attempt(
-        problems, SweepSpec, base=base or LinkScenario(), harvesters=harvesters,
+        problems, SweepSpec, base=base or LinkScenario(), harvesters=cfg.get("harvesters", ("A", "B", "C")),
         axis=cfg.get("axis"), points=points or (), secondary=secondary,
         secondary_values=secondary_values, mc=mc or MonteCarloSettings(),
     )
@@ -251,7 +207,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _select_harvesters(cfg: dict[str, str], problems: list[str]) -> list[HarvesterModel]:
+def _select_harvesters(cfg: dict, problems: list[str]) -> list[HarvesterModel]:
     choice = cfg.get("harvester", "all")
     models: list[HarvesterModel] = []
     if choice == "all":
@@ -275,12 +231,21 @@ def _select_harvesters(cfg: dict[str, str], problems: list[str]) -> list[Harvest
     return models
 
 
+def _quantile_label(q: float) -> str:
+    """``p05`` for a whole percent, else ``q``'s repr shifted two places, such as ``p99.5``.
+
+    The shift keeps every digit of the repr, so distinct quantiles get distinct labels.
+    """
+    percent = Decimal(repr(q)).scaleb(2)
+    return f"p{int(percent):02d}" if percent == int(percent) else f"p{percent.normalize():f}"
+
+
 def cmd_link(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _LINK_KEYS)
     problems: list[str] = []
+    cfg = _merge_config(args, _LINK_KEYS, problems)
     scenario = build_scenario(cfg, problems)
     mc = build_mc(cfg, problems)
-    n_workers = _parse_workers(cfg, problems)
+    n_workers = cfg.get("n_workers", 1)
     models = _select_harvesters(cfg, problems)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -331,7 +296,7 @@ def cmd_link(args: argparse.Namespace) -> int:
             f"harvest {det['harvested_uw']:.4g} uW, extrapolated {flag}"
         )
         quantile_text = ", ".join(
-            f"p{int(round(float(q) * 100)):02d} {v:.4g} uW" for q, v in mc_part["quantiles_uw"].items()
+            f"{_quantile_label(q)} {v:.4g} uW" for q, v in mc_part["quantiles_uw"].items()
         )
         print(
             f"  monte carlo (n={mc_part['n_samples']}, seed={mc_part['seed']}): "
@@ -350,17 +315,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(presets))}"
             )
-        cfg = _merge_config(args, _SWEEP_MC_KEYS)
+        cfg = _merge_config(args, _SWEEP_MC_KEYS, problems)
         spec = presets[args.preset]
         spec = replace(spec, mc=build_mc(cfg, problems, spec.mc) or spec.mc)
     else:
-        cfg = _merge_config(args, _SWEEP_CONFIG_KEYS)
+        cfg = _merge_config(args, _SWEEP_CONFIG_KEYS, problems)
         spec = build_sweep_spec(cfg, problems)
-    n_workers = _parse_workers(cfg, problems)
     if problems:
         raise ConfigError("; ".join(problems))
 
-    rows = run_sweep(spec, n_workers=n_workers)
+    rows = run_sweep(spec, n_workers=cfg.get("n_workers", 1))
     text = rows_to_csv(rows)
     if args.out is None:
         sys.stdout.write(text)
@@ -408,7 +372,7 @@ def cmd_presets(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
     for key in keys:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
@@ -422,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     link = sub.add_parser("link", help="single-point budget report and Monte Carlo stats")
     link.add_argument("--config", default=None, metavar="PATH")
-    _add_flags(link, _SCENARIO_KEYS + _MC_KEYS)
+    _add_flags(link, {**_SCENARIO_KEYS, **_MC_KEYS})
     link.add_argument("--harvester", default=None, metavar="NAME",
                       help="A, B, C, all, or none (default all)")
     link.add_argument("--harvester-file", dest="harvester_file", default=None, metavar="PATH")

@@ -283,6 +283,7 @@ def read_samples_csv(path) -> list[EfficiencySample]:
 
 
 _MODEL_KEYS = (*COEFFICIENTS, "valid_min_mw", "valid_max_mw")
+_MODEL_KINDS = {"name": "str", **dict.fromkeys(_MODEL_KEYS, "float")}
 
 
 def write_model_file(model: HarvesterModel, path) -> None:
@@ -294,15 +295,28 @@ def write_model_file(model: HarvesterModel, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+# How a flat value's text becomes a typed value, by the kind of its key: a dataclass field annotation.
+VALUE_KINDS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "str": (str, "text"),
+    "tuple[float, ...]": (lambda text: tuple(float(cell) for cell in text.split(",")),
+                          "comma-separated numbers"),
+    "tuple[str, ...]": (lambda text: tuple(cell.strip() for cell in text.split(",") if cell.strip()),
+                        "comma-separated names"),
+}
+
+
 def read_key_value_file(path) -> dict[str, tuple[int, str]]:
     """Parse flat ``key = value`` text into {key: (line number, value)}.
 
-    Blank lines and # comments are skipped. A line without ``=`` and a
-    repeated key are errors; one ValueError lists every such line.
+    Blank lines and # comments are skipped, and a leading byte order mark is
+    ignored. A line without ``=`` and a repeated key are errors; one
+    ValueError lists every such line.
     """
     entries: dict[str, tuple[int, str]] = {}
     problems: list[str] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
@@ -321,26 +335,37 @@ def read_key_value_file(path) -> dict[str, tuple[int, str]]:
     return entries
 
 
+def parse_values(entries: dict[str, tuple[int | None, str]], kinds: dict[str, str],
+                 problems: list[str]) -> dict:
+    """The typed value of each {key: (line number or None, text)} entry, by the kind of its key.
+
+    A value that does not parse is left out and adds one problem, which names its line if it has one.
+    """
+    values = {}
+    for key, (lineno, text) in entries.items():
+        parse, noun = VALUE_KINDS[kinds[key]]
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            where = f"line {lineno}: " if lineno is not None else ""
+            problems.append(f"{where}{key}: could not parse {text!r} as {noun}")
+    return values
+
+
 def read_model_file(path) -> HarvesterModel:
     """Load a model previously written by ``write_model_file``."""
     entries = read_key_value_file(path)
-    missing = [key for key in ("name", *_MODEL_KEYS) if key not in entries]
+    missing = [key for key in _MODEL_KINDS if key not in entries]
     if missing:
         raise ValueError(f"model file is missing keys: {', '.join(missing)}")
-    unknown = [key for key in entries if key not in ("name", *_MODEL_KEYS)]
+    unknown = [key for key in entries if key not in _MODEL_KINDS]
     if unknown:
         raise ValueError(f"model file has unknown keys: {', '.join(sorted(unknown))}")
-    numbers: dict[str, float] = {}
     problems: list[str] = []
-    for key in _MODEL_KEYS:
-        lineno, text = entries[key]
-        try:
-            numbers[key] = float(text)
-        except ValueError:
-            problems.append(f"line {lineno}: {key}: could not parse {text!r} as a number")
+    values = parse_values(entries, _MODEL_KINDS, problems)
     if problems:
         raise ValueError("; ".join(problems))
     return HarvesterModel(
-        entries["name"][1], **{key: numbers[key] for key in COEFFICIENTS},
-        valid_range_mw=(numbers["valid_min_mw"], numbers["valid_max_mw"]),
+        values["name"], **{key: values[key] for key in COEFFICIENTS},
+        valid_range_mw=(values["valid_min_mw"], values["valid_max_mw"]),
     )

@@ -17,6 +17,7 @@ density, distance, and jitter deviation, for each of the two terrain areas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,9 @@ def axis_points(lo: float, hi: float, count: int, spacing: str = "linear") -> tu
     """Evenly spaced axis grid, linear or logarithmic."""
     if count < 2:
         raise ConfigError(f"axis_count must be at least 2, got {count}")
+    # numpy would warn and fill the grid with NaN for an end or a width past float64.
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"axis range and its width must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ConfigError(f"axis range must satisfy min < max, got [{lo}, {hi}]")
     if spacing == "linear":

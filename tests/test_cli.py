@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from marswpt.link import (
     LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
     median_received_dbm,
 )
-from marswpt.harvester import harvester_preset, read_model_file
+from marswpt.harvester import harvester_preset, parse_values, read_model_file
 from marswpt.sweep import AXES, SweepSpec, builtin_presets, run_sweep
 
 
@@ -380,6 +381,35 @@ def test_config_parse_errors_carry_line_numbers(tmp_path, capsys):
     assert "line 3" in err and "duplicate" in err
 
 
+def test_a_bad_config_value_names_its_line_and_a_flag_value_does_not(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run\np_tx_w = 20\nn_samples = many\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "link", "--config", str(cfg), "--p-tx-w", "abc")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: p_tx_w: could not parse 'abc' as a number; "
+        "line 3: n_samples: could not parse 'many' as an integer\n"
+    )
+
+
+def test_config_files_ignore_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfp_tx_w = 30\n")
+    code, out, _ = run_cli(capsys, "link", "--config", str(cfg), "--harvester", "none", "--json")
+    assert code == 0
+    assert json.loads(out)["median_p_rx_dbm"] == median_received_dbm(LinkScenario(p_tx_w=30.0))
+
+
+def test_link_text_report_labels_each_quantile_apart(capsys):
+    code, out, _ = run_cli(
+        capsys, "link", "--harvester", "C", "--n-samples", "300",
+        "--quantiles", "0.001,0.004,0.05,0.999,0.995",
+    )
+    assert code == 0
+    labels = re.findall(r"\b(p[0-9.]+) \S+ uW", out)
+    assert labels == ["p0.1", "p0.4", "p05", "p99.9", "p99.5"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -534,11 +564,23 @@ def test_sweep_config_lists_a_bad_secondary_value_once(tmp_path, capsys):
     assert err == "error: beta_m must be positive, got -1.0\n"
 
 
+def test_sweep_config_parses_beta_secondary_values_as_numbers_and_names_their_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(BETA_SECONDARY.replace("0.5, 1", "0.5, wide"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: line 6: secondary_values: could not parse '0.5, wide' as comma-separated numbers;"
+    )
+
+
 @pytest.mark.parametrize("text, message", [
     ("axis = p_tx\naxis_min = 1\naxis_max = 10\n", "(missing: axis_count)"),
+    ("axis = distance\naxis_min = 10\naxis_max = 1e400\naxis_count = 3\n",
+     "error: axis range and its width must be finite, got [10.0, inf]"),
     ("axis = p_tx\naxis_points = 1,10\nquantiles = 0.1,0.9\n", "unknown config key 'quantiles'"),
     ("axis = p_tx\naxis_points = 1,10\nn_workers = 0\n", "n_workers must be at least 1, got 0"),
-], ids=["no_axis_count", "quantiles", "zero_workers"])
+], ids=["no_axis_count", "infinite_axis_end", "quantiles", "zero_workers"])
 def test_sweep_config_problems_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -602,7 +644,8 @@ def test_flat_config_and_sweep_grid_points_build_the_same_scenario(name):
         if spec.secondary is not None:
             cfg[spec.secondary] = repr(row.secondary_value)
         problems = []
-        scenario = cli.build_scenario(cfg, problems)
+        values = parse_values({key: (None, text) for key, text in cfg.items()}, cli._LINK_KEYS, problems)
+        scenario = cli.build_scenario(values, problems)
         assert problems == []
         assert scenario == spec.scenario_at(row.axis_value, row.secondary_value)
         assert (row.area, row.p_tx_w, row.distance_m, row.p_rx_median_dbm) == (

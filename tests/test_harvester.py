@@ -380,6 +380,13 @@ def test_read_model_file_rejects_duplicate_keys_and_names_a_bad_value(tmp_path):
         read_model_file(path)
 
 
+def test_read_model_file_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.model"
+    write_model_file(HARVESTER_A, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_model_file(path) == HARVESTER_A
+
+
 def test_read_model_file_rejects_an_infinite_range_with_the_other_violations(tmp_path):
     path = tmp_path / "wide.model"
     write_model_file(HARVESTER_A, path)

@@ -1,12 +1,16 @@
 """Link budget composition and the Monte Carlo harvested-power estimator."""
 
+import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,17 +565,32 @@ def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(n
     assert running == set()
 
 
+NESTED_THREAD_MAP = """
+import json
+from marswpt import link
+
+def outer(i):
+    return sum(link.thread_map(lambda j: i * j, range(6), 2))
+
+print(json.dumps([link.thread_map(outer, range(8), 2)]))
+"""
+
+
 def test_thread_map_nested_in_an_item_finishes():
-    # Outer items hold every helper while inner calls queue helper tasks.
-    results = []
-
-    def outer(i):
-        return sum(link.thread_map(lambda j: i * j, range(6), 2))
-
-    worker = threading.Thread(target=lambda: results.append(link.thread_map(outer, range(8), 2)), daemon=True)
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive(), "nested thread_map did not finish"
+    # Outer items hold every helper while inner calls queue helper tasks. The
+    # calls run in a child process: interpreter exit joins every helper, so a
+    # deadlocked one would keep this process from ever exiting.
+    package_root = str(Path(link.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    try:
+        child = subprocess.run([sys.executable, "-c", NESTED_THREAD_MAP],
+                               capture_output=True, text=True, timeout=30, env=env)
+    except subprocess.TimeoutExpired:
+        child = None
+    assert child is not None, "nested thread_map did not finish"
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
     assert results == [[15 * i for i in range(8)]]
 
 

@@ -1,5 +1,6 @@
 """Sweep grids, row ordering, presets, and reproducibility."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,14 @@ def test_axis_points_validation():
         axis_points(0.0, 1.0, 5, "log")
     with pytest.raises(ConfigError):
         axis_points(1.0, 10.0, 5, "cubic")
+
+
+@pytest.mark.parametrize("lo, hi", [(10.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0), (-1e308, 1e308)])
+def test_axis_points_rejects_an_end_or_a_width_past_float64(lo, hi):
+    # Every warning fails a test, so numpy's overflow warning would fail this too.
+    for spacing in ("linear", "log"):
+        with pytest.raises(ConfigError, match=r"^axis range and its width must be finite"):
+            axis_points(lo, hi, 3, spacing)
 
 
 # ---------------------------------------------------------------------------
