@@ -7,14 +7,15 @@ built-in sweep tables). Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error.
 
 Configuration is flat ``key = value`` text with units embedded in key names
-(p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...); the keys are the fields of
-the scenario and Monte Carlo dataclasses. Flags override config file values.
-Each key has one kind, and ``harvester.parse_values`` turns its text into a
-typed value, as it does for model files. Range rules live on the dataclasses,
-and ``link.scenario_with`` turns flat keys into a scenario, for sweeps too:
-this module only passes the keys that were given and lists every violation
-they reject at once. A run is fully determined by (flags, config, seed):
-nothing in the numeric path reads clocks or ambient entropy.
+(p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...). Flags override config file
+values, and ``harvester.parse_values`` turns each value's text into a typed
+value by the kind of its key. Each key table sits beside the dataclass it
+fills: ``link`` owns the scenario and Monte Carlo keys and builds those parts,
+and ``sweep`` owns the sweep keys, the presets and ``build_sweep_spec``, which
+builds a config file's sweep and a preset alike. This module keeps only its
+own keys (n_workers, harvester, harvester_file) and lists every violation at
+once. A run is fully determined by (flags, config, seed): nothing in the
+numeric path reads clocks or ambient entropy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from decimal import Decimal
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .harvester import (
     BUILTIN_HARVESTERS,
     COEFFICIENTS,
-    VALUE_KINDS,
     FitError,
     HarvesterModel,
     efficiency_percent,
@@ -45,25 +45,20 @@ from .harvester import (
     write_model_file,
 )
 from .link import (
-    SCENARIO_PARTS,
-    LinkScenario,
-    MonteCarloSettings,
+    MC_KEYS,
+    SCENARIO_KEYS,
     budget_terms,
+    build_mc,
+    build_scenario,
     draw_channel,
     estimate_harvest,
     median_received_dbm,
-    scenario_with,
     thread_map,
 )
 from .quantities import attempt, dbm_to_mw
 from .sweep import (
-    SECONDARY_KINDS,
-    ConfigError,
-    SweepRow,
-    SweepSpec,
-    axis_points,
-    builtin_presets,
-    run_sweep,
+    PRESETS, SECONDARY_KINDS, SWEEP_KEYS, ConfigError, SweepRow,
+    build_sweep_spec, builtin_presets, run_sweep,
 )
 
 CSV_COLUMNS = (
@@ -73,36 +68,20 @@ CSV_COLUMNS = (
     "clamp_count", "extrapolated_count",
 )
 
-
-def _flat_fields(cls, kinds) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls) if f.type in kinds}
-
-
-# Every flat key and its kind (see harvester.VALUE_KINDS). The keys of
-# link.scenario_with are the scenario's own fields, area, and the float
-# fields of its parts.
-_SCENARIO_KEYS = {
-    **_flat_fields(LinkScenario, VALUE_KINDS), "area": "str",
-    **{key: "float" for cls in SCENARIO_PARTS.values() for key in _flat_fields(cls, ("float",))},
-}
-_MC_FIELDS = _flat_fields(MonteCarloSettings, VALUE_KINDS)
-_MC_KEYS = {**_MC_FIELDS, "n_workers": "int"}
+# Every flat key and its kind (see harvester.VALUE_KINDS): the scenario and
+# Monte Carlo keys of link, the sweep keys of sweep, and this module's own.
+_MC_KEYS = {**MC_KEYS, "n_workers": "int"}
 # The CSV has fixed p05 and p95 columns, so a sweep takes no quantiles.
 _SWEEP_MC_KEYS = {key: kind for key, kind in _MC_KEYS.items() if key != "quantiles"}
-_SWEEP_KEYS = {
-    "axis": "str", "axis_min": "float", "axis_max": "float", "axis_count": "int",
-    "axis_spacing": "str", "axis_points": "tuple[float, ...]", "secondary": "str",
-    "secondary_values": "tuple[str, ...]", "harvesters": "tuple[str, ...]",
-}
-_LINK_KEYS = {**_SCENARIO_KEYS, **_MC_KEYS, "harvester": "str", "harvester_file": "str"}
-_SWEEP_CONFIG_KEYS = {**_SCENARIO_KEYS, **_SWEEP_MC_KEYS, **_SWEEP_KEYS}
+_LINK_KEYS = {**SCENARIO_KEYS, **_MC_KEYS, "harvester": "str", "harvester_file": "str"}
+_SWEEP_CONFIG_KEYS = {**SCENARIO_KEYS, **_SWEEP_MC_KEYS, **SWEEP_KEYS}
 
 
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
-def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: list[str]) -> dict:
-    """The typed values of the config file's keys and the flags given, which override them."""
+def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: list[str]) -> tuple[dict, set]:
+    """The typed config file and flag values, flags overriding, and the keys whose text did not parse."""
     entries = read_key_value_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(key for key in entries if key not in kinds)
     if unknown:
@@ -112,56 +91,14 @@ def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: lis
     secondary = entries.get("secondary", (None, None))[1]
     if secondary in SECONDARY_KINDS:
         kinds = {**kinds, "secondary_values": f"tuple[{kinds[secondary]}, ...]"}
-    return parse_values(entries, kinds, problems)
+    values = parse_values(entries, kinds, problems)
+    return values, entries.keys() - values.keys()
 
 
-def build_scenario(cfg: dict, problems: list[str]) -> LinkScenario | None:
-    """A LinkScenario from typed flat values, appending every violation found."""
-    values = {key: value for key, value in cfg.items() if key in _SCENARIO_KEYS}
-    return attempt(problems, scenario_with, LinkScenario(), **values)
-
-
-def build_mc(
-    cfg: dict, problems: list[str], base: MonteCarloSettings = MonteCarloSettings()
-) -> MonteCarloSettings | None:
-    """``base`` with the Monte Carlo values given; appends every violation, n_workers's included."""
-    mc = attempt(problems, replace, base, **{key: cfg[key] for key in _MC_FIELDS if key in cfg})
-    if cfg.get("n_workers", 1) < 1:
-        problems.append(f"n_workers must be at least 1, got {cfg['n_workers']}")
-    return mc
-
-
-def build_sweep_spec(cfg: dict, problems: list[str]) -> SweepSpec | None:
-    """A SweepSpec from typed flat values, appending every violation found.
-
-    The spec is built even after an earlier problem, with placeholders for
-    the parts that failed, so that its own rules are reported too.
-    """
-    secondary = cfg.get("secondary")
-    secondary_values = cfg.get("secondary_values", ())
-    # Every grid point sets the secondary's key, so the base takes the first
-    # value; a beta_m secondary then gives the pointing part its aperture.
-    first = {secondary: secondary_values[0]} if secondary in SECONDARY_KINDS and secondary_values else {}
-    base = build_scenario({**cfg, **first}, problems)
-    mc = build_mc(cfg, problems)
-
-    points = cfg.get("axis_points")
-    if points is None:
-        missing = [key for key in ("axis_min", "axis_max", "axis_count") if key not in cfg]
-        if missing:
-            problems.append(
-                "either axis_points or all of axis_min/axis_max/axis_count are required"
-                f" (missing: {', '.join(missing)})"
-            )
-        else:
-            points = attempt(problems, axis_points, cfg["axis_min"], cfg["axis_max"], cfg["axis_count"],
-                             cfg.get("axis_spacing", "linear"))
-
-    return attempt(
-        problems, SweepSpec, base=base or LinkScenario(), harvesters=cfg.get("harvesters", ("A", "B", "C")),
-        axis=cfg.get("axis"), points=points or (), secondary=secondary,
-        secondary_values=secondary_values, mc=mc or MonteCarloSettings(),
-    )
+def _n_workers(cfg: dict, problems: list[str]) -> int:
+    if (n_workers := cfg.get("n_workers", 1)) < 1:
+        problems.append(f"n_workers must be at least 1, got {n_workers}")
+    return n_workers
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +179,10 @@ def _quantile_label(q: float) -> str:
 
 def cmd_link(args: argparse.Namespace) -> int:
     problems: list[str] = []
-    cfg = _merge_config(args, _LINK_KEYS, problems)
+    cfg, _ = _merge_config(args, _LINK_KEYS, problems)
     scenario = build_scenario(cfg, problems)
     mc = build_mc(cfg, problems)
-    n_workers = cfg.get("n_workers", 1)
+    n_workers = _n_workers(cfg, problems)
     models = _select_harvesters(cfg, problems)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -308,23 +245,15 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.preset is not None and args.preset not in PRESETS:
+        raise ConfigError(f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(PRESETS))}")
     problems: list[str] = []
-    if args.preset is not None:
-        presets = builtin_presets()
-        if args.preset not in presets:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(presets))}"
-            )
-        cfg = _merge_config(args, _SWEEP_MC_KEYS, problems)
-        spec = presets[args.preset]
-        spec = replace(spec, mc=build_mc(cfg, problems, spec.mc) or spec.mc)
-    else:
-        cfg = _merge_config(args, _SWEEP_CONFIG_KEYS, problems)
-        spec = build_sweep_spec(cfg, problems)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    # A preset is the flat keys of a config file; its run takes only Monte Carlo flags.
+    cfg, unparsed = _merge_config(args, _SWEEP_CONFIG_KEYS, problems)
+    n_workers = _n_workers(cfg, problems)
+    spec = build_sweep_spec({**PRESETS.get(args.preset, {}), **cfg}, problems, unparsed)
 
-    rows = run_sweep(spec, n_workers=cfg.get("n_workers", 1))
+    rows = run_sweep(spec, n_workers=n_workers)
     text = rows_to_csv(rows)
     if args.out is None:
         sys.stdout.write(text)
@@ -353,14 +282,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_presets(args: argparse.Namespace) -> int:
-    presets = builtin_presets()
-    for name in sorted(presets):
-        spec = presets[name]
-        n_secondary = len(spec.secondary_values) if spec.secondary else 1
-        n_rows = len(spec.points) * n_secondary * len(spec.harvesters)
-        secondary = ""
-        if spec.secondary:
-            secondary = f", secondary {spec.secondary} in {{{', '.join(f'{v:g}' for v in spec.secondary_values)}}}"
+    for name, spec in sorted(builtin_presets().items()):
+        n_rows = len(spec.points) * max(len(spec.secondary_values), 1) * len(spec.harvesters)
+        values = ", ".join(f"{v:g}" for v in spec.secondary_values)
+        secondary = f", secondary {spec.secondary} in {{{values}}}" if spec.secondary else ""
         print(
             f"{name}: axis {spec.axis} [{spec.points[0]:g}, {spec.points[-1]:g}] "
             f"({len(spec.points)} points){secondary}; {spec.base.terrain.name}; "
@@ -386,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     link = sub.add_parser("link", help="single-point budget report and Monte Carlo stats")
     link.add_argument("--config", default=None, metavar="PATH")
-    _add_flags(link, {**_SCENARIO_KEYS, **_MC_KEYS})
+    _add_flags(link, {**SCENARIO_KEYS, **_MC_KEYS})
     link.add_argument("--harvester", default=None, metavar="NAME",
                       help="A, B, C, all, or none (default all)")
     link.add_argument("--harvester-file", dest="harvester_file", default=None, metavar="PATH")

@@ -247,6 +247,9 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     )
 
 
+_SAMPLE_KINDS = dict.fromkeys(("input_power_mw", "efficiency_percent"), "float")
+
+
 def read_samples_csv(path) -> list[EfficiencySample]:
     """Load efficiency samples from a two-column CSV.
 
@@ -258,25 +261,23 @@ def read_samples_csv(path) -> list[EfficiencySample]:
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError("line 1: empty file, expected header "
-                             "input_power_mw,efficiency_percent") from None
+            raise ValueError(f"line 1: empty file, expected header {','.join(_SAMPLE_KINDS)}") from None
         names = [cell.strip().lower() for cell in header]
-        if names != ["input_power_mw", "efficiency_percent"]:
-            raise ValueError(
-                f"line 1: expected header input_power_mw,efficiency_percent, got {','.join(header)}"
-            )
+        if names != list(_SAMPLE_KINDS):
+            raise ValueError(f"line 1: expected header {','.join(_SAMPLE_KINDS)}, got {','.join(header)}")
         samples: list[EfficiencySample] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 2 columns, got {len(row)}")
+            problems: list[str] = []
+            entries = {key: (lineno, cell) for key, cell in zip(_SAMPLE_KINDS, row)}
+            values = parse_values(entries, _SAMPLE_KINDS, problems)
+            if problems:
+                raise ValueError("; ".join(problems))
             try:
-                power, eta = float(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse {row!r} as numbers") from None
-            try:
-                samples.append(EfficiencySample(power, eta))
+                samples.append(EfficiencySample(**values))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return samples

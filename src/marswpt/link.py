@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
+from .harvester import VALUE_KINDS, HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
 from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, watts_to_dbm
@@ -85,9 +85,20 @@ class LinkScenario:
             raise ValueError("; ".join(problems))
 
 
+def _flat_keys(cls, kinds=VALUE_KINDS) -> dict[str, str]:
+    """The fields of dataclass ``cls`` whose kind is among ``kinds``, with their kind."""
+    return {f.name: f.type for f in fields(cls) if f.type in kinds}
+
+
 # The parts of a LinkScenario whose float fields are flat keys of scenario_with.
-SCENARIO_PARTS = {
+_SCENARIO_PARTS = {
     "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm, "pointing": PointingGeometry,
+}
+# Every flat key of scenario_with and its kind (see harvester.VALUE_KINDS):
+# the scenario's own fields, area, and the float fields of its parts.
+SCENARIO_KEYS = {
+    **_flat_keys(LinkScenario), "area": "str",
+    **{key: "float" for cls in _SCENARIO_PARTS.values() for key in _flat_keys(cls, ("float",))},
 }
 
 
@@ -101,8 +112,8 @@ def scenario_with(s: LinkScenario, **values) -> LinkScenario:
     every violation.
     """
     given = {
-        part: {f.name: values.pop(f.name) for f in fields(cls) if f.type == "float" and f.name in values}
-        for part, cls in SCENARIO_PARTS.items()
+        part: {key: values.pop(key) for key in _flat_keys(cls, ("float",)) if key in values}
+        for part, cls in _SCENARIO_PARTS.items()
     }
     problems: list[str] = []
     new = {}
@@ -127,6 +138,12 @@ def scenario_with(s: LinkScenario, **values) -> LinkScenario:
     return scenario
 
 
+def build_scenario(values: dict, problems: list[str]) -> LinkScenario | None:
+    """The default scenario with the scenario keys among typed flat ``values``; appends every violation."""
+    given = {key: value for key, value in values.items() if key in SCENARIO_KEYS}
+    return attempt(problems, scenario_with, LinkScenario(), **given)
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloSettings:
     n_samples: int = 20_000
@@ -145,6 +162,15 @@ class MonteCarloSettings:
             problems.append(f"quantiles must not repeat, got {self.quantiles}")
         if problems:
             raise ValueError("; ".join(problems))
+
+
+# Every flat key of MonteCarloSettings and its kind.
+MC_KEYS = _flat_keys(MonteCarloSettings)
+
+
+def build_mc(values: dict, problems: list[str]) -> MonteCarloSettings | None:
+    """Monte Carlo settings from the Monte Carlo keys among typed flat ``values``; appends every violation."""
+    return attempt(problems, MonteCarloSettings, **{key: values[key] for key in MC_KEYS if key in values})
 
 
 @dataclass(frozen=True, slots=True)

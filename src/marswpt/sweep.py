@@ -10,9 +10,10 @@ execution order. Each axis sets one scenario key, a secondary kind is one,
 and ``link.scenario_with`` turns the pair into a grid point's scenario, by
 the same rule that builds a scenario from flat config.
 
-``builtin_presets`` bundles the eight standard experiment tables (fig3a/b,
-fig5a/b, fig6a/b, fig7a/b): harvested power versus transmit power, dust
-density, distance, and jitter deviation, for each of the two terrain areas.
+``build_sweep_spec`` turns typed flat keys into a ``SweepSpec``, for a config
+file and for each of the eight standard tables in ``PRESETS`` (fig3a/b,
+fig5a/b, fig6a/b, fig7a/b: harvested power versus transmit power, dust
+density, distance, and jitter deviation, for each of the two terrain areas).
 """
 
 from __future__ import annotations
@@ -22,23 +23,34 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harvester import harvester_preset
+from .harvester import VALUE_KINDS, harvester_preset
 from .link import (
+    MC_KEYS,
+    SCENARIO_KEYS,
     LinkScenario,
     MonteCarloSettings,
     HarvestStats,
+    build_mc,
+    build_scenario,
     derive_substream_seed,
     estimate_harvest,
     median_received_dbm,
     scenario_with,
     thread_map,
 )
-from .propagation import AREA1, AREA2, TERRAIN_PRESETS
+from .propagation import TERRAIN_PRESETS
 from .quantities import attempt
 
 # Each axis sets one scenario key; each secondary kind is a scenario key.
 AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
 SECONDARY_KINDS = ("rho_p_m", "beta_m", "area")
+# The flat keys of a sweep beside the scenario and Monte Carlo keys, and their kinds.
+SWEEP_KEYS = {
+    "axis": "str", "axis_min": "float", "axis_max": "float", "axis_count": "int",
+    "axis_spacing": "str", "axis_points": "tuple[float, ...]", "secondary": "str",
+    "secondary_values": "tuple[str, ...]", "harvesters": "tuple[str, ...]",
+}
+_AXIS_RANGE = ("axis_min", "axis_max", "axis_count")
 
 
 class ConfigError(ValueError):
@@ -82,8 +94,9 @@ class SweepSpec:
         object.__setattr__(self, "points", tuple(float(x) for x in self.points))
         problems = []
         values = self.secondary_values
-        if self.secondary in ("rho_p_m", "beta_m"):
-            values = [attempt(problems, float, value) for value in values]
+        if self.secondary in SECONDARY_KINDS:
+            # A secondary value is converted by the kind of the key it names.
+            values = [attempt(problems, VALUE_KINDS[SCENARIO_KEYS[self.secondary]][0], v) for v in values]
         object.__setattr__(self, "secondary_values", tuple(values))
         if self.axis not in AXES:
             problems.append(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
@@ -171,43 +184,61 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     return thread_map(run_job, jobs, n_workers)
 
 
+def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) -> SweepSpec:
+    """The SweepSpec of typed flat ``values``: sweep, scenario and Monte Carlo keys.
+
+    ``problems`` holds the violations found before, and ``unparsed`` names the
+    keys whose text did not parse. A step runs only if every key it reads
+    parsed and every part it needs was built, so one bad value is reported
+    once. Appends every violation and raises one ConfigError that lists them.
+    """
+
+    def runs(keys, *parts) -> bool:
+        return unparsed.isdisjoint(keys) and all(part is not None for part in parts)
+
+    secondary = values.get("secondary")
+    secondary_values = values.get("secondary_values", ())
+    # Every grid point sets the secondary's key, so the base takes the first
+    # value; a beta_m secondary then gives the pointing part its aperture.
+    first = {secondary: secondary_values[0]} if secondary in SECONDARY_KINDS and secondary_values else {}
+    base = build_scenario(values | first, problems) if runs((*SCENARIO_KEYS, "secondary_values")) else None
+    mc = build_mc(values, problems) if runs(MC_KEYS) else None
+
+    points = values.get("axis_points")
+    if points is None and "axis_points" not in unparsed:
+        if missing := [key for key in _AXIS_RANGE if key not in values and key not in unparsed]:
+            problems.append("either axis_points or all of axis_min/axis_max/axis_count are required"
+                            f" (missing: {', '.join(missing)})")
+        elif runs(_AXIS_RANGE):
+            points = attempt(problems, axis_points, *(values[key] for key in _AXIS_RANGE),
+                             values.get("axis_spacing", "linear"))
+
+    spec = None
+    if runs(("axis", "harvesters", "secondary", "secondary_values"), base, points):
+        # The spec's own rules do not read the Monte Carlo settings, so they run even if those failed.
+        spec = attempt(problems, SweepSpec, base, values.get("harvesters", ("A", "B", "C")),
+                       values.get("axis"), points, secondary, secondary_values, mc or MonteCarloSettings())
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return spec
+
+
+# The flat keys of each standard table; every table runs on both areas.
+_FIGURES = {
+    "fig3": {"axis": "p_tx", "axis_min": 1.0, "axis_max": 100.0, "axis_count": 25, "axis_spacing": "log"},
+    "fig5": {"axis": "dust_density", "axis_min": 1e2, "axis_max": 1e5, "axis_count": 25,
+             "axis_spacing": "log", "secondary": "rho_p_m", "secondary_values": (1e-4, 5e-3)},
+    "fig6": {"axis": "distance", "axis_min": 10.0, "axis_max": 100.0, "axis_count": 25,
+             "axis_spacing": "linear"},
+    "fig7": {"axis": "jitter_sigma", "axis_min": 0.1, "axis_max": 1.0, "axis_count": 25,
+             "axis_spacing": "linear", "secondary": "beta_m", "secondary_values": (0.5, 1.0)},
+}
+PRESETS = {
+    f"{figure}{suffix}": {**keys, "area": area}
+    for suffix, area in (("a", "area1"), ("b", "area2")) for figure, keys in _FIGURES.items()
+}
+
+
 def builtin_presets() -> dict[str, SweepSpec]:
-    """The eight standard experiment tables keyed by name."""
-    mc = MonteCarloSettings()
-    harvesters = ("A", "B", "C")
-    presets: dict[str, SweepSpec] = {}
-    for suffix, terrain in (("a", AREA1), ("b", AREA2)):
-        base = LinkScenario(terrain=terrain)
-        presets[f"fig3{suffix}"] = SweepSpec(
-            base=base,
-            harvesters=harvesters,
-            axis="p_tx",
-            points=axis_points(1.0, 100.0, 25, "log"),
-            mc=mc,
-        )
-        presets[f"fig5{suffix}"] = SweepSpec(
-            base=base,
-            harvesters=harvesters,
-            axis="dust_density",
-            points=axis_points(1e2, 1e5, 25, "log"),
-            secondary="rho_p_m",
-            secondary_values=(1e-4, 5e-3),
-            mc=mc,
-        )
-        presets[f"fig6{suffix}"] = SweepSpec(
-            base=base,
-            harvesters=harvesters,
-            axis="distance",
-            points=axis_points(10.0, 100.0, 25, "linear"),
-            mc=mc,
-        )
-        presets[f"fig7{suffix}"] = SweepSpec(
-            base=base,
-            harvesters=harvesters,
-            axis="jitter_sigma",
-            points=axis_points(0.1, 1.0, 25, "linear"),
-            secondary="beta_m",
-            secondary_values=(0.5, 1.0),
-            mc=mc,
-        )
-    return presets
+    """The eight standard experiment tables keyed by name, each built from its flat keys."""
+    return {name: build_sweep_spec(keys, []) for name, keys in PRESETS.items()}

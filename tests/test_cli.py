@@ -29,7 +29,7 @@ from marswpt.link import (
     median_received_dbm,
 )
 from marswpt.harvester import harvester_preset, parse_values, read_model_file
-from marswpt.sweep import AXES, SweepSpec, builtin_presets, run_sweep
+from marswpt.sweep import AXES, PRESETS, SweepSpec, builtin_presets, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -569,9 +569,45 @@ def test_sweep_config_parses_beta_secondary_values_as_numbers_and_names_their_li
     cfg.write_text(BETA_SECONDARY.replace("0.5, 1", "0.5, wide"), encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err.startswith(
-        "error: line 6: secondary_values: could not parse '0.5, wide' as comma-separated numbers;"
-    )
+    assert err == "error: line 6: secondary_values: could not parse '0.5, wide' as comma-separated numbers\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("axis = jitter_sigma\naxis_points = 0.1,0.2\nsecondary = beta_m\nsecondary_values = 0.5, wide\n"
+     "r_d_m = 0.8\nn_samples = 0\n",
+     "line 4: secondary_values: could not parse '0.5, wide' as comma-separated numbers; "
+     "n_samples must be at least 1, got 0"),
+    ("axis = distance\naxis_min = 10\naxis_max = 1e400\naxis_count = 3\n",
+     "axis range and its width must be finite, got [10.0, inf]"),
+    ("axis = p_tx\naxis_points = a,b\n", "line 2: axis_points: could not parse 'a,b' as comma-separated numbers"),
+    ("axis = p_tx\naxis_points = 1,10\nbeta_m = wide\nr_d_m = 0.8\n",
+     "line 3: beta_m: could not parse 'wide' as a number"),
+    ("axis = p_tx\naxis_points = 1,10\np_tx_w = abc\nn_samples = 0\n",
+     "line 3: p_tx_w: could not parse 'abc' as a number; n_samples must be at least 1, got 0"),
+], ids=["bad_secondary_value", "infinite_axis_end", "bad_axis_points", "bad_aperture", "two_steps"])
+def test_sweep_config_reports_a_bad_value_once_and_nothing_it_stopped(tmp_path, capsys, text, error):
+    # A step whose key did not parse, or whose part failed, does not run, so
+    # its placeholders cannot add problems that the config does not have.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(cfg)) == (2, "", f"error: {error}\n")
+
+
+def _config_text(keys: dict) -> str:
+    def text(value):
+        return ",".join(map(text, value)) if isinstance(value, tuple) else str(value)
+    return "".join(f"{key} = {text(value)}\n" for key, value in keys.items())
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_and_its_keys_in_a_config_file_give_the_same_bytes(tmp_path, capsys, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(_config_text(PRESETS[name]), encoding="utf-8")
+    from_file = run_cli(capsys, "sweep", "--config", str(cfg), "--n-samples", "40")
+    from_preset = run_cli(capsys, "sweep", "--preset", name, "--n-samples", "40")
+    assert from_file[0] == 0 and from_file[2] == ""
+    assert len(from_file[1].splitlines()) == 1 + (75 if builtin_presets()[name].secondary is None else 150)
+    assert from_file == from_preset
 
 
 @pytest.mark.parametrize("text, message", [

@@ -314,6 +314,18 @@ def test_read_samples_csv_reports_offending_line(tmp_path):
         read_samples_csv(path)
 
 
+def test_read_samples_csv_names_the_column_that_does_not_parse(tmp_path):
+    path = tmp_path / "samples.csv"
+    for line, error in (
+        ("x,1", "line 3: input_power_mw: could not parse 'x' as a number"),
+        ("0.5,high", "line 3: efficiency_percent: could not parse 'high' as a number"),
+    ):
+        write_text(path, f"input_power_mw,efficiency_percent\n1.0,66.7\n{line}\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_samples_csv(path)
+        assert str(excinfo.value) == error
+
+
 def test_read_samples_csv_rejects_non_finite_values(tmp_path):
     path = tmp_path / "samples.csv"
     for line, field in (("inf,30", "input_power_mw"), ("0.5,nan", "efficiency_percent")):

@@ -320,6 +320,15 @@ def test_preset_axis_definitions():
     assert presets["fig7b"].secondary_values == (0.5, 1.0)
 
 
+def test_preset_bases_take_the_first_secondary_value():
+    # Every grid point sets the secondary's key, so this changes no row.
+    presets = builtin_presets()
+    assert presets["fig3a"].base == LinkScenario()
+    assert presets["fig5b"].base == LinkScenario(terrain=AREA2, dust=DustStorm(0.0, 1e-4))
+    waist = default_beam_waist(LinkScenario().carrier)
+    assert presets["fig7a"].base == LinkScenario(pointing=PointingGeometry(0.5, 0.0, waist))
+
+
 def test_preset_row_counts():
     presets = builtin_presets()
     fig3a = replace(presets["fig3a"], mc=SMALL_MC)
