@@ -8,13 +8,13 @@ configuration error.
 
 Configuration is flat ``key = value`` text with units embedded in key names
 (p_tx_w, distance_m, sigma_s_m, n_t_per_m3, ...). Flags override config file
-values, and ``harvester.parse_values`` turns each value's text into a typed
-value by the kind of its key. Each key table sits beside the dataclass it
-fills: ``link`` owns the scenario and Monte Carlo keys and builds those parts,
-and ``sweep`` owns the sweep keys, the presets and ``build_sweep_spec``, which
-builds a config file's sweep and a preset alike. This module keeps only its
-own keys (n_workers, harvester, harvester_file) and lists every violation at
-once. A run is fully determined by (flags, config, seed): nothing in the
+values. ``flatkeys`` reads a value by the kind of its key, writes the CSV and
+model file numbers, and skips a step whose keys did not parse. Each key table
+sits beside the dataclass it fills: ``link`` owns the scenario and Monte Carlo
+keys, and ``sweep`` owns the sweep keys, the presets and ``build_sweep_spec``,
+which builds a config file's sweep and a preset alike. This module keeps only
+its own keys (n_workers, harvester, harvester_file) and lists every violation
+at once. A run is fully determined by (flags, config, seed): nothing in the
 numeric path reads clocks or ambient entropy.
 """
 
@@ -28,18 +28,18 @@ from decimal import Decimal
 
 import numpy as np
 
+from .flatkeys import format_value, format_values, parse_values, read_key_value_file, runs
 from .harvester import (
     BUILTIN_HARVESTERS,
     COEFFICIENTS,
+    MODEL_KINDS,
     FitError,
     HarvesterModel,
     efficiency_percent,
     fit_model,
     harvested_mw,
     is_extrapolated,
-    parse_values,
     raw_efficiency_percent,
-    read_key_value_file,
     read_model_file,
     read_samples_csv,
     write_model_file,
@@ -58,7 +58,7 @@ from .link import (
 from .quantities import attempt, dbm_to_mw
 from .sweep import (
     PRESETS, SECONDARY_KINDS, SWEEP_KEYS, ConfigError, SweepRow,
-    build_sweep_spec, builtin_presets, run_sweep,
+    build_sweep_spec, builtin_presets, config_kinds, run_sweep,
 )
 
 CSV_COLUMNS = (
@@ -68,7 +68,7 @@ CSV_COLUMNS = (
     "clamp_count", "extrapolated_count",
 )
 
-# Every flat key and its kind (see harvester.VALUE_KINDS): the scenario and
+# Every flat key and its kind (see flatkeys.VALUE_KINDS): the scenario and
 # Monte Carlo keys of link, the sweep keys of sweep, and this module's own.
 _MC_KEYS = {**MC_KEYS, "n_workers": "int"}
 # The CSV has fixed p05 and p95 columns, so a sweep takes no quantiles.
@@ -87,11 +87,7 @@ def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: lis
     if unknown:
         raise ConfigError("; ".join(f"unknown config key {key!r}" for key in unknown))
     entries.update({key: (None, flag) for key in kinds if (flag := getattr(args, key, None)) is not None})
-    # A secondary value is parsed as the key that the secondary names.
-    secondary = entries.get("secondary", (None, None))[1]
-    if secondary in SECONDARY_KINDS:
-        kinds = {**kinds, "secondary_values": f"tuple[{kinds[secondary]}, ...]"}
-    values = parse_values(entries, kinds, problems)
+    values = parse_values(entries, config_kinds(kinds, entries.get("secondary", (None, None))[1]), problems)
     return values, entries.keys() - values.keys()
 
 
@@ -104,37 +100,27 @@ def _n_workers(cfg: dict, problems: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # CSV serialization
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Serialize sweep rows with the pinned header, 17 significant digits."""
+    """Serialize sweep rows with the pinned header; each cell is written as a flat value of its kind."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         stats = row.stats
-        if row.secondary_value is None:
-            secondary_value = ""
-        elif isinstance(row.secondary_value, str):
-            secondary_value = row.secondary_value
-        else:
-            secondary_value = _fmt(row.secondary_value)
         lines.append(",".join([
             row.axis,
-            _fmt(row.axis_value),
+            format_value(row.axis_value, "float"),
             row.secondary or "",
-            secondary_value,
+            "" if row.secondary is None else format_value(row.secondary_value, SECONDARY_KINDS[row.secondary]),
             row.area,
             row.harvester,
-            _fmt(row.p_tx_w),
-            _fmt(row.distance_m),
+            format_value(row.p_tx_w, "float"),
+            format_value(row.distance_m, "float"),
             str(stats.n_samples),
             str(stats.seed),
-            _fmt(row.p_rx_median_dbm),
-            _fmt(stats.mean_uw),
-            _fmt(stats.median_uw),
-            _fmt(stats.quantiles_uw[0.05]),
-            _fmt(stats.quantiles_uw[0.95]),
+            format_value(row.p_rx_median_dbm, "float"),
+            format_value(stats.mean_uw, "float"),
+            format_value(stats.median_uw, "float"),
+            format_value(stats.quantiles_uw[0.05], "float"),
+            format_value(stats.quantiles_uw[0.95], "float"),
             str(stats.clamp_count),
             str(stats.extrapolated_count),
         ]))
@@ -179,9 +165,9 @@ def _quantile_label(q: float) -> str:
 
 def cmd_link(args: argparse.Namespace) -> int:
     problems: list[str] = []
-    cfg, _ = _merge_config(args, _LINK_KEYS, problems)
-    scenario = build_scenario(cfg, problems)
-    mc = build_mc(cfg, problems)
+    cfg, unparsed = _merge_config(args, _LINK_KEYS, problems)
+    scenario = build_scenario(cfg, problems) if runs(unparsed, SCENARIO_KEYS) else None
+    mc = build_mc(cfg, problems) if runs(unparsed, MC_KEYS) else None
     n_workers = _n_workers(cfg, problems)
     models = _select_harvesters(cfg, problems)
     if problems:
@@ -264,16 +250,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        # The model file must read back as written, so a name that would not is refused before any output.
+        format_values({"name": args.name}, MODEL_KINDS)
     samples = read_samples_csv(args.samples)
     model = fit_model(samples, name=args.name)
     powers = np.array([s.input_power_mw for s in samples])
     measured = np.array([s.efficiency_percent for s in samples])
     residual = raw_efficiency_percent(model, powers) - measured
     rms = float(np.sqrt(np.mean(residual**2)))
-    lo, hi = model.valid_range_mw
-    print(f"fitted model {model.name!r} over [{lo:.17g}, {hi:.17g}] mW")
+    lo, hi = (format_value(bound, "float") for bound in model.valid_range_mw)
+    print(f"fitted model {model.name!r} over [{lo}, {hi}] mW")
     for key in COEFFICIENTS:
-        print(f"  {key} = {getattr(model, key):.17g}")
+        print(f"  {key} = {format_value(getattr(model, key), 'float')}")
     print(f"residual RMS: {rms:.6g} % (over {len(samples)} samples)")
     if args.out is not None:
         write_model_file(model, args.out)

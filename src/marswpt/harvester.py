@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .flatkeys import format_values, parse_values, read_key_value_file
 from .quantities import field_problems
 
 
@@ -283,87 +284,30 @@ def read_samples_csv(path) -> list[EfficiencySample]:
     return samples
 
 
-_MODEL_KEYS = (*COEFFICIENTS, "valid_min_mw", "valid_max_mw")
-_MODEL_KINDS = {"name": "str", **dict.fromkeys(_MODEL_KEYS, "float")}
+# The flat keys of a model file and their kinds (see flatkeys.VALUE_KINDS).
+MODEL_KINDS = {"name": "str", **dict.fromkeys((*COEFFICIENTS, "valid_min_mw", "valid_max_mw"), "float")}
 
 
 def write_model_file(model: HarvesterModel, path) -> None:
-    """Persist a model as flat key=value text, 17 significant digits."""
-    lines = [f"name = {model.name}"]
-    values = (*(getattr(model, key) for key in COEFFICIENTS), *model.valid_range_mw)
-    lines += [f"{key} = {value:.17g}" for key, value in zip(_MODEL_KEYS, values)]
+    """Persist a model as text that ``read_model_file`` gives back bit for bit, or raise before opening the file."""
+    values = {"name": model.name, **{key: getattr(model, key) for key in COEFFICIENTS}}
+    values["valid_min_mw"], values["valid_max_mw"] = model.valid_range_mw
+    text = format_values(values, MODEL_KINDS)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-# How a flat value's text becomes a typed value, by the kind of its key: a dataclass field annotation.
-VALUE_KINDS = {
-    "float": (float, "a number"),
-    "int": (int, "an integer"),
-    "str": (str, "text"),
-    "tuple[float, ...]": (lambda text: tuple(float(cell) for cell in text.split(",")),
-                          "comma-separated numbers"),
-    "tuple[str, ...]": (lambda text: tuple(cell.strip() for cell in text.split(",") if cell.strip()),
-                        "comma-separated names"),
-}
-
-
-def read_key_value_file(path) -> dict[str, tuple[int, str]]:
-    """Parse flat ``key = value`` text into {key: (line number, value)}.
-
-    Blank lines and # comments are skipped, and a leading byte order mark is
-    ignored. A line without ``=`` and a repeated key are errors; one
-    ValueError lists every such line.
-    """
-    entries: dict[str, tuple[int, str]] = {}
-    problems: list[str] = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                problems.append(f"line {lineno}: expected key = value, got {line!r}")
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            entries[key] = (lineno, value.strip())
-    if problems:
-        raise ValueError("; ".join(problems))
-    return entries
-
-
-def parse_values(entries: dict[str, tuple[int | None, str]], kinds: dict[str, str],
-                 problems: list[str]) -> dict:
-    """The typed value of each {key: (line number or None, text)} entry, by the kind of its key.
-
-    A value that does not parse is left out and adds one problem, which names its line if it has one.
-    """
-    values = {}
-    for key, (lineno, text) in entries.items():
-        parse, noun = VALUE_KINDS[kinds[key]]
-        try:
-            values[key] = parse(text)
-        except ValueError:
-            where = f"line {lineno}: " if lineno is not None else ""
-            problems.append(f"{where}{key}: could not parse {text!r} as {noun}")
-    return values
+        handle.write(text)
 
 
 def read_model_file(path) -> HarvesterModel:
     """Load a model previously written by ``write_model_file``."""
     entries = read_key_value_file(path)
-    missing = [key for key in _MODEL_KINDS if key not in entries]
+    missing = [key for key in MODEL_KINDS if key not in entries]
     if missing:
         raise ValueError(f"model file is missing keys: {', '.join(missing)}")
-    unknown = [key for key in entries if key not in _MODEL_KINDS]
+    unknown = [key for key in entries if key not in MODEL_KINDS]
     if unknown:
         raise ValueError(f"model file has unknown keys: {', '.join(sorted(unknown))}")
     problems: list[str] = []
-    values = parse_values(entries, _MODEL_KINDS, problems)
+    values = parse_values(entries, MODEL_KINDS, problems)
     if problems:
         raise ValueError("; ".join(problems))
     return HarvesterModel(

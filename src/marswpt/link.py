@@ -47,7 +47,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .harvester import VALUE_KINDS, HarvesterModel, is_extrapolated, raw_efficiency_percent
+from .flatkeys import VALUE_KINDS
+from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
 from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, watts_to_dbm
@@ -94,7 +95,7 @@ def _flat_keys(cls, kinds=VALUE_KINDS) -> dict[str, str]:
 _SCENARIO_PARTS = {
     "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm, "pointing": PointingGeometry,
 }
-# Every flat key of scenario_with and its kind (see harvester.VALUE_KINDS):
+# Every flat key of scenario_with and its kind (see flatkeys.VALUE_KINDS):
 # the scenario's own fields, area, and the float fields of its parts.
 SCENARIO_KEYS = {
     **_flat_keys(LinkScenario), "area": "str",

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harvester import VALUE_KINDS, harvester_preset
+from .flatkeys import VALUE_KINDS, runs
+from .harvester import harvester_preset
 from .link import (
     MC_KEYS,
     SCENARIO_KEYS,
@@ -41,9 +42,9 @@ from .link import (
 from .propagation import TERRAIN_PRESETS
 from .quantities import attempt
 
-# Each axis sets one scenario key; each secondary kind is a scenario key.
+# Each axis sets one scenario key; each secondary kind is a scenario key, and its values have that key's kind.
 AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
-SECONDARY_KINDS = ("rho_p_m", "beta_m", "area")
+SECONDARY_KINDS = {key: SCENARIO_KEYS[key] for key in ("rho_p_m", "beta_m", "area")}
 # The flat keys of a sweep beside the scenario and Monte Carlo keys, and their kinds.
 SWEEP_KEYS = {
     "axis": "str", "axis_min": "float", "axis_max": "float", "axis_count": "int",
@@ -51,6 +52,13 @@ SWEEP_KEYS = {
     "secondary_values": "tuple[str, ...]", "harvesters": "tuple[str, ...]",
 }
 _AXIS_RANGE = ("axis_min", "axis_max", "axis_count")
+
+
+def config_kinds(kinds: dict[str, str], secondary) -> dict[str, str]:
+    """``kinds``, with each secondary_values cell of the kind of the key that ``secondary`` names."""
+    if secondary not in SECONDARY_KINDS:
+        return kinds
+    return {**kinds, "secondary_values": f"tuple[{SECONDARY_KINDS[secondary]}, ...]"}
 
 
 class ConfigError(ValueError):
@@ -95,8 +103,7 @@ class SweepSpec:
         problems = []
         values = self.secondary_values
         if self.secondary in SECONDARY_KINDS:
-            # A secondary value is converted by the kind of the key it names.
-            values = [attempt(problems, VALUE_KINDS[SCENARIO_KEYS[self.secondary]][0], v) for v in values]
+            values = [attempt(problems, VALUE_KINDS[SECONDARY_KINDS[self.secondary]][0], v) for v in values]
         object.__setattr__(self, "secondary_values", tuple(values))
         if self.axis not in AXES:
             problems.append(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
@@ -112,7 +119,7 @@ class SweepSpec:
             if self.secondary_values:
                 problems.append("secondary_values given without a secondary kind")
         elif self.secondary not in SECONDARY_KINDS:
-            problems.append(f"secondary must be one of {SECONDARY_KINDS}, got {self.secondary!r}")
+            problems.append(f"secondary must be one of {tuple(SECONDARY_KINDS)}, got {self.secondary!r}")
         elif not self.secondary_values:
             problems.append(f"secondary {self.secondary!r} needs secondary_values")
         elif self.secondary == "area" and self.base.terrain not in TERRAIN_PRESETS.values():
@@ -192,29 +199,25 @@ def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) ->
     parsed and every part it needs was built, so one bad value is reported
     once. Appends every violation and raises one ConfigError that lists them.
     """
-
-    def runs(keys, *parts) -> bool:
-        return unparsed.isdisjoint(keys) and all(part is not None for part in parts)
-
     secondary = values.get("secondary")
     secondary_values = values.get("secondary_values", ())
     # Every grid point sets the secondary's key, so the base takes the first
     # value; a beta_m secondary then gives the pointing part its aperture.
     first = {secondary: secondary_values[0]} if secondary in SECONDARY_KINDS and secondary_values else {}
-    base = build_scenario(values | first, problems) if runs((*SCENARIO_KEYS, "secondary_values")) else None
-    mc = build_mc(values, problems) if runs(MC_KEYS) else None
+    base = build_scenario(values | first, problems) if runs(unparsed, (*SCENARIO_KEYS, "secondary_values")) else None
+    mc = build_mc(values, problems) if runs(unparsed, MC_KEYS) else None
 
     points = values.get("axis_points")
     if points is None and "axis_points" not in unparsed:
         if missing := [key for key in _AXIS_RANGE if key not in values and key not in unparsed]:
             problems.append("either axis_points or all of axis_min/axis_max/axis_count are required"
                             f" (missing: {', '.join(missing)})")
-        elif runs(_AXIS_RANGE):
+        elif runs(unparsed, _AXIS_RANGE):
             points = attempt(problems, axis_points, *(values[key] for key in _AXIS_RANGE),
                              values.get("axis_spacing", "linear"))
 
     spec = None
-    if runs(("axis", "harvesters", "secondary", "secondary_values"), base, points):
+    if runs(unparsed, ("axis", "harvesters", "secondary", "secondary_values"), base, points):
         # The spec's own rules do not read the Monte Carlo settings, so they run even if those failed.
         spec = attempt(problems, SweepSpec, base, values.get("harvesters", ("A", "B", "C")),
                        values.get("axis"), points, secondary, secondary_values, mc or MonteCarloSettings())

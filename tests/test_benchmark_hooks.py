@@ -1,9 +1,9 @@
 """The names the benchmark harness in ``perfbench/`` reaches into, checked without running it.
 
 ``perfbench/workloads.py`` wraps module attributes in timing spans and calls
-``link.estimate_harvest`` directly. A rename in the package breaks only the
-slow benchmark self-tests; this reads the harness source with ``ast`` and
-checks the same names here.
+package functions, such as ``link.estimate_harvest``, directly. A rename in
+the package breaks only the slow benchmark self-tests; this reads the harness
+source with ``ast`` and checks the same names here.
 """
 
 import ast
@@ -36,6 +36,20 @@ def test_every_rebound_attribute_exists():
         hooks.add((module.id, attr.value))
     assert ("link", "harvest_samples") in hooks
     for module, attr in sorted(hooks):
+        assert hasattr(importlib.import_module(f"marswpt.{module}"), attr), f"{module}.{attr}"
+
+
+def test_every_module_call_names_an_existing_attribute():
+    # A moved or renamed function that the harness calls, such as
+    # harvester.write_model_file, fails here rather than in its slow self-tests.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    calls = {
+        (node.func.value.id, node.func.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in {"cli", "harvester", "link", "sweep"}
+    }
+    assert {("cli", "main"), ("harvester", "write_model_file"), ("harvester", "read_model_file")} <= calls
+    for module, attr in sorted(calls):
         assert hasattr(importlib.import_module(f"marswpt.{module}"), attr), f"{module}.{attr}"
 
 

@@ -28,8 +28,9 @@ from marswpt.link import (
     LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
     median_received_dbm,
 )
-from marswpt.harvester import harvester_preset, parse_values, read_model_file
-from marswpt.sweep import AXES, PRESETS, SweepSpec, builtin_presets, run_sweep
+from marswpt.flatkeys import format_values, parse_values
+from marswpt.harvester import harvester_preset, read_model_file
+from marswpt.sweep import AXES, PRESETS, SweepSpec, builtin_presets, config_kinds, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +249,18 @@ def test_link_lists_every_violation_at_once(capsys):
     assert "distance_m" in err
     assert "p_tx_w" in err
     assert "areaX" in err
+
+
+@pytest.mark.parametrize("flags, error", [
+    (("--beta-m", "x", "--r-d-m", "0.8"), "beta_m: could not parse 'x' as a number"),
+    (("--n-samples", "x", "--seed", "-3"), "n_samples: could not parse 'x' as an integer"),
+], ids=["scenario", "monte_carlo"])
+def test_link_reports_a_bad_value_once_and_nothing_it_stopped(capsys, flags, error):
+    # As in sweep, a step whose key did not parse does not run, so its
+    # placeholders cannot add problems that the flags do not have.
+    assert run_cli(capsys, "link", *flags) == (2, "", f"error: {error}\n")
+    if "--seed" in flags:
+        assert run_cli(capsys, "sweep", "--preset", "fig3a", *flags) == (2, "", f"error: {error}\n")
 
 
 def test_link_model_file_with_a_pole_below_its_range_is_rejected_on_load(tmp_path, capsys):
@@ -593,16 +606,12 @@ def test_sweep_config_reports_a_bad_value_once_and_nothing_it_stopped(tmp_path, 
     assert run_cli(capsys, "sweep", "--config", str(cfg)) == (2, "", f"error: {error}\n")
 
 
-def _config_text(keys: dict) -> str:
-    def text(value):
-        return ",".join(map(text, value)) if isinstance(value, tuple) else str(value)
-    return "".join(f"{key} = {text(value)}\n" for key, value in keys.items())
-
-
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_a_preset_and_its_keys_in_a_config_file_give_the_same_bytes(tmp_path, capsys, name):
+    keys = PRESETS[name]
     cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text(_config_text(PRESETS[name]), encoding="utf-8")
+    kinds = config_kinds(cli._SWEEP_CONFIG_KEYS, keys.get("secondary"))
+    cfg.write_text(format_values(keys, kinds), encoding="utf-8")
     from_file = run_cli(capsys, "sweep", "--config", str(cfg), "--n-samples", "40")
     from_preset = run_cli(capsys, "sweep", "--preset", name, "--n-samples", "40")
     assert from_file[0] == 0 and from_file[2] == ""
@@ -757,6 +766,21 @@ def test_fit_command_round_trip(tmp_path, capsys):
         efficiency_percent(fitted, grid) - efficiency_percent(HARVESTER_C, grid)
     ).max()
     assert deviation < 0.1
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "  padded ", "trailing\t", "carriage\rreturn"])
+def test_fit_refuses_a_model_name_that_would_not_read_back(tmp_path, capsys, name):
+    samples = tmp_path / "samples.csv"
+    model_path = tmp_path / "named.model"
+    write_samples_csv(samples)
+    code, out, err = run_cli(capsys, "fit", str(samples), "--name", name, "--out", str(model_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: name: {name!r} would not read back as written\n"
+    assert not model_path.exists()
+    # Without a model file the name is only printed, as before.
+    code, out, err = run_cli(capsys, "fit", str(samples), "--name", name)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"fitted model {name!r} over [")
 
 
 def test_fit_has_no_refinement_switch(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Rational efficiency models: evaluation, clamping, fitting, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -355,6 +357,19 @@ def test_model_file_round_trip(tmp_path):
     np.testing.assert_array_equal(
         efficiency_percent(reloaded, grid), efficiency_percent(fitted, grid)
     )
+
+
+def test_write_model_file_refuses_a_name_that_would_not_read_back(tmp_path):
+    path = tmp_path / "named.model"
+    for name in ("two\nlines", " padded", ""):
+        model = replace(HARVESTER_A, name=name)
+        if name:
+            with pytest.raises(ValueError, match="^name: .* would not read back as written$"):
+                write_model_file(model, path)
+            assert not path.exists()
+        else:
+            write_model_file(model, path)
+            assert read_model_file(path) == model
 
 
 def test_read_model_file_rejects_missing_and_unknown_keys(tmp_path):
