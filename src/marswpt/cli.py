@@ -55,7 +55,7 @@ from .link import (
     median_received_dbm,
     thread_map,
 )
-from .quantities import attempt, dbm_to_mw
+from .quantities import attempt, dbm_to_mw, lookup, raise_problems
 from .sweep import (
     PRESETS, SECONDARY_KINDS, SWEEP_KEYS, ConfigError, SweepRow,
     build_sweep_spec, builtin_presets, config_kinds, run_sweep,
@@ -83,9 +83,7 @@ _SWEEP_CONFIG_KEYS = {**SCENARIO_KEYS, **_SWEEP_MC_KEYS, **SWEEP_KEYS}
 def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: list[str]) -> tuple[dict, set]:
     """The typed config file and flag values, flags overriding, and the keys whose text did not parse."""
     entries = read_key_value_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(key for key in entries if key not in kinds)
-    if unknown:
-        raise ConfigError("; ".join(f"unknown config key {key!r}" for key in unknown))
+    raise_problems([f"unknown config key {key!r}" for key in sorted(entries) if key not in kinds], ConfigError)
     entries.update({key: (None, flag) for key in kinds if (flag := getattr(args, key, None)) is not None})
     values = parse_values(entries, config_kinds(kinds, entries.get("secondary", (None, None))[1]), problems)
     return values, entries.keys() - values.keys()
@@ -170,8 +168,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     mc = build_mc(cfg, problems) if runs(unparsed, MC_KEYS) else None
     n_workers = _n_workers(cfg, problems)
     models = _select_harvesters(cfg, problems)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    raise_problems(problems, ConfigError)
 
     terms = budget_terms(scenario)
     median_dbm = median_received_dbm(scenario)
@@ -231,13 +228,12 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.preset is not None and args.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {args.preset!r}; valid presets: {', '.join(sorted(PRESETS))}")
-    problems: list[str] = []
     # A preset is the flat keys of a config file; its run takes only Monte Carlo flags.
+    preset = lookup(PRESETS, "preset", args.preset) if args.preset is not None else {}
+    problems: list[str] = []
     cfg, unparsed = _merge_config(args, _SWEEP_CONFIG_KEYS, problems)
     n_workers = _n_workers(cfg, problems)
-    spec = build_sweep_spec({**PRESETS.get(args.preset, {}), **cfg}, problems, unparsed)
+    spec = build_sweep_spec({**preset, **cfg}, problems, unparsed)
 
     rows = run_sweep(spec, n_workers=n_workers)
     text = rows_to_csv(rows)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import struct
 
+from .quantities import raise_problems
+
 # How a flat value's text becomes a typed value, by the kind of its key: a dataclass field annotation.
 VALUE_KINDS = {
     "float": (float, "a number"),
@@ -41,8 +43,7 @@ def read_key_value_file(path) -> dict[str, tuple[int, str]]:
                 problems.append(f"line {lineno}: duplicate key {key!r}")
                 continue
             entries[key] = (lineno, value.strip())
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(problems)
     return entries
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .flatkeys import format_values, parse_values, read_key_value_file
-from .quantities import field_problems
+from .quantities import field_problems, lookup, raise_problems
 
 
 class FitError(RuntimeError):
@@ -59,8 +59,7 @@ class EfficiencySample:
         problems = field_problems(self, input_power_mw="positive")
         if math.isfinite(self.efficiency_percent) and not 0.0 <= self.efficiency_percent <= 100.0:
             problems.append(f"efficiency_percent must lie in [0, 100], got {self.efficiency_percent}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +86,7 @@ class HarvesterModel:
             problems.append(
                 f"valid_range_mw must be finite with 0 < min < max, got {self.valid_range_mw}"
             )
-        if problems:
-            raise ValueError(f"model {self.name!r}: " + "; ".join(problems))
+        raise_problems(problems, prefix=f"model {self.name!r}: ")
 
 
 def denominator_minimum(b2: float, b1: float, b0: float) -> float:
@@ -125,11 +123,7 @@ BUILTIN_HARVESTERS = {"A": HARVESTER_A, "B": HARVESTER_B, "C": HARVESTER_C}
 
 def harvester_preset(name: str) -> HarvesterModel:
     """Look up a built-in harvester by its exact name: "A", "B", or "C"."""
-    try:
-        return BUILTIN_HARVESTERS[name]
-    except KeyError:
-        valid = ", ".join(sorted(BUILTIN_HARVESTERS))
-        raise ValueError(f"unknown harvester {name!r}; valid names: {valid}") from None
+    return lookup(BUILTIN_HARVESTERS, "harvester", name)
 
 
 def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
@@ -185,6 +179,11 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     linear stage is rank-deficient or no candidate keeps the denominator
     positive for every P >= 0.
     """
+    # The linear stage holds P^3 and P^3 times the efficiency; numpy warns and LAPACK fails if they overflow.
+    for power, eff in ((s.input_power_mw, s.efficiency_percent) for s in samples):
+        if math.isinf(power * power * power * max(eff, 1.0)):
+            raise ValueError(f"input power {power:g} mW is too large to fit: P^3 times the efficiency must stay"
+                             f" within float64, below about {np.finfo(float).max ** (1 / 3):.3g} mW")
     p = np.array([s.input_power_mw for s in samples], dtype=float)
     y = np.array([s.efficiency_percent for s in samples], dtype=float)
     if np.unique(p).size < 6:
@@ -275,8 +274,7 @@ def read_samples_csv(path) -> list[EfficiencySample]:
             problems: list[str] = []
             entries = {key: (lineno, cell) for key, cell in zip(_SAMPLE_KINDS, row)}
             values = parse_values(entries, _SAMPLE_KINDS, problems)
-            if problems:
-                raise ValueError("; ".join(problems))
+            raise_problems(problems)
             try:
                 samples.append(EfficiencySample(**values))
             except ValueError as exc:
@@ -308,8 +306,7 @@ def read_model_file(path) -> HarvesterModel:
         raise ValueError(f"model file has unknown keys: {', '.join(sorted(unknown))}")
     problems: list[str] = []
     values = parse_values(entries, MODEL_KINDS, problems)
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(problems)
     return HarvesterModel(
         values["name"], **{key: values[key] for key in COEFFICIENTS},
         valid_range_mw=(values["valid_min_mw"], values["valid_max_mw"]),

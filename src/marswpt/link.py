@@ -51,7 +51,7 @@ from .flatkeys import VALUE_KINDS
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
-from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, watts_to_dbm
+from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, raise_problems, watts_to_dbm
 
 SMALL_SCALE_MODES = ("off", "rayleigh")
 
@@ -82,8 +82,7 @@ class LinkScenario:
             problems.append(
                 f"small_scale must be one of {SMALL_SCALE_MODES}, got {self.small_scale!r}"
             )
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
 
 def _flat_keys(cls, kinds=VALUE_KINDS) -> dict[str, str]:
@@ -134,8 +133,7 @@ def scenario_with(s: LinkScenario, **values) -> LinkScenario:
         problems += [f"{key} needs beta_m, the aperture radius of the pointing geometry" for key in pointing]
     # A part that failed keeps its old value, so the scenario's own rules still run.
     scenario = attempt(problems, replace, s, **{k: v for k, v in new.items() if v is not None}, **values)
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(problems)
     return scenario
 
 
@@ -161,8 +159,7 @@ class MonteCarloSettings:
             problems.append(f"quantiles must lie strictly inside (0, 1), got {self.quantiles}")
         if len(set(self.quantiles)) < len(self.quantiles):
             problems.append(f"quantiles must not repeat, got {self.quantiles}")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
 
 # Every flat key of MonteCarloSettings and its kind.
@@ -316,18 +313,18 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
     # scalar, so that an overflow of their sum raises under errstate.
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
     x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
-    if fade is not None and fade.sigma_s_m > 0.0:
+    if fade is not None and s.pointing.sigma_s_m > 0.0:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW.
         t = np.log(u[:, 1])
-        t *= -2.0 * fade.sigma_s_m**2
+        t *= -2.0 * s.pointing.sigma_s_m**2
         t *= 2.0
         t /= fade.w_eq_m**2
         np.subtract(math.log(fade.a0), t, out=t)
         t *= _DB_PER_LN
         x += t
     elif fade is not None:
-        x += 10.0 * math.log10(fade.a0)
+        x += terms["pointing_db"]
     if s.small_scale == "rayleigh":
         t = np.log(u[:, 2])
         np.negative(t, out=t)

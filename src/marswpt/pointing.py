@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from scipy.special import erf
 
-from .quantities import RfCarrier, field_problems
+from .quantities import RfCarrier, field_problems, raise_problems
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,10 +45,7 @@ class PointingGeometry:
     r_d_m: float
 
     def __post_init__(self) -> None:
-        if problems := field_problems(
-            self, beta_m="positive", sigma_s_m="non-negative", r_d_m="positive"
-        ):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(self, beta_m="positive", sigma_s_m="non-negative", r_d_m="positive"))
 
 
 def default_beam_waist(carrier: RfCarrier) -> float:
@@ -76,7 +73,6 @@ class MisalignmentModel:
     a0: float
     w_eq_m: float
     xi: float
-    sigma_s_m: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a0 <= 1.0:
@@ -85,27 +81,32 @@ class MisalignmentModel:
             raise ValueError(f"w_eq_m must be positive, got {self.w_eq_m}")
         if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.sigma_s_m < 0.0:
-            raise ValueError(f"sigma_s_m must be non-negative, got {self.sigma_s_m}")
 
 
 def derive_model(geom: PointingGeometry) -> MisalignmentModel:
-    """Fold a pointing geometry into the closed-form fade model."""
-    v = math.sqrt(math.pi) * geom.beta_m / (math.sqrt(2.0) * geom.r_d_m)
-    erf_v = float(erf(v))
-    a0 = erf_v**2
-    if v * v < 700.0:
-        w_eq_sq = geom.r_d_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
-    else:
-        # exp(-v^2) underflows for collectors much wider than the beam; the
-        # equivalent width diverges and the fade degenerates to a constant a0.
-        w_eq_sq = math.inf
-    # A jitter so small that its square underflows is zero jitter.
-    if geom.sigma_s_m**2 == 0.0:
-        xi = math.inf
-    else:
-        xi = w_eq_sq / (4.0 * geom.sigma_s_m**2)
-    return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi, sigma_s_m=geom.sigma_s_m)
+    """Fold a pointing geometry into the closed-form fade model.
+
+    Raises ValueError naming the geometry when a fade parameter leaves the float64 range.
+    """
+    try:
+        v = math.sqrt(math.pi) * geom.beta_m / (math.sqrt(2.0) * geom.r_d_m)
+        erf_v = float(erf(v))
+        a0 = erf_v**2
+        if v * v < 700.0:
+            w_eq_sq = geom.r_d_m**2 * math.sqrt(math.pi) * erf_v / (2.0 * v * math.exp(-v * v))
+        else:
+            # exp(-v^2) underflows for collectors much wider than the beam; the
+            # equivalent width diverges and the fade degenerates to a constant a0.
+            w_eq_sq = math.inf
+        # A jitter so small that its square underflows is zero jitter.
+        if geom.sigma_s_m**2 == 0.0:
+            xi = math.inf
+        else:
+            xi = w_eq_sq / (4.0 * geom.sigma_s_m**2)
+        return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi)
+    except (ArithmeticError, ValueError):
+        given = f"beta_m = {geom.beta_m}, sigma_s_m = {geom.sigma_s_m}, r_d_m = {geom.r_d_m}"
+        raise ValueError(f"pointing geometry {given} gives a fade model outside the float64 range") from None
 
 
 def mean_fraction(model: MisalignmentModel) -> float:

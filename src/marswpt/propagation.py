@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantities import RfCarrier, field_problems
+from .quantities import RfCarrier, field_problems, lookup, raise_problems
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,8 +31,7 @@ class TerrainProfile:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        if problems := field_problems(self, alpha="positive", sigma_db="non-negative"):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(self, alpha="positive", sigma_db="non-negative"))
 
 
 AREA1 = TerrainProfile("area1", alpha=2.12, sigma_db=11.41)
@@ -43,11 +42,7 @@ TERRAIN_PRESETS = {"area1": AREA1, "area2": AREA2}
 
 def terrain_preset(name: str) -> TerrainProfile:
     """Look up a built-in terrain by its exact name, "area1" or "area2"."""
-    try:
-        return TERRAIN_PRESETS[name]
-    except KeyError:
-        valid = ", ".join(sorted(TERRAIN_PRESETS))
-        raise ValueError(f"unknown area {name!r}; valid names: {valid}") from None
+    return lookup(TERRAIN_PRESETS, "area", name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +59,7 @@ class DustStorm:
     eps_im: float = 0.251
 
     def __post_init__(self) -> None:
-        if problems := field_problems(
-            self, n_t_per_m3="non-negative", rho_p_m="positive", eps_im="positive"
-        ):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(self, n_t_per_m3="non-negative", rho_p_m="positive", eps_im="positive"))
 
 
 def free_space_factor(distance_m: float, carrier: RfCarrier) -> float:

@@ -1,5 +1,5 @@
-"""Unit-safe power conversions, RF carrier constants, and the field-rule check
-and problem collector shared by every module.
+"""Unit-safe power conversions, RF carrier constants, and the input rules
+shared by every module: the field check, the problem list and the name lookup.
 
 All link arithmetic happens in dB/dBm; the single dB-to-mW conversion sits at
 the harvester boundary, where the efficiency model wants milliwatts.
@@ -8,18 +8,21 @@ the harvester boundary, where the efficiency model wants milliwatts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+# What joins the problems of one error message.
+PROBLEM_SEPARATOR = "; "
 
 
 def field_problems(obj, **rules: str) -> list[str]:
     """Every violation among the float fields of dataclass ``obj``.
 
-    Each float field must be finite; ``rules`` names the fields that must also
-    be "positive" or "non-negative".
+    Each float field must hold a finite real number; ``rules`` names the
+    fields that must also be "positive" or "non-negative".
     """
     problems = []
     for field in fields(obj):
@@ -27,13 +30,29 @@ def field_problems(obj, **rules: str) -> list[str]:
             continue
         value = getattr(obj, field.name)
         rule = rules.get(field.name)
-        if not math.isfinite(value):
+        if not isinstance(value, numbers.Real):
+            problems.append(f"{field.name} must be a number, got {value!r}")
+        elif not math.isfinite(value):
             problems.append(f"{field.name} must be finite, got {value}")
         elif rule == "positive" and not value > 0.0:
             problems.append(f"{field.name} must be positive, got {value}")
         elif rule == "non-negative" and not value >= 0.0:
             problems.append(f"{field.name} must be non-negative, got {value}")
     return problems
+
+
+def raise_problems(problems: list[str], error=ValueError, prefix: str = "") -> None:
+    """Raise one ``error`` whose message is ``prefix`` and every problem, if there is one."""
+    if problems:
+        raise error(prefix + PROBLEM_SEPARATOR.join(problems))
+
+
+def lookup(registry: dict, noun: str, name: str):
+    """``registry[name]``, or a ValueError that names every valid name."""
+    try:
+        return registry[name]
+    except KeyError:
+        raise ValueError(f"unknown {noun} {name!r}; valid names: {', '.join(sorted(registry))}") from None
 
 
 def attempt(problems: list[str], build, *args, **kwargs):
@@ -52,8 +71,7 @@ class RfCarrier:
     frequency_hz: float = 2.45e9
 
     def __post_init__(self) -> None:
-        if problems := field_problems(self, frequency_hz="positive"):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(self, frequency_hz="positive"))
 
     @property
     def wavelength_m(self) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flatkeys import VALUE_KINDS, runs
-from .harvester import harvester_preset
+from .flatkeys import runs
+from .harvester import BUILTIN_HARVESTERS, harvester_preset
 from .link import (
     MC_KEYS,
     SCENARIO_KEYS,
@@ -40,7 +40,7 @@ from .link import (
     thread_map,
 )
 from .propagation import TERRAIN_PRESETS
-from .quantities import attempt
+from .quantities import PROBLEM_SEPARATOR, attempt, raise_problems
 
 # Each axis sets one scenario key; each secondary kind is a scenario key, and its values have that key's kind.
 AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
@@ -65,8 +65,8 @@ class ConfigError(ValueError):
     """Invalid sweep or run configuration; the message lists every violation once."""
 
     def __init__(self, message: str) -> None:
-        # Callers join violations with "; "; a base and its grid points may share one.
-        super().__init__("; ".join(dict.fromkeys(message.split("; "))))
+        # A base and its grid points may share a violation; it is listed once.
+        super().__init__(PROBLEM_SEPARATOR.join(dict.fromkeys(message.split(PROBLEM_SEPARATOR))))
 
 
 def axis_points(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -98,13 +98,7 @@ class SweepSpec:
     mc: MonteCarloSettings = MonteCarloSettings()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "harvesters", tuple(self.harvesters))
-        object.__setattr__(self, "points", tuple(float(x) for x in self.points))
         problems = []
-        values = self.secondary_values
-        if self.secondary in SECONDARY_KINDS:
-            values = [attempt(problems, VALUE_KINDS[SECONDARY_KINDS[self.secondary]][0], v) for v in values]
-        object.__setattr__(self, "secondary_values", tuple(values))
         if self.axis not in AXES:
             problems.append(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if not self.points:
@@ -135,8 +129,7 @@ class SweepSpec:
         for value in (self.secondary_values if self.secondary in SECONDARY_KINDS else ()) or (None,):
             for point in ends:
                 attempt(problems, self.scenario_at, point, value)
-        if problems:
-            raise ConfigError("; ".join(problems))
+        raise_problems(problems, ConfigError)
 
     def scenario_at(self, axis_value: float | None, secondary_value) -> LinkScenario:
         """The base scenario at one grid point; a None value leaves its key unset."""
@@ -219,10 +212,9 @@ def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) ->
     spec = None
     if runs(unparsed, ("axis", "harvesters", "secondary", "secondary_values"), base, points):
         # The spec's own rules do not read the Monte Carlo settings, so they run even if those failed.
-        spec = attempt(problems, SweepSpec, base, values.get("harvesters", ("A", "B", "C")),
+        spec = attempt(problems, SweepSpec, base, values.get("harvesters", tuple(BUILTIN_HARVESTERS)),
                        values.get("axis"), points, secondary, secondary_values, mc or MonteCarloSettings())
-    if problems:
-        raise ConfigError("; ".join(problems))
+    raise_problems(problems, ConfigError)
     return spec
 
 

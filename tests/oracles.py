@@ -1,6 +1,6 @@
 """Closed-form references for the pointing fade, and the engine's fade draws,
 and quadrature oracles for Monte Carlo rows whose channel in dB is Gaussian,
-or Gaussian minus an exponential pointing fade.
+Gaussian minus an exponential pointing fade, or that plus Rayleigh fading.
 
 The package samples the fade only inside the Monte Carlo engine, so the
 tests read it back from ``draw_channel`` and compare it with these
@@ -9,11 +9,17 @@ formulas.
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
+from scipy.stats import binom
 
 from marswpt.link import LinkScenario, MonteCarloSettings, draw_channel, median_received_dbm
 from marswpt.propagation import TerrainProfile
 
 CALM = TerrainProfile("calm", alpha=2.12, sigma_db=0.0)
+
+# Fixed before looking at any result: k = 5 standard errors, and its
+# two-sided normal tail for the exact binomial test of the range counts.
+K_SE = 5.0
+MIN_TAIL = 5.7e-7
 
 
 def fraction_at_offset(model, r_m):
@@ -91,3 +97,35 @@ def emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_grid=40_001
     above = max(ndtr(-hi / sigma_db) - density_over_lam(hi), 0.0)
     p_out = ndtr(lo / sigma_db) + density_over_lam(lo) + above
     return mean, variance, p_out
+
+
+def rayleigh_emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_u=601, n_grid=8001):
+    """As ``emg_harvest_moments``, when Rayleigh small-scale fading adds
+    10 log10 g to the received power in dBm, with g ~ Exp(1).
+
+    With u = ln g the density of u is exp(u - e^u). A trapezoid rule over
+    u in [-40, 4] mixes the moments at each shifted median: the mean by total
+    expectation, the variance by total variance, and the range probability
+    as a weighted sum. The density beyond that interval is below e^-40.
+    """
+    u = np.linspace(-40.0, 4.0, n_u)
+    weight = np.exp(u - np.exp(u)) * (u[1] - u[0])
+    weight[[0, -1]] *= 0.5
+    parts = np.array([
+        emg_harvest_moments(model, median_dbm + 10.0 * np.log10(np.e) * ui, sigma_db, fade_mean_db, n_grid)
+        for ui in u
+    ])
+    mean = weight @ parts[:, 0]
+    return mean, weight @ (parts[:, 1] + (parts[:, 0] - mean) ** 2), weight @ parts[:, 2]
+
+
+def assert_stats_match(stats, moments, where):
+    """``stats``' mean within K_SE standard errors of the oracle's (mean, variance,
+    range probability) ``moments``, and its extrapolated count inside the
+    binomial tail of that probability."""
+    n = stats.n_samples
+    mean, variance, p_out = moments
+    assert abs(stats.mean_uw - mean) <= K_SE * np.sqrt(variance / n), where
+    k = stats.extrapolated_count
+    tail = 2.0 * min(binom.cdf(k, n, p_out), binom.sf(k - 1, n, p_out))
+    assert tail >= MIN_TAIL, where

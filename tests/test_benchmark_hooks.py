@@ -1,19 +1,20 @@
 """The names the benchmark harness in ``perfbench/`` reaches into, checked without running it.
 
-``perfbench/workloads.py`` wraps module attributes in timing spans and calls
-package functions, such as ``link.estimate_harvest``, directly. A rename in
-the package breaks only the slow benchmark self-tests; this reads the harness
-source with ``ast`` and checks the same names here.
+``perfbench/workloads.py`` wraps module attributes in timing spans, calls
+package functions, such as ``link.estimate_harvest``, directly, and reads the
+fields of sweep specs and harvester models. A rename in the package breaks
+only the slow benchmark self-tests; this reads the harness source with ``ast``
+and checks the same names here.
 """
 
 import ast
 import importlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from marswpt import link
-from marswpt.harvester import harvester_preset
-from marswpt.sweep import builtin_presets
+from marswpt.harvester import HarvesterModel, harvester_preset
+from marswpt.sweep import SweepSpec, builtin_presets
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -51,6 +52,20 @@ def test_every_module_call_names_an_existing_attribute():
     assert {("cli", "main"), ("harvester", "write_model_file"), ("harvester", "read_model_file")} <= calls
     for module, attr in sorted(calls):
         assert hasattr(importlib.import_module(f"marswpt.{module}"), attr), f"{module}.{attr}"
+
+
+def test_every_spec_and_model_read_names_a_field():
+    # The harness names a SweepSpec ``spec`` and a HarvesterModel ``model``.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    records = {"spec": SweepSpec, "model": HarvesterModel}
+    reads = {
+        (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in records
+    }
+    spec_reads = {"axis", "base", "harvesters", "mc", "points", "secondary", "secondary_values"}
+    assert {("spec", attr) for attr in spec_reads} | {("model", "valid_range_mw")} <= reads
+    for name, attr in sorted(reads):
+        assert attr in {field.name for field in fields(records[name])}, f"{name}.{attr}"
 
 
 def test_estimate_harvest_takes_the_warm_up_call():

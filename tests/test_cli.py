@@ -39,6 +39,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(cwd, module, *argv):
+    """``python -m module argv`` in a child that imports the same marswpt as this process, whatever the cwd or installs."""
+    package_root = str(Path(marswpt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
+    )
+
+
 # ---------------------------------------------------------------------------
 # link
 
@@ -128,6 +138,12 @@ def test_link_requested_quantiles(capsys):
     assert code == 0
     quantiles = json.loads(out)["harvesters"]["C"]["monte_carlo"]["quantiles_uw"]
     assert set(quantiles) == {"0.1", "0.9"}
+
+
+def test_sweep_names_the_valid_presets(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--preset", "fig9a")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown preset 'fig9a'; valid names: {', '.join(sorted(PRESETS))}\n"
 
 
 def test_link_matches_area_names_exactly(capsys):
@@ -223,22 +239,38 @@ def test_link_reports_a_harvester_overflow_as_an_input_error(capsys, gain_db):
     assert err.startswith("error: model 'C' overflows at received power")
 
 
-@pytest.mark.parametrize("flags", [
-    "--beta-m 0.5 --sigma-s-m 1e200",
-    "--beta-m 1e-200 --r-d-m 1e200",
-    "--rho-p-m 1e200 --n-t-per-m3 1",
-    "--eps-re -2 --eps-im 1e-300 --n-t-per-m3 1",
-    "--p-tx-w 1e308 --harvester none --json",
-    "--frequency-hz 1e-300 --harvester none --json",
-    "--g-t-db 1e308 --g-r-db 1e308 --harvester none --json",
-    "--g-t-db 5000 --harvester none --json",
+MEDIAN_OUTSIDE_FLOAT64 = "the median link budget lies outside the float64 range"
+# The default beam waist, seven wavelengths at 2.45 GHz, as a geometry error prints it.
+DEFAULT_R_D = "r_d_m = 0.85654988"
+
+
+def geometry_outside_float64(given: str) -> str:
+    return f"pointing geometry {given} gives a fade model outside the float64 range"
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--beta-m 0.5 --sigma-s-m 1e200", geometry_outside_float64(f"beta_m = 0.5, sigma_s_m = 1e+200, {DEFAULT_R_D}")),
+    ("--beta-m 1e-200 --r-d-m 1e200", geometry_outside_float64("beta_m = 1e-200, sigma_s_m = 0.0, r_d_m = 1e+200")),
+    ("--rho-p-m 1e200 --n-t-per-m3 1", MEDIAN_OUTSIDE_FLOAT64),
+    ("--eps-re -2 --eps-im 1e-300 --n-t-per-m3 1", MEDIAN_OUTSIDE_FLOAT64),
+    ("--p-tx-w 1e308 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
+    ("--frequency-hz 1e-300 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
+    ("--g-t-db 1e308 --g-r-db 1e308 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
+    ("--g-t-db 5000 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
+    ("--beta-m 1e-200", geometry_outside_float64(f"beta_m = 1e-200, sigma_s_m = 0.0, {DEFAULT_R_D}")),
+    ("--beta-m 1e-163 --r-d-m 1e-163", geometry_outside_float64("beta_m = 1e-163, sigma_s_m = 0.0, r_d_m = 1e-163")),
+    ("--beta-m 1 --sigma-s-m 1e154", geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+154, {DEFAULT_R_D}")),
+    ("--beta-m 1 --sigma-s-m 1e155 --harvester none",
+     geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+155, {DEFAULT_R_D}")),
 ], ids=["jitter_squared", "waist_squared", "radius_cubed", "dust_pole", "tx_power",
-        "frequency", "gain_sum", "median_mw"])
-def test_link_budget_outside_float64_is_an_input_error(capsys, flags):
+        "frequency", "gain_sum", "median_mw", "aligned_fraction", "beam_width", "shape_exponent",
+        "jitter_squared_no_model"])
+def test_link_budget_outside_float64_is_an_input_error(capsys, flags, message):
+    # A geometry whose fade parameters leave float64 is named by its keys, whether or not a model runs.
     code, out, err = run_cli(capsys, "link", "--n-samples", "100", *flags.split())
     assert code == 2
     assert out == ""
-    assert err == "error: the median link budget lies outside the float64 range\n"
+    assert err == f"error: {message}\n"
 
 
 def test_link_lists_every_violation_at_once(capsys):
@@ -821,6 +853,21 @@ def test_fit_names_the_line_of_an_infinite_power(tmp_path, capsys):
     assert err == "error: line 32: input_power_mw must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("power_mw", ["1e103", "1e300"])
+def test_fit_refuses_a_power_whose_cube_overflows_in_one_line(tmp_path, power_mw):
+    # LAPACK writes to the process's stderr below Python's streams, so the fit runs in a child.
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples, n_points=8)
+    with open(samples, "a", encoding="utf-8") as handle:
+        handle.write(f"{power_mw},30\n")
+    result = run_module(tmp_path, "marswpt.cli", "fit", str(samples))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: input power {float(power_mw):g} mW is too large to fit: P^3 times the efficiency"
+        " must stay within float64, below about 5.64e+102 mW\n"
+    )
+
+
 def test_fit_degenerate_curve_is_runtime_error(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     powers = np.geomspace(0.1, 10.0, 10)
@@ -892,14 +939,7 @@ def test_console_script_is_installed(capsys, tmp_path):
     assert entry_point(["presets"]) == 0
     assert "fig7b" in capsys.readouterr().out
 
-    # The child imports the same marswpt as this process, whatever the cwd or installs.
-    package_root = str(Path(marswpt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", module_name, "presets"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
-    )
+    result = run_module(tmp_path, module_name, "presets")
     assert result.returncode == 0
     assert "fig7b" in result.stdout
 

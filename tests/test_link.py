@@ -44,6 +44,7 @@ from marswpt.link import (
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
 from marswpt.propagation import AREA1, AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
 from marswpt.quantities import RfCarrier, dbm_to_mw, watts_to_dbm
+from oracles import assert_stats_match, rayleigh_emg_harvest_moments
 
 CARRIER = RfCarrier(2.45e9)
 R_D = default_beam_waist(CARRIER)
@@ -381,6 +382,23 @@ def test_small_scale_gain_has_unit_mean():
     assert abs(float(np.mean(paired_diff))) < 3.0 * stderr
 
 
+def test_rayleigh_link_matches_the_mixture_oracle():
+    # The link_1e6 scenario: shadowing, dust, jittered pointing and Rayleigh
+    # fading all on. Received dBm is the median plus an exponentially
+    # modified Gaussian plus 10 log10 g, so its moments are a mixture over g.
+    scenario = LinkScenario(
+        p_tx_w=20.0, distance_m=50.0, terrain=AREA2, dust=DustStorm(n_t_per_m3=1e4, rho_p_m=1e-4),
+        pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.3, r_d_m=R_D), small_scale="rayleigh",
+    )
+    fade_mean_db = 10.0 / math.log(10.0) / derive_model(scenario.pointing).xi
+    median_dbm = median_received_dbm(scenario)
+    for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
+        moments = rayleigh_emg_harvest_moments(model, median_dbm, AREA2.sigma_db, fade_mean_db)
+        for seed in (1, 2, 3):
+            stats = estimate_harvest(scenario, model, MonteCarloSettings(n_samples=200_000, seed=seed))
+            assert_stats_match(stats, moments, f"{model.name} seed {seed}")
+
+
 def test_harvested_power_bounded_by_received_power():
     scenario = LinkScenario(
         dust=DustStorm(n_t_per_m3=1e4, rho_p_m=1e-3),
@@ -488,6 +506,14 @@ def test_scenario_validation():
         LinkScenario(p_tx_w=0.0, distance_m=-1.0, small_scale="rician")
     for name in ("p_tx_w", "distance_m", "small_scale"):
         assert name in str(excinfo.value)
+
+
+def test_a_float_field_given_a_non_number_is_listed_with_the_other_problems():
+    with pytest.raises(ValueError) as excinfo:
+        LinkScenario(p_tx_w="10", distance_m=-1.0)
+    assert str(excinfo.value) == "p_tx_w must be a number, got '10'; distance_m must be positive, got -1.0"
+    # numpy scalars are real numbers, integers too.
+    assert LinkScenario(p_tx_w=np.float32(10.0), distance_m=np.int64(50)).p_tx_w == 10.0
 
 
 def test_monte_carlo_settings_validation():

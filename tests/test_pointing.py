@@ -53,7 +53,6 @@ def test_derived_model_reference_values_narrow_collector():
     assert model.a0 == pytest.approx(0.4888335042331958, rel=1e-12)
     assert model.w_eq_m == pytest.approx(1.0301589134349962, rel=1e-12)
     assert model.xi == pytest.approx(1.0612273869295719, rel=1e-12)
-    assert model.sigma_s_m == 0.5
 
 
 def test_derived_model_reference_values_wide_collector():
@@ -113,13 +112,13 @@ def test_geometry_validation():
     with pytest.raises(ValueError, match="sigma_s_m must be finite"):
         PointingGeometry(0.5, math.nan, 1.0)
     with pytest.raises(ValueError):
-        MisalignmentModel(a0=1.2, w_eq_m=1.0, xi=1.0, sigma_s_m=0.5)
+        MisalignmentModel(a0=1.2, w_eq_m=1.0, xi=1.0)
     with pytest.raises(ValueError):
-        MisalignmentModel(a0=0.5, w_eq_m=-1.0, xi=1.0, sigma_s_m=0.5)
+        MisalignmentModel(a0=0.5, w_eq_m=-1.0, xi=1.0)
     with pytest.raises(ValueError, match="xi must be positive"):
-        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=0.0, sigma_s_m=0.5)
-    with pytest.raises(ValueError, match="sigma_s_m must be non-negative"):
-        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=1.0, sigma_s_m=-0.1)
+        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=0.0)
+    # The jitter lives only in the geometry, so the fade model has no copy of it.
+    assert "sigma_s_m" not in MisalignmentModel.__dataclass_fields__
 
 
 # ---------------------------------------------------------------------------

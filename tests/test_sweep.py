@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
+from marswpt.cli import rows_to_csv
 from marswpt.link import (
     LinkScenario,
     MonteCarloSettings,
@@ -27,7 +27,7 @@ from marswpt.sweep import (
     run_sweep,
 )
 
-from oracles import emg_harvest_moments, gaussian_harvest_moments
+from oracles import assert_stats_match, emg_harvest_moments, gaussian_harvest_moments
 
 SMALL_MC = MonteCarloSettings(n_samples=200, seed=12345)
 
@@ -142,15 +142,20 @@ def test_spec_jitter_axis_needs_pointing_context():
     )
 
 
-def test_numeric_secondary_values_become_floats():
-    spec = SweepSpec(
-        LinkScenario(), ("C",), "jitter_sigma", (0.1, 0.5),
-        secondary="beta_m", secondary_values=(1, 2), mc=SMALL_MC,
-    )
-    assert spec.secondary_values == (1.0, 2.0)
-    assert all(type(value) is float for value in spec.secondary_values)
-    with pytest.raises(ConfigError, match="could not convert string to float: 'x'"):
-        SweepSpec(LinkScenario(), ("C",), "p_tx", (1.0, 2.0), secondary="rho_p_m", secondary_values=("x",))
+def test_integer_secondary_values_give_the_bytes_of_floats():
+    # The spec keeps the values it is given; only the config parser types them.
+    def table(values):
+        spec = SweepSpec(
+            LinkScenario(), ("C",), "jitter_sigma", (0.1, 0.5),
+            secondary="beta_m", secondary_values=values, mc=SMALL_MC,
+        )
+        assert spec.secondary_values is values
+        return rows_to_csv(run_sweep(spec))
+
+    assert table((1, 2)) == table((1.0, 2.0))
+    with pytest.raises(ConfigError) as excinfo:
+        SweepSpec(LinkScenario(), ("C", "Z"), "p_tx", (1.0, 2.0), secondary="rho_p_m", secondary_values=("x",))
+    assert str(excinfo.value) == "unknown harvester 'Z'; valid names: A, B, C; rho_p_m must be a number, got 'x'"
 
 
 def test_spec_collects_every_violation():
@@ -384,23 +389,11 @@ def test_haze_grade_dust_is_negligible(fig5a_rows):
 # ---------------------------------------------------------------------------
 # every row of the presets against a quadrature oracle
 
-# Fixed before looking at any result: k = 5 standard errors, and its
-# two-sided normal tail for the exact binomial test of the range counts.
-K_SE = 5.0
-MIN_TAIL = 5.7e-7
-
-
 def assert_rows_match(name, rows, moments):
-    """Each row's mean within K_SE standard errors of ``moments(row)``, and its
-    extrapolated count inside the binomial tail of that oracle's probability."""
+    """Each row's statistics against its oracle ``moments(row)``, by ``assert_stats_match``."""
     for row in rows:
-        n = row.stats.n_samples
-        mean, variance, p_out = moments(row)
         where = f"{name} {row.axis}={row.axis_value:g} {row.secondary_value} {row.harvester}"
-        assert abs(row.stats.mean_uw - mean) <= K_SE * np.sqrt(variance / n), where
-        k = row.stats.extrapolated_count
-        tail = 2.0 * min(binom.cdf(k, n, p_out), binom.sf(k - 1, n, p_out))
-        assert tail >= MIN_TAIL, where
+        assert_stats_match(row.stats, moments(row), where)
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig5a", "fig5b", "fig6a", "fig6b"])
