@@ -57,7 +57,7 @@ from .link import (
 )
 from .quantities import attempt, dbm_to_mw, lookup, raise_problems
 from .sweep import (
-    PRESETS, SECONDARY_KINDS, SWEEP_KEYS, ConfigError, SweepRow,
+    PRESETS, SECONDARY_KINDS, SWEEP_KEYS, SweepRow,
     build_sweep_spec, builtin_presets, config_kinds, run_sweep,
 )
 
@@ -83,7 +83,8 @@ _SWEEP_CONFIG_KEYS = {**SCENARIO_KEYS, **_SWEEP_MC_KEYS, **SWEEP_KEYS}
 def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: list[str]) -> tuple[dict, set]:
     """The typed config file and flag values, flags overriding, and the keys whose text did not parse."""
     entries = read_key_value_file(args.config) if getattr(args, "config", None) else {}
-    raise_problems([f"unknown config key {key!r}" for key in sorted(entries) if key not in kinds], ConfigError)
+    problems += [f"unknown config key {key!r}" for key in sorted(entries.keys() - kinds.keys())]
+    entries = {key: entry for key, entry in entries.items() if key in kinds}
     entries.update({key: (None, flag) for key in kinds if (flag := getattr(args, key, None)) is not None})
     values = parse_values(entries, config_kinds(kinds, entries.get("secondary", (None, None))[1]), problems)
     return values, entries.keys() - values.keys()
@@ -128,19 +129,13 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _select_harvesters(cfg: dict, problems: list[str]) -> list[HarvesterModel]:
-    choice = cfg.get("harvester", "all")
-    models: list[HarvesterModel] = []
-    if choice == "all":
-        models = [BUILTIN_HARVESTERS[name] for name in sorted(BUILTIN_HARVESTERS)]
-    elif choice == "none":
-        models = []
-    elif choice in BUILTIN_HARVESTERS:
-        models = [BUILTIN_HARVESTERS[choice]]
-    else:
-        problems.append(
-            f"harvester must be one of {', '.join(sorted(BUILTIN_HARVESTERS))}, all, or none; got {choice!r}"
-        )
+# What --harvester selects: one built-in model, every one, or none.
+_HARVESTER_CHOICES = {**{name: (model,) for name, model in BUILTIN_HARVESTERS.items()},
+                      "all": tuple(BUILTIN_HARVESTERS.values()), "none": ()}
+
+
+def _select_harvesters(cfg: dict, problems: list[str]) -> tuple[HarvesterModel, ...]:
+    models = attempt(problems, lookup, _HARVESTER_CHOICES, "harvester", cfg.get("harvester", "all")) or ()
     if "harvester_file" in cfg:
         loaded = attempt(problems, read_model_file, cfg["harvester_file"])
         # The report is keyed by model name, so a repeated name would hide a model.
@@ -148,7 +143,7 @@ def _select_harvesters(cfg: dict, problems: list[str]) -> list[HarvesterModel]:
             problems.append(
                 f"harvester_file model {loaded.name!r} has the name of a selected built-in model"
             )
-        models.append(loaded)
+        models += (loaded,)
     return models
 
 
@@ -168,7 +163,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     mc = build_mc(cfg, problems) if runs(unparsed, MC_KEYS) else None
     n_workers = _n_workers(cfg, problems)
     models = _select_harvesters(cfg, problems)
-    raise_problems(problems, ConfigError)
+    raise_problems(problems)
 
     terms = budget_terms(scenario)
     median_dbm = median_received_dbm(scenario)

@@ -86,7 +86,7 @@ class HarvesterModel:
             problems.append(
                 f"valid_range_mw must be finite with 0 < min < max, got {self.valid_range_mw}"
             )
-        raise_problems(problems, prefix=f"model {self.name!r}: ")
+        raise_problems([f"model {self.name!r}: {problem}" for problem in problems])
 
 
 def denominator_minimum(b2: float, b1: float, b0: float) -> float:
@@ -298,14 +298,12 @@ def write_model_file(model: HarvesterModel, path) -> None:
 def read_model_file(path) -> HarvesterModel:
     """Load a model previously written by ``write_model_file``."""
     entries = read_key_value_file(path)
-    missing = [key for key in MODEL_KINDS if key not in entries]
-    if missing:
-        raise ValueError(f"model file is missing keys: {', '.join(missing)}")
-    unknown = [key for key in entries if key not in MODEL_KINDS]
-    if unknown:
-        raise ValueError(f"model file has unknown keys: {', '.join(sorted(unknown))}")
     problems: list[str] = []
-    values = parse_values(entries, MODEL_KINDS, problems)
+    if missing := [key for key in MODEL_KINDS if key not in entries]:
+        problems.append(f"model file is missing keys: {', '.join(missing)}")
+    if unknown := sorted(entries.keys() - MODEL_KINDS.keys()):
+        problems.append(f"model file has unknown keys: {', '.join(unknown)}")
+    values = parse_values({k: v for k, v in entries.items() if k in MODEL_KINDS}, MODEL_KINDS, problems)
     raise_problems(problems)
     return HarvesterModel(
         values["name"], **{key: values[key] for key in COEFFICIENTS},

@@ -82,6 +82,9 @@ class LinkScenario:
             problems.append(
                 f"small_scale must be one of {SMALL_SCALE_MODES}, got {self.small_scale!r}"
             )
+        if not problems:
+            # The budget derives the fade model, so this also checks the pointing geometry.
+            attempt(problems, budget_terms, self)
         raise_problems(problems)
 
 

@@ -74,14 +74,6 @@ class MisalignmentModel:
     w_eq_m: float
     xi: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a0 <= 1.0:
-            raise ValueError(f"a0 must lie in (0, 1], got {self.a0}")
-        if not self.w_eq_m > 0.0:
-            raise ValueError(f"w_eq_m must be positive, got {self.w_eq_m}")
-        if not self.xi > 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-
 
 def derive_model(geom: PointingGeometry) -> MisalignmentModel:
     """Fold a pointing geometry into the closed-form fade model.
@@ -99,14 +91,15 @@ def derive_model(geom: PointingGeometry) -> MisalignmentModel:
             # equivalent width diverges and the fade degenerates to a constant a0.
             w_eq_sq = math.inf
         # A jitter so small that its square underflows is zero jitter.
-        if geom.sigma_s_m**2 == 0.0:
-            xi = math.inf
-        else:
-            xi = w_eq_sq / (4.0 * geom.sigma_s_m**2)
-        return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi)
-    except (ArithmeticError, ValueError):
+        xi = math.inf if geom.sigma_s_m**2 == 0.0 else w_eq_sq / (4.0 * geom.sigma_s_m**2)
+        # a0 <= 1 always holds, as erf(v) <= 1; a NaN fails these comparisons too.
+        in_range = a0 > 0.0 and w_eq_sq > 0.0 and xi > 0.0
+    except ArithmeticError:
+        in_range = False
+    if not in_range:
         given = f"beta_m = {geom.beta_m}, sigma_s_m = {geom.sigma_s_m}, r_d_m = {geom.r_d_m}"
-        raise ValueError(f"pointing geometry {given} gives a fade model outside the float64 range") from None
+        raise ValueError(f"pointing geometry {given} gives a fade model outside the float64 range")
+    return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi)
 
 
 def mean_fraction(model: MisalignmentModel) -> float:

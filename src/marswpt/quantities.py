@@ -41,10 +41,18 @@ def field_problems(obj, **rules: str) -> list[str]:
     return problems
 
 
-def raise_problems(problems: list[str], error=ValueError, prefix: str = "") -> None:
-    """Raise one ``error`` whose message is ``prefix`` and every problem, if there is one."""
+class ConfigError(ValueError):
+    """Invalid input; ``problems`` lists each violation once, as a sweep's grid points may share one."""
+
+    def __init__(self, problems: list[str]) -> None:
+        self.problems = list(dict.fromkeys(problems))
+        super().__init__(PROBLEM_SEPARATOR.join(self.problems))
+
+
+def raise_problems(problems: list[str]) -> None:
+    """Raise one ConfigError that lists every problem, if there is one."""
     if problems:
-        raise error(prefix + PROBLEM_SEPARATOR.join(problems))
+        raise ConfigError(problems)
 
 
 def lookup(registry: dict, noun: str, name: str):
@@ -56,11 +64,11 @@ def lookup(registry: dict, noun: str, name: str):
 
 
 def attempt(problems: list[str], build, *args, **kwargs):
-    """Return ``build(*args, **kwargs)``, or None after adding its ValueError to ``problems``."""
+    """Return ``build(*args, **kwargs)``, or None after adding the problems of its ValueError to ``problems``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        problems.append(str(exc))
+        problems.extend(exc.problems if isinstance(exc, ConfigError) else [str(exc)])
         return None
 
 

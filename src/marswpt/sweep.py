@@ -40,7 +40,7 @@ from .link import (
     thread_map,
 )
 from .propagation import TERRAIN_PRESETS
-from .quantities import PROBLEM_SEPARATOR, attempt, raise_problems
+from .quantities import ConfigError, attempt, raise_problems
 
 # Each axis sets one scenario key; each secondary kind is a scenario key, and its values have that key's kind.
 AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
@@ -61,30 +61,22 @@ def config_kinds(kinds: dict[str, str], secondary) -> dict[str, str]:
     return {**kinds, "secondary_values": f"tuple[{SECONDARY_KINDS[secondary]}, ...]"}
 
 
-class ConfigError(ValueError):
-    """Invalid sweep or run configuration; the message lists every violation once."""
-
-    def __init__(self, message: str) -> None:
-        # A base and its grid points may share a violation; it is listed once.
-        super().__init__(PROBLEM_SEPARATOR.join(dict.fromkeys(message.split(PROBLEM_SEPARATOR))))
-
-
 def axis_points(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
     """Evenly spaced axis grid, linear or logarithmic."""
     if count < 2:
-        raise ConfigError(f"axis_count must be at least 2, got {count}")
+        raise ConfigError([f"axis_count must be at least 2, got {count}"])
     # numpy would warn and fill the grid with NaN for an end or a width past float64.
     if not math.isfinite(hi - lo):
-        raise ConfigError(f"axis range and its width must be finite, got [{lo}, {hi}]")
+        raise ConfigError([f"axis range and its width must be finite, got [{lo}, {hi}]"])
     if not lo < hi:
-        raise ConfigError(f"axis range must satisfy min < max, got [{lo}, {hi}]")
+        raise ConfigError([f"axis range must satisfy min < max, got [{lo}, {hi}]"])
     if spacing == "linear":
         return tuple(float(x) for x in np.linspace(lo, hi, count))
     if spacing == "log":
         if not lo > 0.0:
-            raise ConfigError(f"log spacing needs a positive minimum, got {lo}")
+            raise ConfigError([f"log spacing needs a positive minimum, got {lo}"])
         return tuple(float(x) for x in np.geomspace(lo, hi, count))
-    raise ConfigError(f"axis_spacing must be 'linear' or 'log', got {spacing!r}")
+    raise ConfigError([f"axis_spacing must be 'linear' or 'log', got {spacing!r}"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +99,10 @@ class SweepSpec:
             problems.append("points must be strictly increasing")
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
+        # A repeated harvester or secondary value would write its rows twice, each with its own seed.
+        for name, values in (("harvesters", self.harvesters), ("secondary_values", self.secondary_values)):
+            if len(set(values)) < len(values):
+                problems.append(f"{name} must not repeat, got {values}")
         for name in self.harvesters:
             attempt(problems, harvester_preset, name)
         if self.secondary is None:
@@ -122,14 +118,15 @@ class SweepSpec:
                 "secondary 'area' sets a preset terrain at every grid point, so the base terrain must"
                 f" be a preset, not {self.base.terrain.name!r}: alpha and sigma_db cannot be given with it"
             )
-        # The scenario rules do the range checks. Each is an interval, so the
-        # smallest and largest point, crossed with every secondary value,
-        # break any rule that some grid point breaks.
+        # The scenario rules do the range checks, the median budget and the
+        # pointing geometry among them. Each is an interval along every axis,
+        # so the smallest and largest point, crossed with every secondary
+        # value, break any rule that some grid point breaks.
         ends = (min(self.points), max(self.points)) if self.points and self.axis in AXES else (None,)
         for value in (self.secondary_values if self.secondary in SECONDARY_KINDS else ()) or (None,):
             for point in ends:
                 attempt(problems, self.scenario_at, point, value)
-        raise_problems(problems, ConfigError)
+        raise_problems(problems)
 
     def scenario_at(self, axis_value: float | None, secondary_value) -> LinkScenario:
         """The base scenario at one grid point; a None value leaves its key unset."""
@@ -214,7 +211,7 @@ def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) ->
         # The spec's own rules do not read the Monte Carlo settings, so they run even if those failed.
         spec = attempt(problems, SweepSpec, base, values.get("harvesters", tuple(BUILTIN_HARVESTERS)),
                        values.get("axis"), points, secondary, secondary_values, mc or MonteCarloSettings())
-    raise_problems(problems, ConfigError)
+    raise_problems(problems)
     return spec
 
 

@@ -1,6 +1,6 @@
 """Closed-form references for the pointing fade, and the engine's fade draws,
 and quadrature oracles for Monte Carlo rows whose channel in dB is Gaussian,
-Gaussian minus an exponential pointing fade, or that plus Rayleigh fading.
+or Gaussian minus an exponential pointing fade, either with or without Rayleigh fading.
 
 The package samples the fade only inside the Monte Carlo engine, so the
 tests read it back from ``draw_channel`` and compare it with these
@@ -99,8 +99,9 @@ def emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_grid=40_001
     return mean, variance, p_out
 
 
-def rayleigh_emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_u=601, n_grid=8001):
-    """As ``emg_harvest_moments``, when Rayleigh small-scale fading adds
+def rayleigh_harvest_moments(inner, median_dbm, n_u=601):
+    """As ``inner(median_dbm)``, an oracle's (mean, variance, range
+    probability) at a median in dBm, when Rayleigh small-scale fading adds
     10 log10 g to the received power in dBm, with g ~ Exp(1).
 
     With u = ln g the density of u is exp(u - e^u). A trapezoid rule over
@@ -111,10 +112,7 @@ def rayleigh_emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_u=
     u = np.linspace(-40.0, 4.0, n_u)
     weight = np.exp(u - np.exp(u)) * (u[1] - u[0])
     weight[[0, -1]] *= 0.5
-    parts = np.array([
-        emg_harvest_moments(model, median_dbm + 10.0 * np.log10(np.e) * ui, sigma_db, fade_mean_db, n_grid)
-        for ui in u
-    ])
+    parts = np.array([inner(median_dbm + 10.0 * np.log10(np.e) * ui) for ui in u])
     mean = weight @ parts[:, 0]
     return mean, weight @ (parts[:, 1] + (parts[:, 0] - mean) ** 2), weight @ parts[:, 2]
 

@@ -16,7 +16,8 @@ from marswpt import link
 from marswpt.harvester import HarvesterModel, harvester_preset
 from marswpt.sweep import SweepSpec, builtin_presets
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _calls(tree, module, attr):
@@ -38,6 +39,24 @@ def test_every_rebound_attribute_exists():
     assert ("link", "harvest_samples") in hooks
     for module, attr in sorted(hooks):
         assert hasattr(importlib.import_module(f"marswpt.{module}"), attr), f"{module}.{attr}"
+
+
+def test_every_op_span_wraps_a_name_its_module_calls():
+    # An op span counts the calls that the module makes by the rebound name. A
+    # module that stopped calling it would leave the harness no op to time, and
+    # its percentiles would fail on an empty list.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    ops = {
+        (call.args[0].id, call.args[1].value) for call in _calls(tree, None, "rebind")
+        if any(kw.arg == "op" and kw.value.value is True for kw in call.keywords)
+    }
+    assert {("sweep", "estimate_harvest"), ("cli", "estimate_harvest")} <= ops
+    for module, attr in sorted(ops):
+        source = ast.parse((ROOT / "src" / "marswpt" / f"{module}.py").read_text(encoding="utf-8"))
+        assert any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == attr
+            for node in ast.walk(source)
+        ), f"{module}.py makes no call to {attr}"
 
 
 def test_every_module_call_names_an_existing_attribute():

@@ -172,7 +172,7 @@ def test_link_rejects_bad_values(capsys):
 
     code, _, err = run_cli(capsys, "link", "--harvester", "X")
     assert code == 2
-    assert "harvester must be one of A, B, C, all, or none; got 'X'" in err
+    assert err == "error: unknown harvester 'X'; valid names: A, B, C, all, none\n"
 
     code, _, err = run_cli(capsys, "link", "--n-workers", "0")
     assert code == 2
@@ -273,6 +273,14 @@ def test_link_budget_outside_float64_is_an_input_error(capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+def test_link_lists_a_geometry_problem_with_the_other_problems(capsys):
+    # The scenario checks its median budget, and with it the pointing geometry, when it is built.
+    geometry = geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+155, {DEFAULT_R_D}")
+    seed = "seed must be a 64-bit unsigned integer, got -1"
+    flags = ("--beta-m", "1", "--sigma-s-m", "1e155", "--seed", "-1")
+    assert run_cli(capsys, "link", *flags) == (2, "", f"error: {geometry}; {seed}\n")
+
+
 def test_link_lists_every_violation_at_once(capsys):
     code, _, err = run_cli(
         capsys, "link", "--distance-m", "-5", "--p-tx-w", "0", "--area", "areaX"
@@ -310,6 +318,18 @@ def test_link_model_file_with_a_pole_below_its_range_is_rejected_on_load(tmp_pat
     assert code == 2
     assert out == ""
     assert "'polar'" in err and "denominator" in err
+
+
+def test_link_model_file_lists_missing_and_unknown_keys_with_the_bad_values(tmp_path, capsys):
+    path = tmp_path / "odd.model"
+    write_model_file(HARVESTER_C, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = ["a2 = x" if line.startswith("a2 = ") else line for line in lines if not line.startswith("b0 = ")]
+    path.write_text("\n".join([*lines, "colour = red"]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "link", "--harvester", "none", "--harvester-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: model file is missing keys: b0; model file has unknown keys: colour;"
+                   " line 2: a2: could not parse 'x' as a number\n")
 
 
 def test_link_model_file_with_a_non_finite_coefficient_is_rejected(tmp_path, capsys):
@@ -415,6 +435,15 @@ def test_link_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "link", "--config", str(cfg))
     assert code == 2
     assert "bogus_key" in err and "another" in err
+
+
+def test_link_config_lists_unknown_keys_with_the_bad_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p_tx_w = abc\nbogus_key = 1\nn_samples = 0\n", encoding="utf-8")
+    assert run_cli(capsys, "link", "--config", str(cfg)) == (2, "", (
+        "error: unknown config key 'bogus_key'; line 1: p_tx_w: could not parse 'abc' as a number;"
+        " n_samples must be at least 1, got 0\n"
+    ))
 
 
 def test_config_parse_errors_carry_line_numbers(tmp_path, capsys):
@@ -550,6 +579,35 @@ def test_sweep_config_lists_every_violation(tmp_path, capsys):
     assert "n_samples" in err
     assert "unknown harvester 'Z'" in err
     assert "strictly increasing" in err
+
+
+def test_sweep_config_keeps_each_problem_whole(tmp_path, capsys):
+    # A problem may hold the separator itself, as an unknown name's list of valid names does.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("axis = p_tx\naxis_points = 1,10\nharvesters = Y, Z\n", encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(cfg)) == (2, "", (
+        "error: unknown harvester 'Y'; valid names: A, B, C; unknown harvester 'Z'; valid names: A, B, C\n"
+    ))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("axis = jitter_sigma\naxis_points = 0.1,1,1e155\nbeta_m = 1\nn_samples = 100\n",
+     geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+155, {DEFAULT_R_D}")),
+    ("axis = dust_density\naxis_points = 1,1e10,1e308\nrho_p_m = 5e-3\nn_samples = 100\n",
+     MEDIAN_OUTSIDE_FLOAT64),
+], ids=["pointing_geometry", "median_budget"])
+def test_sweep_config_checks_every_grid_point_before_the_first_row(tmp_path, capsys, monkeypatch, text, message):
+    estimates = []
+
+    def counting_estimate(*args, **kwargs):
+        estimates.append(args)
+        return estimate_harvest(*args, **kwargs)
+
+    monkeypatch.setattr("marswpt.sweep.estimate_harvest", counting_estimate)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(cfg)) == (2, "", f"error: {message}\n")
+    assert estimates == []
 
 
 def test_sweep_config_with_an_area_secondary(tmp_path, capsys):

@@ -211,8 +211,10 @@ def test_model_validation_lists_every_violation():
     assert "b2 must be finite" in message
     assert "valid_range_mw" in message
 
-    with pytest.raises(ValueError, match="denominator .*; valid_range_mw"):
+    # Each problem names its model.
+    with pytest.raises(ValueError, match="^model 'x': denominator .*; model 'x': valid_range_mw") as info:
         HarvesterModel("x", 0.0, 0.0, 1.0, -3.0, 2.0, 0.1, valid_range_mw=(1.0, 0.5))
+    assert [problem.split(": ")[0] for problem in info.value.problems] == ["model 'x'", "model 'x'"]
 
 
 def test_model_validation_rejects_bad_range():

@@ -44,7 +44,9 @@ from marswpt.link import (
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
 from marswpt.propagation import AREA1, AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
 from marswpt.quantities import RfCarrier, dbm_to_mw, watts_to_dbm
-from oracles import assert_stats_match, rayleigh_emg_harvest_moments
+from oracles import (
+    assert_stats_match, emg_harvest_moments, gaussian_harvest_moments, rayleigh_harvest_moments,
+)
 
 CARRIER = RfCarrier(2.45e9)
 R_D = default_beam_waist(CARRIER)
@@ -393,10 +395,58 @@ def test_rayleigh_link_matches_the_mixture_oracle():
     fade_mean_db = 10.0 / math.log(10.0) / derive_model(scenario.pointing).xi
     median_dbm = median_received_dbm(scenario)
     for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
-        moments = rayleigh_emg_harvest_moments(model, median_dbm, AREA2.sigma_db, fade_mean_db)
+        moments = rayleigh_harvest_moments(
+            lambda median: emg_harvest_moments(model, median, AREA2.sigma_db, fade_mean_db, n_grid=8001),
+            median_dbm,
+        )
         for seed in (1, 2, 3):
             stats = estimate_harvest(scenario, model, MonteCarloSettings(n_samples=200_000, seed=seed))
             assert_stats_match(stats, moments, f"{model.name} seed {seed}")
+
+
+@st.composite
+def link_cases(draw, jitter, small_scale):
+    """A scenario on pointing branch ``jitter`` ("off", "zero" or "positive") and ``small_scale``,
+    a built-in model, and a seed."""
+    pointing = None if jitter == "off" else PointingGeometry(
+        draw(st.floats(0.2, 2.0)), draw(st.floats(0.05, 1.0)) if jitter == "positive" else 0.0, R_D,
+    )
+    scenario = LinkScenario(
+        p_tx_w=draw(st.floats(1.0, 100.0)), distance_m=draw(st.floats(10.0, 100.0)),
+        terrain=draw(st.sampled_from([AREA1, AREA2])),
+        dust=draw(st.none() | st.builds(DustStorm, n_t_per_m3=st.floats(1e2, 1e5), rho_p_m=st.floats(1e-4, 5e-3))),
+        pointing=pointing, small_scale=small_scale,
+    )
+    model = draw(st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]))
+    return scenario, model, draw(st.integers(0, 2**64 - 1))
+
+
+# Each example holds one case of every branch, so every branch runs in every example.
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.tuples(*(link_cases(jitter, mode) for jitter in ("off", "zero", "positive")
+                   for mode in SMALL_SCALE_MODES)))
+def test_every_link_branch_matches_its_quadrature_oracle(cases):
+    # The aligned-beam fraction a0 is part of the median, so without jitter
+    # the channel in dB is Gaussian; with it, exponentially modified
+    # Gaussian; Rayleigh fading mixes either over the gain g. 6 examples of
+    # 6 cases, each with two checks at the fixed K_SE and MIN_TAIL, keep the
+    # family-wise false-alarm rate near 72 * 5.7e-7, below 1e-3.
+    for scenario, model, seed in cases:
+        sigma_db = scenario.terrain.sigma_db
+        if scenario.pointing is not None and scenario.pointing.sigma_s_m > 0.0:
+            fade_mean_db = 10.0 / math.log(10.0) / derive_model(scenario.pointing).xi
+
+            def inner(median_dbm):
+                return emg_harvest_moments(model, median_dbm, sigma_db, fade_mean_db, n_grid=8001)
+        else:
+            def inner(median_dbm):
+                return gaussian_harvest_moments(model, median_dbm, sigma_db)
+
+        median_dbm = median_received_dbm(scenario)
+        rayleigh = scenario.small_scale == "rayleigh"
+        moments = rayleigh_harvest_moments(inner, median_dbm) if rayleigh else inner(median_dbm)
+        stats = estimate_harvest(scenario, model, MonteCarloSettings(n_samples=100_000, seed=seed))
+        assert_stats_match(stats, moments, f"{scenario} {model.name} seed {seed}")
 
 
 def test_harvested_power_bounded_by_received_power():

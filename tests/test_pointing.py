@@ -1,6 +1,7 @@
 """Pointing-error geometry, collected fraction, and misalignment fading."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,12 +112,13 @@ def test_geometry_validation():
         PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=0.0)
     with pytest.raises(ValueError, match="sigma_s_m must be finite"):
         PointingGeometry(0.5, math.nan, 1.0)
-    with pytest.raises(ValueError):
-        MisalignmentModel(a0=1.2, w_eq_m=1.0, xi=1.0)
-    with pytest.raises(ValueError):
-        MisalignmentModel(a0=0.5, w_eq_m=-1.0, xi=1.0)
-    with pytest.raises(ValueError, match="xi must be positive"):
-        MisalignmentModel(a0=0.5, w_eq_m=1.0, xi=0.0)
+    # derive_model checks the fade parameters it derives and names the geometry:
+    # a0 underflows, w_eq^2 underflows, xi underflows, sigma_s_m^2 overflows.
+    for beta_m, sigma_s_m, r_d_m in ((1e-200, 0.0, R_D), (1e-163, 0.0, 1e-163), (1.0, 1e154, R_D),
+                                     (1.0, 1e155, R_D)):
+        given = f"beta_m = {beta_m}, sigma_s_m = {sigma_s_m}, r_d_m = {r_d_m}"
+        with pytest.raises(ValueError, match=f"^pointing geometry {re.escape(given)} gives a fade model"):
+            make_model(beta_m, sigma_s_m, r_d_m)
     # The jitter lives only in the geometry, so the fade model has no copy of it.
     assert "sigma_s_m" not in MisalignmentModel.__dataclass_fields__
 

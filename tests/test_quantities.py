@@ -5,9 +5,12 @@ import pytest
 
 from marswpt.quantities import (
     SPEED_OF_LIGHT_M_S,
+    ConfigError,
     RfCarrier,
+    attempt,
     dbm_to_mw,
     mw_to_dbm,
+    raise_problems,
     watts_to_dbm,
 )
 
@@ -72,3 +75,23 @@ def test_conversions_accept_arrays():
     powers = dbm_to_mw(levels)
     assert isinstance(powers, np.ndarray)
     np.testing.assert_allclose(mw_to_dbm(powers), levels, rtol=1e-12)
+
+
+def test_a_problem_list_travels_whole():
+    # A problem may hold the separator itself; repeats are dropped as whole problems.
+    unknown = "unknown harvester 'Y'; valid names: A, B, C"
+    raise_problems([])
+    with pytest.raises(ConfigError) as excinfo:
+        raise_problems([unknown, "x must be positive", unknown])
+    assert excinfo.value.problems == [unknown, "x must be positive"]
+    assert str(excinfo.value) == f"{unknown}; x must be positive"
+    # attempt adds a ConfigError's problems one by one, and any other ValueError as one problem.
+    problems = ["earlier"]
+    assert attempt(problems, raise_problems, [unknown, "x must be positive"]) is None
+    assert attempt(problems, RfCarrier, 0.0) is None
+    assert attempt(problems, float, "x") is None
+    assert attempt(problems, float, "2") == 2.0
+    assert problems == [
+        "earlier", unknown, "x must be positive", "frequency_hz must be positive, got 0.0",
+        "could not convert string to float: 'x'",
+    ]

@@ -17,10 +17,10 @@ from marswpt.link import (
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db, terrain_preset
 from marswpt.harvester import harvester_preset
+from marswpt.quantities import ConfigError
 from marswpt.sweep import (
     AXES,
     SECONDARY_KINDS,
-    ConfigError,
     SweepSpec,
     axis_points,
     builtin_presets,
@@ -88,6 +88,18 @@ def test_spec_rejects_unknown_harvester():
 def test_spec_rejects_unsorted_points():
     with pytest.raises(ConfigError, match="strictly increasing"):
         SweepSpec(LinkScenario(), ("A",), "p_tx", (2.0, 1.0))
+
+
+@pytest.mark.parametrize("keys, problem", [
+    ({"harvesters": ("A", "C", "A")}, "harvesters must not repeat, got ('A', 'C', 'A')"),
+    ({"secondary": "rho_p_m", "secondary_values": (1e-4, 1e-4)},
+     "secondary_values must not repeat, got (0.0001, 0.0001)"),
+], ids=["harvesters", "secondary_values"])
+def test_spec_rejects_repeats(keys, problem):
+    # A repeated name or value would write its rows twice, each with its own seed and numbers.
+    with pytest.raises(ConfigError) as excinfo:
+        SweepSpec(LinkScenario(), **{"harvesters": ("A",), "axis": "p_tx", "points": (1.0, 2.0), **keys})
+    assert excinfo.value.problems == [problem]
 
 
 def test_spec_rejects_secondary_mismatches():
