@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal
@@ -57,7 +58,7 @@ from .link import (
 )
 from .quantities import attempt, dbm_to_mw, lookup, raise_problems
 from .sweep import (
-    PRESETS, SECONDARY_KINDS, SWEEP_KEYS, SweepRow,
+    PRESETS, SECONDARY_KINDS, SWEEP_KEYS, SWEEP_QUANTILES, SweepRow,
     build_sweep_spec, builtin_presets, config_kinds, run_sweep,
 )
 
@@ -90,10 +91,15 @@ def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: lis
     return values, entries.keys() - values.keys()
 
 
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _n_workers(cfg: dict, problems: list[str]) -> int:
+    """The n_workers value, at most one thread per CPU: the results are the same at any count."""
     if (n_workers := cfg.get("n_workers", 1)) < 1:
         problems.append(f"n_workers must be at least 1, got {n_workers}")
-    return n_workers
+    return min(n_workers, _cpu_count())
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +124,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
             format_value(row.p_rx_median_dbm, "float"),
             format_value(stats.mean_uw, "float"),
             format_value(stats.median_uw, "float"),
-            format_value(stats.quantiles_uw[0.05], "float"),
-            format_value(stats.quantiles_uw[0.95], "float"),
+            *(format_value(stats.quantiles_uw[q], "float") for q in SWEEP_QUANTILES),
             str(stats.clamp_count),
             str(stats.extrapolated_count),
         ]))
@@ -223,11 +228,14 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # A preset is the flat keys of a config file; its run takes only Monte Carlo flags.
-    preset = lookup(PRESETS, "preset", args.preset) if args.preset is not None else {}
     problems: list[str] = []
+    # A preset is the flat keys of a config file; its run takes only Monte Carlo flags.
+    preset = attempt(problems, lookup, PRESETS, "preset", args.preset) if args.preset is not None else {}
     cfg, unparsed = _merge_config(args, _SWEEP_CONFIG_KEYS, problems)
     n_workers = _n_workers(cfg, problems)
+    if preset is None:
+        # An unknown preset gives no sweep keys, so no step that reads them runs.
+        preset, unparsed = {}, unparsed | set(SWEEP_KEYS)
     spec = build_sweep_spec({**preset, **cfg}, problems, unparsed)
 
     rows = run_sweep(spec, n_workers=n_workers)
@@ -241,10 +249,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    problems: list[str] = []
     if args.out is not None:
         # The model file must read back as written, so a name that would not is refused before any output.
-        format_values({"name": args.name}, MODEL_KINDS)
-    samples = read_samples_csv(args.samples)
+        attempt(problems, format_values, {"name": args.name}, MODEL_KINDS)
+    samples = attempt(problems, read_samples_csv, args.samples)
+    raise_problems(problems)
     model = fit_model(samples, name=args.name)
     powers = np.array([s.input_power_mw for s in samples])
     measured = np.array([s.efficiency_percent for s in samples])

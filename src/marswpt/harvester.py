@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .flatkeys import format_values, parse_values, read_key_value_file
-from .quantities import field_problems, lookup, raise_problems
+from .quantities import attempt, field_problems, lookup, raise_problems
 
 
 class FitError(RuntimeError):
@@ -56,9 +56,12 @@ class EfficiencySample:
     efficiency_percent: float
 
     def __post_init__(self) -> None:
-        problems = field_problems(self, input_power_mw="positive")
-        if math.isfinite(self.efficiency_percent) and not 0.0 <= self.efficiency_percent <= 100.0:
-            problems.append(f"efficiency_percent must lie in [0, 100], got {self.efficiency_percent}")
+        power, eff = self.input_power_mw, self.efficiency_percent
+        problems = field_problems(self, input_power_mw="positive", efficiency_percent="percent")
+        # The fit's linear stage holds P^3 and P^3 times the efficiency; numpy warns and LAPACK fails past float64.
+        if not problems and math.isinf(power * power * power * max(eff, 1.0)):
+            problems.append(f"input power {power:g} mW is too large to fit: P^3 times the efficiency must stay"
+                            f" within float64, below about {np.finfo(float).max ** (1 / 3):.3g} mW")
         raise_problems(problems)
 
 
@@ -179,11 +182,6 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     linear stage is rank-deficient or no candidate keeps the denominator
     positive for every P >= 0.
     """
-    # The linear stage holds P^3 and P^3 times the efficiency; numpy warns and LAPACK fails if they overflow.
-    for power, eff in ((s.input_power_mw, s.efficiency_percent) for s in samples):
-        if math.isinf(power * power * power * max(eff, 1.0)):
-            raise ValueError(f"input power {power:g} mW is too large to fit: P^3 times the efficiency must stay"
-                             f" within float64, below about {np.finfo(float).max ** (1 / 3):.3g} mW")
     p = np.array([s.input_power_mw for s in samples], dtype=float)
     y = np.array([s.efficiency_percent for s in samples], dtype=float)
     if np.unique(p).size < 6:
@@ -253,8 +251,8 @@ _SAMPLE_KINDS = dict.fromkeys(("input_power_mw", "efficiency_percent"), "float")
 def read_samples_csv(path) -> list[EfficiencySample]:
     """Load efficiency samples from a two-column CSV.
 
-    The header must be ``input_power_mw,efficiency_percent``. Errors carry the
-    offending 1-based line number.
+    The header must be ``input_power_mw,efficiency_percent``. One ConfigError
+    lists every problem of every line, each with its 1-based line number.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -266,19 +264,20 @@ def read_samples_csv(path) -> list[EfficiencySample]:
         if names != list(_SAMPLE_KINDS):
             raise ValueError(f"line 1: expected header {','.join(_SAMPLE_KINDS)}, got {','.join(header)}")
         samples: list[EfficiencySample] = []
+        problems: list[str] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            found: list[str] = []
             if len(row) != 2:
-                raise ValueError(f"line {lineno}: expected 2 columns, got {len(row)}")
-            problems: list[str] = []
-            entries = {key: (lineno, cell) for key, cell in zip(_SAMPLE_KINDS, row)}
-            values = parse_values(entries, _SAMPLE_KINDS, problems)
-            raise_problems(problems)
-            try:
-                samples.append(EfficiencySample(**values))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                found.append(f"expected 2 columns, got {len(row)}")
+            else:
+                entries = {key: (None, cell) for key, cell in zip(_SAMPLE_KINDS, row)}
+                values = parse_values(entries, _SAMPLE_KINDS, found)
+                if not found:
+                    samples.append(attempt(found, EfficiencySample, **values))
+            problems += [f"line {lineno}: {problem}" for problem in found]
+    raise_problems(problems)
     return samples
 
 

@@ -51,9 +51,10 @@ from .flatkeys import VALUE_KINDS
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
-from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, raise_problems, watts_to_dbm
+from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, lookup, raise_problems, watts_to_dbm
 
-SMALL_SCALE_MODES = ("off", "rayleigh")
+# What small_scale selects: whether each trial draws a Rayleigh power gain.
+SMALL_SCALE_MODES = {"off": False, "rayleigh": True}
 
 _DB_PER_LN = 10.0 / math.log(10.0)
 _OPEN_INTERVAL_EPS = 1e-16
@@ -78,10 +79,7 @@ class LinkScenario:
 
     def __post_init__(self) -> None:
         problems = field_problems(self, p_tx_w="positive", distance_m="positive")
-        if self.small_scale not in SMALL_SCALE_MODES:
-            problems.append(
-                f"small_scale must be one of {SMALL_SCALE_MODES}, got {self.small_scale!r}"
-            )
+        attempt(problems, lookup, SMALL_SCALE_MODES, "small_scale", self.small_scale)
         if not problems:
             # The budget derives the fade model, so this also checks the pointing geometry.
             attempt(problems, budget_terms, self)
@@ -328,7 +326,7 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
         x += t
     elif fade is not None:
         x += terms["pointing_db"]
-    if s.small_scale == "rayleigh":
+    if SMALL_SCALE_MODES[s.small_scale]:
         t = np.log(u[:, 2])
         np.negative(t, out=t)
         np.log(t, out=t)

@@ -22,7 +22,7 @@ def field_problems(obj, **rules: str) -> list[str]:
     """Every violation among the float fields of dataclass ``obj``.
 
     Each float field must hold a finite real number; ``rules`` names the
-    fields that must also be "positive" or "non-negative".
+    fields that must also be "positive", "non-negative" or a "percent" in [0, 100].
     """
     problems = []
     for field in fields(obj):
@@ -38,6 +38,8 @@ def field_problems(obj, **rules: str) -> list[str]:
             problems.append(f"{field.name} must be positive, got {value}")
         elif rule == "non-negative" and not value >= 0.0:
             problems.append(f"{field.name} must be non-negative, got {value}")
+        elif rule == "percent" and not 0.0 <= value <= 100.0:
+            problems.append(f"{field.name} must lie in [0, 100], got {value}")
     return problems
 
 
@@ -56,10 +58,10 @@ def raise_problems(problems: list[str]) -> None:
 
 
 def lookup(registry: dict, noun: str, name: str):
-    """``registry[name]``, or a ValueError that names every valid name."""
+    """``registry[name]``, or a ValueError that names every valid name, for an unhashable name too."""
     try:
         return registry[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown {noun} {name!r}; valid names: {', '.join(sorted(registry))}") from None
 
 

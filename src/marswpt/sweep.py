@@ -40,7 +40,7 @@ from .link import (
     thread_map,
 )
 from .propagation import TERRAIN_PRESETS
-from .quantities import ConfigError, attempt, raise_problems
+from .quantities import attempt, lookup, raise_problems
 
 # Each axis sets one scenario key; each secondary kind is a scenario key, and its values have that key's kind.
 AXES = {"p_tx": "p_tx_w", "distance": "distance_m", "dust_density": "n_t_per_m3", "jitter_sigma": "sigma_s_m"}
@@ -52,6 +52,9 @@ SWEEP_KEYS = {
     "secondary_values": "tuple[str, ...]", "harvesters": "tuple[str, ...]",
 }
 _AXIS_RANGE = ("axis_min", "axis_max", "axis_count")
+_SPACINGS = {"linear": np.linspace, "log": np.geomspace}
+# The quantiles of every sweep row: the table's p05 and p95 columns.
+SWEEP_QUANTILES = (0.05, 0.95)
 
 
 def config_kinds(kinds: dict[str, str], secondary) -> dict[str, str]:
@@ -62,21 +65,18 @@ def config_kinds(kinds: dict[str, str], secondary) -> dict[str, str]:
 
 
 def axis_points(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
-    """Evenly spaced axis grid, linear or logarithmic."""
-    if count < 2:
-        raise ConfigError([f"axis_count must be at least 2, got {count}"])
+    """Evenly spaced axis grid, linear or logarithmic; one ConfigError lists every problem."""
+    problems = [f"axis_count must be at least 2, got {count}"] if count < 2 else []
     # numpy would warn and fill the grid with NaN for an end or a width past float64.
     if not math.isfinite(hi - lo):
-        raise ConfigError([f"axis range and its width must be finite, got [{lo}, {hi}]"])
-    if not lo < hi:
-        raise ConfigError([f"axis range must satisfy min < max, got [{lo}, {hi}]"])
-    if spacing == "linear":
-        return tuple(float(x) for x in np.linspace(lo, hi, count))
-    if spacing == "log":
-        if not lo > 0.0:
-            raise ConfigError([f"log spacing needs a positive minimum, got {lo}"])
-        return tuple(float(x) for x in np.geomspace(lo, hi, count))
-    raise ConfigError([f"axis_spacing must be 'linear' or 'log', got {spacing!r}"])
+        problems.append(f"axis range and its width must be finite, got [{lo}, {hi}]")
+    elif not lo < hi:
+        problems.append(f"axis range must satisfy min < max, got [{lo}, {hi}]")
+    space = attempt(problems, lookup, _SPACINGS, "axis_spacing", spacing)
+    if spacing == "log" and not lo > 0.0:
+        problems.append(f"log spacing needs a positive minimum, got {lo}")
+    raise_problems(problems)
+    return tuple(float(x) for x in space(lo, hi, count))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,26 +91,26 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.axis not in AXES:
-            problems.append(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
+        axis_known = attempt(problems, lookup, AXES, "axis", self.axis) is not None
         if not self.points:
             problems.append("points must be non-empty")
         elif any(b <= a for a, b in zip(self.points, self.points[1:])):
             problems.append("points must be strictly increasing")
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
+        if self.mc.quantiles != SWEEP_QUANTILES:
+            problems.append(f"quantiles must be the table's {SWEEP_QUANTILES}, got {self.mc.quantiles}")
         # A repeated harvester or secondary value would write its rows twice, each with its own seed.
         for name, values in (("harvesters", self.harvesters), ("secondary_values", self.secondary_values)):
             if len(set(values)) < len(values):
                 problems.append(f"{name} must not repeat, got {values}")
         for name in self.harvesters:
             attempt(problems, harvester_preset, name)
-        if self.secondary is None:
-            if self.secondary_values:
-                problems.append("secondary_values given without a secondary kind")
-        elif self.secondary not in SECONDARY_KINDS:
-            problems.append(f"secondary must be one of {tuple(SECONDARY_KINDS)}, got {self.secondary!r}")
-        elif not self.secondary_values:
+        secondary_known = (self.secondary is not None
+                           and attempt(problems, lookup, SECONDARY_KINDS, "secondary", self.secondary) is not None)
+        if self.secondary is None and self.secondary_values:
+            problems.append("secondary_values given without a secondary kind")
+        elif secondary_known and not self.secondary_values:
             problems.append(f"secondary {self.secondary!r} needs secondary_values")
         elif self.secondary == "area" and self.base.terrain not in TERRAIN_PRESETS.values():
             # A grid point's area would replace the custom terrain unseen.
@@ -122,8 +122,8 @@ class SweepSpec:
         # pointing geometry among them. Each is an interval along every axis,
         # so the smallest and largest point, crossed with every secondary
         # value, break any rule that some grid point breaks.
-        ends = (min(self.points), max(self.points)) if self.points and self.axis in AXES else (None,)
-        for value in (self.secondary_values if self.secondary in SECONDARY_KINDS else ()) or (None,):
+        ends = (min(self.points), max(self.points)) if self.points and axis_known else (None,)
+        for value in (self.secondary_values if secondary_known else ()) or (None,):
             for point in ends:
                 attempt(problems, self.scenario_at, point, value)
         raise_problems(problems)

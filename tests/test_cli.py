@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marswpt
-from marswpt import cli
+from marswpt import cli, link
 from marswpt.cli import CSV_COLUMNS, main, rows_to_csv
 from marswpt.harvester import HARVESTER_C, efficiency_percent, write_model_file
 from marswpt.link import (
@@ -37,6 +38,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """``--n-workers 3`` runs three threads, on a machine with fewer CPUs too."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
 
 
 def run_module(cwd, module, *argv):
@@ -382,7 +389,7 @@ def test_link_rejects_a_model_file_named_like_a_selected_builtin(tmp_path, capsy
     assert set(json.loads(out)["harvesters"]) == {"A", "B"}
 
 
-def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys):
+def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys, three_cpus):
     path = tmp_path / "d.model"
     write_model_file(replace(HARVESTER_C, name="D"), path)
     reports = set()
@@ -397,7 +404,7 @@ def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys):
     assert list(json.loads(reports.pop())["harvesters"]) == ["A", "B", "C", "D"]
 
 
-def test_link_raises_the_first_model_error_at_any_worker_count(capsys):
+def test_link_raises_the_first_model_error_at_any_worker_count(capsys, three_cpus):
     # At 1050 dB of gain every model overflows; a serial run stops at A.
     for n_workers in ("1", "3"):
         code, out, err = run_cli(
@@ -406,6 +413,31 @@ def test_link_raises_the_first_model_error_at_any_worker_count(capsys):
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert err.startswith("error: model 'A' overflows at received power")
+
+
+def test_n_workers_runs_at_most_one_thread_per_cpu(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    threads, counts = set(), set()
+
+    def recording(thread_map):
+        def wrapped(fn, items, n_workers):
+            counts.add(n_workers)
+
+            def run(item):
+                threads.add(threading.get_ident())
+                return fn(item)
+
+            return thread_map(run, items, n_workers)
+
+        return wrapped
+
+    monkeypatch.setattr(link, "thread_map", recording(link.thread_map))
+    monkeypatch.setattr(cli, "thread_map", recording(cli.thread_map))
+    # Four channel blocks, and a map over the three models.
+    argv = ["link", "--json", "--n-samples", str(3 * link._BLOCK_TRIALS + 1)]
+    wide = run_cli(capsys, *argv, "--n-workers", "1000")
+    assert counts == {2} and 1 <= len(threads) <= 2
+    assert wide[0] == 0 and wide == run_cli(capsys, *argv, "--n-workers", "1")
 
 
 def test_link_config_file(tmp_path, capsys):
@@ -495,7 +527,36 @@ def test_sweep_rejects_unknown_preset(capsys):
         assert name in err
 
 
-def test_sweep_preset_writes_deterministic_csv(tmp_path, capsys):
+@pytest.mark.parametrize("argv, config, noun, name, valid", [
+    (["link", "--area", "area9"], None, "area", "area9", "area1, area2"),
+    (["link", "--harvester", "a"], None, "harvester", "a", "A, B, C, all, none"),
+    (["link", "--small-scale", "Rayleigh"], None, "small_scale", "Rayleigh", "off, rayleigh"),
+    (["sweep", "--preset", "fig9"], None, "preset", "fig9", ", ".join(sorted(PRESETS))),
+    (["sweep"], "axis = speed\naxis_points = 1,10\n", "axis", "speed",
+     "distance, dust_density, jitter_sigma, p_tx"),
+    (["sweep"], "axis = p_tx\naxis_min = 1\naxis_max = 10\naxis_count = 3\naxis_spacing = cubic\n",
+     "axis_spacing", "cubic", "linear, log"),
+    (["sweep"], "axis = p_tx\naxis_points = 1,10\nsecondary = gain\nsecondary_values = 1\n",
+     "secondary", "gain", "area, beta_m, rho_p_m"),
+], ids=["area", "harvester", "small_scale", "preset", "axis", "axis_spacing", "secondary"])
+def test_every_named_choice_prints_the_lookup_line(tmp_path, capsys, argv, config, noun, name, valid):
+    if config is not None:
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    assert run_cli(capsys, *argv, "--n-samples", "8") == (
+        2, "", f"error: unknown {noun} {name!r}; valid names: {valid}\n"
+    )
+
+
+def test_sweep_lists_an_unknown_preset_with_the_other_problems(capsys):
+    assert run_cli(capsys, "sweep", "--preset", "fig9", "--n-samples", "0") == (2, "", (
+        "error: unknown preset 'fig9'; valid names: fig3a, fig3b, fig5a, fig5b, fig6a, fig6b, fig7a, fig7b;"
+        " n_samples must be at least 1, got 0\n"
+    ))
+
+
+def test_sweep_preset_writes_deterministic_csv(tmp_path, capsys, three_cpus):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     threaded = tmp_path / "c.csv"
@@ -575,7 +636,7 @@ def test_sweep_config_lists_every_violation(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 2
-    assert "axis must be one of" in err
+    assert "unknown axis 'speed'; valid names: distance, dust_density, jitter_sigma, p_tx" in err
     assert "n_samples" in err
     assert "unknown harvester 'Z'" in err
     assert "strictly increasing" in err
@@ -921,9 +982,69 @@ def test_fit_refuses_a_power_whose_cube_overflows_in_one_line(tmp_path, power_mw
     result = run_module(tmp_path, "marswpt.cli", "fit", str(samples))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
-        f"error: input power {float(power_mw):g} mW is too large to fit: P^3 times the efficiency"
+        f"error: line 10: input power {float(power_mw):g} mW is too large to fit: P^3 times the efficiency"
         " must stay within float64, below about 5.64e+102 mW\n"
     )
+
+
+def test_fit_lists_every_problem_of_every_line(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("input_power_mw,efficiency_percent\n1,x\n2,3\n-3,200\n", encoding="utf-8")
+    assert run_cli(capsys, "fit", str(samples)) == (2, "", (
+        "error: line 2: efficiency_percent: could not parse 'x' as a number;"
+        " line 4: input_power_mw must be positive, got -3.0;"
+        " line 4: efficiency_percent must lie in [0, 100], got 200.0\n"
+    ))
+    # A row of the wrong width, and a --name that the model file could not give back, are listed with them.
+    with open(samples, "a", encoding="utf-8") as handle:
+        handle.write("4,5,6\n")
+    model_path = tmp_path / "out.model"
+    code, out, err = run_cli(capsys, "fit", str(samples), "--name", " x", "--out", str(model_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: name: ' x' would not read back as written; line 2: ")
+    assert err.endswith("; line 5: expected 2 columns, got 3\n")
+    assert not model_path.exists()
+
+
+SAMPLE_POWERS = st.floats(1e-6, 1e6)
+SAMPLE_EFFICIENCIES = st.floats(0.0, 100.0)
+BAD_CELLS = st.sampled_from(["x", "", "0", "-1", "101", "1e400"])
+
+
+@st.composite
+def samples_files(draw):
+    """Sample CSV text: random or noisy built-in efficiencies, repeated powers, and now and then a bad cell."""
+    powers = draw(st.lists(SAMPLE_POWERS, min_size=4, max_size=16))
+    powers += draw(st.lists(st.sampled_from(powers), max_size=8))
+    curve = draw(st.sampled_from([None, "A", "B", "C"]))
+    rows = []
+    for power in powers:
+        eff = draw(SAMPLE_EFFICIENCIES)
+        if curve is not None:
+            eff = float(np.clip(efficiency_percent(harvester_preset(curve), power) + eff / 100.0 - 0.5, 0.0, 100.0))
+        rows.append([repr(power), repr(eff)])
+    if draw(st.integers(0, 4)) == 4:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(BAD_CELLS)
+    return "\n".join(["input_power_mw,efficiency_percent", *map(",".join, rows)]) + "\n"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(text=samples_files())
+def test_fit_gives_a_model_or_one_error_line_for_any_samples_file(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fit") / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", str(path)])
+    assert caught == []
+    if code == 0:
+        assert out.getvalue().startswith("fitted model 'fitted' over [")
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def test_fit_degenerate_curve_is_runtime_error(tmp_path, capsys):

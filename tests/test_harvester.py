@@ -26,6 +26,7 @@ from marswpt.harvester import (
     read_samples_csv,
     write_model_file,
 )
+from marswpt.quantities import ConfigError
 
 MEDIAN_RX_10W_MW = 0.08583935989573008
 
@@ -231,6 +232,12 @@ def test_sample_validation():
         EfficiencySample(1.0, -0.5)
     with pytest.raises(ValueError):
         EfficiencySample(1.0, 100.5)
+    # Every field is checked, a field that is not a number too.
+    with pytest.raises(ConfigError) as excinfo:
+        EfficiencySample(-1.0, "50")
+    assert excinfo.value.problems == [
+        "input_power_mw must be positive, got -1.0", "efficiency_percent must be a number, got '50'",
+    ]
 
 
 # ---------------------------------------------------------------------------

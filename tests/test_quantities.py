@@ -9,6 +9,7 @@ from marswpt.quantities import (
     RfCarrier,
     attempt,
     dbm_to_mw,
+    lookup,
     mw_to_dbm,
     raise_problems,
     watts_to_dbm,
@@ -95,3 +96,10 @@ def test_a_problem_list_travels_whole():
         "earlier", unknown, "x must be positive", "frequency_hz must be positive, got 0.0",
         "could not convert string to float: 'x'",
     ]
+
+
+@pytest.mark.parametrize("name", ["c", ["A"], None])
+def test_lookup_names_every_valid_name_for_any_unknown_name(name):
+    with pytest.raises(ValueError) as excinfo:
+        lookup({"B": 2, "A": 1}, "harvester", name)
+    assert str(excinfo.value) == f"unknown harvester {name!r}; valid names: A, B"

@@ -61,6 +61,21 @@ def test_axis_points_validation():
         axis_points(1.0, 10.0, 5, "cubic")
 
 
+def test_axis_points_lists_every_problem():
+    with pytest.raises(ConfigError) as excinfo:
+        axis_points(10.0, 1.0, 1, "cubic")
+    assert excinfo.value.problems == [
+        "axis_count must be at least 2, got 1",
+        "axis range must satisfy min < max, got [10.0, 1.0]",
+        "unknown axis_spacing 'cubic'; valid names: linear, log",
+    ]
+    with pytest.raises(ConfigError) as excinfo:
+        axis_points(-1.0, -2.0, 3, "log")
+    assert excinfo.value.problems == [
+        "axis range must satisfy min < max, got [-1.0, -2.0]", "log spacing needs a positive minimum, got -1.0",
+    ]
+
+
 @pytest.mark.parametrize("lo, hi", [(10.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0), (-1e308, 1e308)])
 def test_axis_points_rejects_an_end_or_a_width_past_float64(lo, hi):
     # Every warning fails a test, so numpy's overflow warning would fail this too.
@@ -74,8 +89,9 @@ def test_axis_points_rejects_an_end_or_a_width_past_float64(lo, hi):
 
 
 def test_spec_rejects_unknown_axis():
-    with pytest.raises(ConfigError, match="axis must be one of"):
+    with pytest.raises(ConfigError) as excinfo:
         SweepSpec(LinkScenario(), ("A",), "speed", (1.0, 2.0))
+    assert excinfo.value.problems == ["unknown axis 'speed'; valid names: distance, dust_density, jitter_sigma, p_tx"]
 
 
 def test_spec_rejects_unknown_harvester():
@@ -107,8 +123,9 @@ def test_spec_rejects_secondary_mismatches():
         SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary_values=(1.0,))
     with pytest.raises(ConfigError, match="needs secondary_values"):
         SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary="rho_p_m")
-    with pytest.raises(ConfigError, match="secondary must be one of"):
+    with pytest.raises(ConfigError) as excinfo:
         SweepSpec(LinkScenario(), ("A",), "p_tx", (1.0, 2.0), secondary="gain", secondary_values=(1.0,))
+    assert excinfo.value.problems == ["unknown secondary 'gain'; valid names: area, beta_m, rho_p_m"]
     with pytest.raises(ConfigError, match="unknown area"):
         SweepSpec(
             LinkScenario(), ("A",), "p_tx", (1.0, 2.0),
@@ -170,11 +187,20 @@ def test_integer_secondary_values_give_the_bytes_of_floats():
     assert str(excinfo.value) == "unknown harvester 'Z'; valid names: A, B, C; rho_p_m must be a number, got 'x'"
 
 
+def test_spec_quantiles_are_the_table_columns():
+    # The CSV writes a p05 and a p95 column, so any other quantiles are refused with the other problems.
+    with pytest.raises(ConfigError) as excinfo:
+        SweepSpec(LinkScenario(), ("A",), "p_tx", (2.0, 1.0), mc=MonteCarloSettings(quantiles=(0.5,)))
+    assert excinfo.value.problems == [
+        "points must be strictly increasing", "quantiles must be the table's (0.05, 0.95), got (0.5,)",
+    ]
+
+
 def test_spec_collects_every_violation():
     with pytest.raises(ConfigError) as excinfo:
         SweepSpec(LinkScenario(), (), "speed", (2.0, 1.0))
     message = str(excinfo.value)
-    assert "axis must be one of" in message
+    assert "unknown axis 'speed'; valid names: " in message
     assert "strictly increasing" in message
     assert "harvesters must be non-empty" in message
     with pytest.raises(ConfigError, match="points must be non-empty"):
