@@ -18,12 +18,12 @@ any non-negative power up to about 5e102 mW. Past that the cubic overflows a
 float64, and ``raw_efficiency_percent`` raises ValueError rather than return a
 wrong number.
 
-``fit_model`` recovers coefficients from measured (power, efficiency) points:
-a linear least-squares stage on the relinearized identity
-eta*(P^3+b2 P^2+b1 P+b0) = a2 P^2+a1 P+a0, then a nonlinear refinement of
-the true residual, which always runs and is penalized against denominator
-sign changes inside the sample range. Only candidates that obey the domain
-rule are kept.
+``fit_model`` recovers coefficients from measured (power, efficiency) points.
+Sanathanan-Koerner steps reweight a linear least-squares solve of the
+relinearized identity eta*(P^3+b2 P^2+b1 P+b0) = a2 P^2+a1 P+a0, and one
+nonlinear polish of the true residual starts from the best step. One objective,
+the sum of squared sample errors, ranks every candidate; one rule,
+``denominator_minimum``, both rejects candidates and penalizes the polish.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class FitError(RuntimeError):
     """Raised when no acceptable rational model can be fitted."""
 
 
-_DEN_GRID_SIZE = 2048
+# Sanathanan-Koerner reweighting steps of the fit's linear stage.
+_SK_STEPS = 30
 # The coefficient fields of HarvesterModel, in model-file and report order.
 COEFFICIENTS = ("a2", "a1", "a0", "b2", "b1", "b0")
 
@@ -160,14 +161,6 @@ def is_extrapolated(model: HarvesterModel, p_rx_mw):
     return (p < lo) | (p > hi)
 
 
-def _stage1_coefficients(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    design = np.column_stack([p**2, p, np.ones_like(p), -y * p**2, -y * p, -y])
-    coef, _, rank, _ = np.linalg.lstsq(design, y * p**3, rcond=None)
-    if rank < 6:
-        raise FitError(f"linear stage is rank-deficient (rank {rank} of 6)")
-    return coef
-
-
 def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
     num = (coef[0] * p + coef[1]) * p + coef[2]
     den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
@@ -177,6 +170,11 @@ def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> HarvesterModel:
     """Fit a rational efficiency model to measured samples.
+
+    Each linear step weights its rows by 1/|den| of the previous step. If no
+    step's denominator is positive for every P >= 0, the last step's b0 is
+    lifted past its minimum and the numerator re-solved. The polish is kept
+    only if it lowers the sum of squared sample errors.
 
     Requires at least 6 distinct input powers. Raises FitError when the
     linear stage is rank-deficient or no candidate keeps the denominator
@@ -189,56 +187,41 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
             f"need at least 6 distinct input powers to fit, got {np.unique(p).size}"
         )
 
-    grid = np.unique(np.concatenate([p, np.geomspace(p.min(), p.max(), _DEN_GRID_SIZE)]))
-    grid_scale = ((grid + 1.0) * grid + 1.0) * grid + 1.0
-
-    def den_on_grid(coef: np.ndarray) -> np.ndarray:
-        return ((grid + coef[3]) * grid + coef[4]) * grid + coef[5]
-
-    stage1 = _stage1_coefficients(p, y)
-    candidates = [stage1]
-
-    start = stage1
-    min_den = den_on_grid(stage1).min()
-    if min_den <= 0.0:
-        # Lift the constant term past the worst dip, then re-solve the
-        # numerator for that now-positive denominator.
-        start = stage1.copy()
-        start[5] += -min_den + 1e-6 * grid_scale.max()
-        den_fixed = ((p + start[3]) * p + start[4]) * p + start[5]
-        numer_design = np.column_stack([p**2, p, np.ones_like(p)])
-        start[:3] = np.linalg.lstsq(numer_design, y * den_fixed, rcond=None)[0]
-        candidates.insert(0, start)
-
-    def residuals_with_margin(margin: float):
-        def residuals(coef: np.ndarray) -> np.ndarray:
-            penalty = np.minimum(den_on_grid(coef) / grid_scale - margin, 0.0) * 1e6
-            return np.concatenate([_rational(coef, p) - y, penalty])
-
-        return residuals
-
-    # Two refinements: one barely constrained, one that keeps the
-    # denominator well clear of zero. Noisy data can lure the first into
-    # a near-pole basin; the second stays smooth at a small cost in
-    # sample residual, and the ranking below arbitrates.
-    for margin in (1e-6, 1e-3):
-        solution = least_squares(
-            residuals_with_margin(margin), start, method="trf", ftol=1e-9, max_nfev=1400
-        )
-        candidates.insert(0, solution.x)
-
-    # Rank by the worst sample error; the domain rule keeps poles out of the range.
-    best: np.ndarray | None = None
-    best_score = np.inf
-    for coef in candidates:
+    def score(coef: np.ndarray) -> float:
         if not denominator_minimum(*coef[3:]) > 0.0:
-            continue
-        score = float(np.abs(_rational(coef, p) - y).max())
-        if score < best_score:
-            best, best_score = coef, score
-    if best is None:
-        raise FitError("no candidate keeps the denominator positive for every P >= 0")
+            return math.inf
+        return float(np.sum((_rational(coef, p) - y) ** 2))
 
+    design = np.column_stack([p**2, p, np.ones_like(p), -y * p**2, -y * p, -y])
+    weights = np.ones_like(p)
+    candidates = []
+    for _ in range(_SK_STEPS):
+        coef, _, rank, _ = np.linalg.lstsq(design * weights[:, None], y * p**3 * weights, rcond=None)
+        if rank < 6 and not candidates:
+            raise FitError(f"linear stage is rank-deficient (rank {rank} of 6)")
+        candidates.append(coef)
+        den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
+        if np.any(den == 0.0):
+            break
+        weights = 1.0 / np.abs(den)
+
+    start = min(candidates, key=score)
+    if score(start) == math.inf:
+        start = candidates[-1].copy()
+        start[5] += 1e-4 * (p.max() ** 3 + 1.0) - denominator_minimum(*start[3:])
+        den = ((p + start[3]) * p + start[4]) * p + start[5]
+        start[:3] = np.linalg.lstsq(design[:, :3], y * den, rcond=None)[0]
+        if score(start) == math.inf:
+            raise FitError("no candidate keeps the denominator positive for every P >= 0")
+
+    floor = 1e-3 * denominator_minimum(*start[3:])
+
+    def residuals(coef: np.ndarray) -> np.ndarray:
+        penalty = min(denominator_minimum(*coef[3:]) - floor, 0.0) * 1e6
+        return np.append(_rational(coef, p) - y, penalty)
+
+    polished = least_squares(residuals, start, method="trf", ftol=1e-9, max_nfev=1400).x
+    best = min((start, polished), key=score)
     return HarvesterModel(
         name, **{key: float(value) for key, value in zip(COEFFICIENTS, best)},
         valid_range_mw=(float(p.min()), float(p.max())),
