@@ -115,10 +115,10 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
             format_value(row.axis_value, "float"),
             row.secondary or "",
             "" if row.secondary is None else format_value(row.secondary_value, SECONDARY_KINDS[row.secondary]),
-            row.area,
+            row.scenario.terrain.name,
             row.harvester,
-            format_value(row.p_tx_w, "float"),
-            format_value(row.distance_m, "float"),
+            format_value(row.scenario.p_tx_w, "float"),
+            format_value(row.scenario.distance_m, "float"),
             str(stats.n_samples),
             str(stats.seed),
             format_value(row.p_rx_median_dbm, "float"),
@@ -153,12 +153,13 @@ def _select_harvesters(cfg: dict, problems: list[str]) -> tuple[HarvesterModel, 
 
 
 def _quantile_label(q: float) -> str:
-    """``p05`` for a whole percent, else ``q``'s repr shifted two places, such as ``p99.5``.
+    """``p05`` for a whole percent, else ``q``'s repr shifted two places, such as ``p99.5`` or ``p1E-318``.
 
-    The shift keeps every digit of the repr, so distinct quantiles get distinct labels.
+    The shift keeps every digit of the repr, so distinct quantiles get distinct labels, and
+    Decimal's own string writes a tiny percent with an exponent rather than hundreds of zeros.
     """
     percent = Decimal(repr(q)).scaleb(2)
-    return f"p{int(percent):02d}" if percent == int(percent) else f"p{percent.normalize():f}"
+    return f"p{int(percent):02d}" if percent == int(percent) else f"p{percent.normalize()}"
 
 
 def cmd_link(args: argparse.Namespace) -> int:

@@ -5,6 +5,7 @@ and the writer whose text they give back bit for bit. Config, model and CSV file
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 
 from .quantities import raise_problems
 
@@ -18,6 +19,11 @@ VALUE_KINDS = {
     "tuple[str, ...]": (lambda text: tuple(cell.strip() for cell in text.split(",") if cell.strip()),
                         "comma-separated names"),
 }
+
+
+def field_kinds(cls, kinds=VALUE_KINDS) -> dict[str, str]:
+    """The fields of dataclass ``cls`` whose kind is among ``kinds``, with their kind, in field order."""
+    return {f.name: f.type for f in fields(cls) if f.type in kinds}
 
 
 def read_key_value_file(path) -> dict[str, tuple[int, str]]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .flatkeys import format_values, parse_values, read_key_value_file
+from .flatkeys import field_kinds, format_values, parse_values, read_key_value_file
 from .quantities import attempt, field_problems, lookup, raise_problems
 
 
@@ -45,8 +45,6 @@ class FitError(RuntimeError):
 
 # Sanathanan-Koerner reweighting steps of the fit's linear stage.
 _SK_STEPS = 30
-# The coefficient fields of HarvesterModel, in model-file and report order.
-COEFFICIENTS = ("a2", "a1", "a0", "b2", "b1", "b0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +89,14 @@ class HarvesterModel:
                 f"valid_range_mw must be finite with 0 < min < max, got {self.valid_range_mw}"
             )
         raise_problems([f"model {self.name!r}: {problem}" for problem in problems])
+
+
+# The name and coefficient fields of HarvesterModel and their kinds, in model-file order.
+_MODEL_FIELDS = field_kinds(HarvesterModel)
+# The coefficient fields of HarvesterModel, in model-file and report order.
+COEFFICIENTS = tuple(field_kinds(HarvesterModel, ("float",)))
+# The flat keys of a model file and their kinds: the fields above, then valid_range_mw as two keys.
+MODEL_KINDS = {**_MODEL_FIELDS, "valid_min_mw": "float", "valid_max_mw": "float"}
 
 
 def denominator_minimum(b2: float, b1: float, b0: float) -> float:
@@ -228,7 +234,8 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     )
 
 
-_SAMPLE_KINDS = dict.fromkeys(("input_power_mw", "efficiency_percent"), "float")
+# The columns of a samples CSV, in header order, and their kinds.
+_SAMPLE_KINDS = field_kinds(EfficiencySample)
 
 
 def read_samples_csv(path) -> list[EfficiencySample]:
@@ -264,13 +271,9 @@ def read_samples_csv(path) -> list[EfficiencySample]:
     return samples
 
 
-# The flat keys of a model file and their kinds (see flatkeys.VALUE_KINDS).
-MODEL_KINDS = {"name": "str", **dict.fromkeys((*COEFFICIENTS, "valid_min_mw", "valid_max_mw"), "float")}
-
-
 def write_model_file(model: HarvesterModel, path) -> None:
     """Persist a model as text that ``read_model_file`` gives back bit for bit, or raise before opening the file."""
-    values = {"name": model.name, **{key: getattr(model, key) for key in COEFFICIENTS}}
+    values = {key: getattr(model, key) for key in _MODEL_FIELDS}
     values["valid_min_mw"], values["valid_max_mw"] = model.valid_range_mw
     text = format_values(values, MODEL_KINDS)
     with open(path, "w", encoding="utf-8") as handle:
@@ -288,6 +291,6 @@ def read_model_file(path) -> HarvesterModel:
     values = parse_values({k: v for k, v in entries.items() if k in MODEL_KINDS}, MODEL_KINDS, problems)
     raise_problems(problems)
     return HarvesterModel(
-        values["name"], **{key: values[key] for key in COEFFICIENTS},
+        **{key: values[key] for key in _MODEL_FIELDS},
         valid_range_mw=(values["valid_min_mw"], values["valid_max_mw"]),
     )

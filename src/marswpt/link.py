@@ -25,15 +25,18 @@ transforms stay finite.
 Stages
 ------
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
-power in dBm and mW. It does not depend on the harvester.
-``harvest_samples(model, channel)`` evaluates one model on it, trial by
-trial, into the one n-sized array an estimate owns, and counts the clamped
-and extrapolated trials block by block. ``estimate_harvest`` takes the mean
-of that array in trial order, then sorts it in place for the median and
-quantiles, and returns a ``HarvestStats``. Callers that compare models draw
-the channel once and pass it to ``estimate_harvest`` for each, with the same
-result as a fresh draw; the channel is read-only, so the models can reduce it
-side by side on ``thread_map``.
+power in dBm and mW, and the mean received dBm, computed once. It does not
+depend on the harvester, and it raises ValueError when a trial or that mean
+overflows float64. ``harvest_samples(model, channel)`` evaluates one model
+on it, trial by trial, into the one n-sized array an estimate owns, and
+counts the clamped and extrapolated trials block by block.
+``estimate_harvest`` checks that the channel was drawn for its scenario and
+settings, takes the mean of that array in trial order, then sorts it in
+place for the median and quantiles, and returns a ``HarvestStats`` with the
+channel's mean dBm. Callers that compare models draw the channel once and
+pass it to ``estimate_harvest`` for each, with the same result as a fresh
+draw; the channel is read-only, so the models can reduce it side by side on
+``thread_map``.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .flatkeys import VALUE_KINDS
+from .flatkeys import field_kinds
 from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
@@ -86,11 +89,6 @@ class LinkScenario:
         raise_problems(problems)
 
 
-def _flat_keys(cls, kinds=VALUE_KINDS) -> dict[str, str]:
-    """The fields of dataclass ``cls`` whose kind is among ``kinds``, with their kind."""
-    return {f.name: f.type for f in fields(cls) if f.type in kinds}
-
-
 # The parts of a LinkScenario whose float fields are flat keys of scenario_with.
 _SCENARIO_PARTS = {
     "carrier": RfCarrier, "terrain": TerrainProfile, "dust": DustStorm, "pointing": PointingGeometry,
@@ -98,8 +96,8 @@ _SCENARIO_PARTS = {
 # Every flat key of scenario_with and its kind (see flatkeys.VALUE_KINDS):
 # the scenario's own fields, area, and the float fields of its parts.
 SCENARIO_KEYS = {
-    **_flat_keys(LinkScenario), "area": "str",
-    **{key: "float" for cls in _SCENARIO_PARTS.values() for key in _flat_keys(cls, ("float",))},
+    **field_kinds(LinkScenario), "area": "str",
+    **{key: "float" for cls in _SCENARIO_PARTS.values() for key in field_kinds(cls, ("float",))},
 }
 
 
@@ -113,7 +111,7 @@ def scenario_with(s: LinkScenario, **values) -> LinkScenario:
     every violation.
     """
     given = {
-        part: {key: values.pop(key) for key in _flat_keys(cls, ("float",)) if key in values}
+        part: {key: values.pop(key) for key in field_kinds(cls, ("float",)) if key in values}
         for part, cls in _SCENARIO_PARTS.items()
     }
     problems: list[str] = []
@@ -164,7 +162,7 @@ class MonteCarloSettings:
 
 
 # Every flat key of MonteCarloSettings and its kind.
-MC_KEYS = _flat_keys(MonteCarloSettings)
+MC_KEYS = field_kinds(MonteCarloSettings)
 
 
 def build_mc(values: dict, problems: list[str]) -> MonteCarloSettings | None:
@@ -197,13 +195,13 @@ class HarvestSamples:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Channel:
-    """Per-trial received power of one scenario and seed; read-only, shared by models."""
+    """Per-trial received power of one scenario and seed, and its mean in dBm; read-only, shared by models."""
 
     scenario: LinkScenario
     seed: int
-    n: int
     p_rx_dbm: np.ndarray
     p_mw: np.ndarray
+    mean_p_rx_dbm: float
 
 
 def _ordered_sum(terms: dict[str, float]) -> float:
@@ -276,8 +274,6 @@ def thread_map(fn, items, n_workers: int) -> list:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     items = list(items)
     n_helpers = min(n_workers, len(items)) - 1
-    if n_helpers < 1:
-        return [fn(item) for item in items]
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     # next() on a count is one atomic step under the GIL.
@@ -361,17 +357,23 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
                 raise ValueError(f"received power overflows float64 in a trial (median {median:.6g} dBm)") from None
 
     thread_map(fill, range(0, n, _BLOCK_TRIALS), n_workers)
+    # Each trial is finite, but the sum behind a mean of huge dBm values may not be.
+    with np.errstate(over="raise"):
+        try:
+            mean_p_rx_dbm = float(np.mean(p_rx_dbm))
+        except FloatingPointError:
+            raise ValueError("the mean received power in dBm overflows float64") from None
     p_rx_dbm.flags.writeable = p_mw.flags.writeable = False
-    return Channel(s, mc.seed, n, p_rx_dbm, p_mw)
+    return Channel(s, mc.seed, p_rx_dbm, p_mw, mean_p_rx_dbm)
 
 
 def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
     """Every trial's harvested power for ``model`` on ``channel``, and its clamp and range counts."""
-    p_h_uw = np.empty(channel.n)
+    p_h_uw = np.empty(channel.p_mw.size)
     clamped = extrapolated = 0
     # One thread: a model block is a few short ufuncs, and handing the GIL
     # over after each one costs more than a second core saves.
-    for start in range(0, channel.n, _BLOCK_TRIALS):
+    for start in range(0, p_h_uw.size, _BLOCK_TRIALS):
         block = slice(start, start + _BLOCK_TRIALS)
         p_mw = channel.p_mw[block]
         raw = raw_efficiency_percent(model, p_mw)
@@ -399,23 +401,17 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
     """Monte Carlo summary over ``mc.n_samples`` trials, on ``channel`` when given."""
     if channel is None:
         channel = draw_channel(s, mc)
-    elif (channel.scenario, channel.seed, channel.n) != (s, mc.seed, mc.n_samples):
-        raise ValueError(f"channel (seed {channel.seed}, n {channel.n}) was not drawn for {s} at {mc}")
+    elif (channel.scenario, channel.seed, channel.p_mw.size) != (s, mc.seed, mc.n_samples):
+        raise ValueError(f"channel (seed {channel.seed}, n {channel.p_mw.size}) was not drawn for {s} at {mc}")
     draws = harvest_samples(model, channel)
     # The mean sums the trials in their own order, before the reduce sorts them.
     mean_uw = float(np.mean(draws.p_h_uw))
     median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
-    # Each trial is finite, but the sum behind a mean of huge dBm values may not be.
-    with np.errstate(over="raise"):
-        try:
-            mean_p_rx_dbm = float(np.mean(channel.p_rx_dbm))
-        except FloatingPointError:
-            raise ValueError("the mean received power in dBm overflows float64") from None
     return HarvestStats(
         mean_uw=mean_uw,
         median_uw=median_uw,
         quantiles_uw=quantiles_uw,
-        mean_p_rx_dbm=mean_p_rx_dbm,
+        mean_p_rx_dbm=channel.mean_p_rx_dbm,
         clamp_count=draws.clamp_count,
         extrapolated_count=draws.extrapolated_count,
         n_samples=mc.n_samples,

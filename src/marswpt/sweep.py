@@ -3,7 +3,9 @@
 A sweep varies one axis (transmit power, distance, dust density, or pointing
 jitter), optionally crossed with a secondary parameter (particle radius,
 aperture radius, or terrain area), and runs the Monte Carlo estimator for
-each requested harvester at every grid point. Rows are emitted axis-major,
+each requested harvester at every grid point. The sweep is point-major: each
+grid point's scenario and median received power are computed once, and each
+of its harvester rows carries that scenario. Rows are emitted axis-major,
 then secondary, then harvester, and each row draws from its own substream
 derived from (seed, row index), so tables are reproducible regardless of
 execution order. Each axis sets one scenario key, a secondary kind is one,
@@ -18,6 +20,7 @@ density, distance, and jitter deviation, for each of the two terrain areas).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -140,10 +143,8 @@ class SweepRow:
     axis_value: float
     secondary: str | None
     secondary_value: float | str | None
-    area: str
+    scenario: LinkScenario
     harvester: str
-    p_tx_w: float
-    distance_m: float
     p_rx_median_dbm: float
     stats: HarvestStats
 
@@ -151,32 +152,18 @@ class SweepRow:
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     """Run every grid point; rows ordered axis-major, then secondary, then harvester."""
     secondary_values = spec.secondary_values if spec.secondary is not None else (None,)
-
     jobs = []
-    row_index = 0
-    for axis_value in spec.points:
-        for secondary_value in secondary_values:
-            scenario = spec.scenario_at(axis_value, secondary_value)
-            for name in spec.harvesters:
-                mc_row = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, row_index))
-                jobs.append((axis_value, secondary_value, scenario, name, mc_row))
-                row_index += 1
+    for axis_value, secondary_value in itertools.product(spec.points, secondary_values):
+        scenario = spec.scenario_at(axis_value, secondary_value)
+        point = (axis_value, secondary_value, scenario, median_received_dbm(scenario))
+        for name in spec.harvesters:
+            mc_row = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, len(jobs)))
+            jobs.append((point, name, mc_row))
 
     def run_job(job) -> SweepRow:
-        axis_value, secondary_value, scenario, name, mc_row = job
+        (axis_value, secondary_value, scenario, median_dbm), name, mc_row = job
         stats = estimate_harvest(scenario, harvester_preset(name), mc_row)
-        return SweepRow(
-            axis=spec.axis,
-            axis_value=axis_value,
-            secondary=spec.secondary,
-            secondary_value=secondary_value,
-            area=scenario.terrain.name,
-            harvester=name,
-            p_tx_w=scenario.p_tx_w,
-            distance_m=scenario.distance_m,
-            p_rx_median_dbm=median_received_dbm(scenario),
-            stats=stats,
-        )
+        return SweepRow(spec.axis, axis_value, spec.secondary, secondary_value, scenario, name, median_dbm, stats)
 
     return thread_map(run_job, jobs, n_workers)
 

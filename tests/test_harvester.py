@@ -315,7 +315,8 @@ def test_read_samples_csv(tmp_path):
 def test_read_samples_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "samples.csv"
     write_text(path, "power,eta\n1.0,66.7\n")
-    with pytest.raises(ValueError, match="line 1"):
+    # The header is the EfficiencySample fields, in their order.
+    with pytest.raises(ValueError, match="^line 1: expected header input_power_mw,efficiency_percent, got power,eta$"):
         read_samples_csv(path)
 
 
@@ -357,7 +358,7 @@ def test_read_samples_csv_rejects_non_finite_values(tmp_path):
 def test_read_samples_csv_empty_file(tmp_path):
     path = tmp_path / "samples.csv"
     write_text(path, "")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="^line 1: empty file, expected header input_power_mw,efficiency_percent$"):
         read_samples_csv(path)
 
 
@@ -374,6 +375,23 @@ def test_model_file_round_trip(tmp_path):
     grid = np.geomspace(*fitted.valid_range_mw, 200)
     np.testing.assert_array_equal(
         efficiency_percent(reloaded, grid), efficiency_percent(fitted, grid)
+    )
+
+
+def test_model_file_text_is_pinned(tmp_path):
+    # Name, the coefficients in field order, then the certified range, each float in 17 digits.
+    path = tmp_path / "a.model"
+    write_model_file(HARVESTER_A, path)
+    assert path.read_bytes() == (
+        b"name = A\n"
+        b"a2 = 100.09999999999999\n"
+        b"a1 = 181.19999999999999\n"
+        b"a0 = -0.044299999999999999\n"
+        b"b2 = -0.067400000000000002\n"
+        b"b1 = 3.1850000000000001\n"
+        b"b0 = 0.10100000000000001\n"
+        b"valid_min_mw = 0.029999999999999999\n"
+        b"valid_max_mw = 10\n"
     )
 
 

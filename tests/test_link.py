@@ -248,6 +248,9 @@ def test_shared_channel_gives_the_per_model_result():
     for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
         shared = estimate_harvest(EVERY_BRANCH, model, mc, channel=channel)
         assert shared == estimate_harvest(EVERY_BRANCH, model, mc)
+        # Every model reports the channel's own mean, computed once when it was drawn.
+        assert _bits(shared.mean_p_rx_dbm) == _bits(channel.mean_p_rx_dbm)
+    assert _bits(channel.mean_p_rx_dbm) == _bits(float(np.mean(channel.p_rx_dbm)))
 
 
 def test_channel_must_match_scenario_seed_and_count():
@@ -695,8 +698,13 @@ def test_a_mean_received_power_past_float64_is_an_input_error():
     # Every trial sits near -3.7e307 dBm, a finite value, but eight of them sum past float64.
     steep = LinkScenario(terrain=TerrainProfile("steep", alpha=1e306, sigma_db=0.0))
     assert math.isfinite(median_received_dbm(steep))
+    mc = MonteCarloSettings(n_samples=8, seed=1)
+    # The channel refuses itself, so no model is evaluated on it.
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError, match="mean received power in dBm overflows float64"):
+            draw_channel(steep, mc, n_workers)
     with pytest.raises(ValueError, match="mean received power in dBm overflows float64"):
-        estimate_harvest(steep, HARVESTER_C, MonteCarloSettings(n_samples=8, seed=1))
+        estimate_harvest(steep, HARVESTER_C, mc)
 
 
 # ---------------------------------------------------------------------------

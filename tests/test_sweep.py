@@ -15,9 +15,10 @@ from marswpt.link import (
     median_received_dbm,
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
-from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db, terrain_preset
+from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db
 from marswpt.harvester import harvester_preset
 from marswpt.quantities import ConfigError
+from marswpt import sweep
 from marswpt.sweep import (
     AXES,
     SECONDARY_KINDS,
@@ -233,10 +234,27 @@ def test_rows_are_axis_major():
         (10.0, "area1", "A"), (10.0, "area1", "C"),
         (10.0, "area2", "A"), (10.0, "area2", "C"),
     ]
-    assert [r.area for r in rows[:4]] == ["area1", "area1", "area2", "area2"]
+    assert [r.scenario.terrain.name for r in rows[:4]] == ["area1", "area1", "area2", "area2"]
     assert all(r.axis == "p_tx" for r in rows)
-    assert all(r.distance_m == 50.0 for r in rows)
-    assert [r.p_tx_w for r in rows] == [1.0] * 4 + [10.0] * 4
+    assert all(r.scenario.distance_m == 50.0 for r in rows)
+    assert [r.scenario.p_tx_w for r in rows] == [1.0] * 4 + [10.0] * 4
+
+
+def test_run_sweep_computes_one_median_per_grid_point(monkeypatch):
+    medians = []
+
+    def counting_median(scenario):
+        medians.append(scenario)
+        return median_received_dbm(scenario)
+
+    monkeypatch.setattr(sweep, "median_received_dbm", counting_median)
+    spec = make_small_spec()
+    rows = run_sweep(spec, n_workers=2)
+    assert len(rows) == 2 * 2 * len(spec.harvesters)
+    # One call per grid point, in row order, each for the scenario its rows carry.
+    assert medians == [row.scenario for row in rows[::len(spec.harvesters)]]
+    for row in rows:
+        assert row.p_rx_median_dbm == median_received_dbm(row.scenario)
 
 
 def test_each_row_uses_its_derived_substream():
@@ -443,7 +461,7 @@ def test_gaussian_preset_rows_match_the_quadrature_oracle(name):
     rows = run_sweep(spec, n_workers=2)
     assert len(rows) in (75, 150)
     assert_rows_match(name, rows, lambda row: gaussian_harvest_moments(
-        harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db
+        harvester_preset(row.harvester), row.p_rx_median_dbm, row.scenario.terrain.sigma_db
     ))
 
 
@@ -458,9 +476,9 @@ def test_pointing_preset_rows_match_the_quadrature_oracle(name):
     assert len(rows) == 150
 
     def moments(row):
-        fade = derive_model(spec.scenario_at(row.axis_value, row.secondary_value).pointing)
+        fade = derive_model(row.scenario.pointing)
         return emg_harvest_moments(
-            harvester_preset(row.harvester), row.p_rx_median_dbm, terrain_preset(row.area).sigma_db,
+            harvester_preset(row.harvester), row.p_rx_median_dbm, row.scenario.terrain.sigma_db,
             10.0 / np.log(10.0) / fade.xi,
         )
 
