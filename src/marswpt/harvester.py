@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .flatkeys import field_kinds, format_values, parse_values, read_key_value_file
 from .quantities import attempt, field_problems, lookup, raise_problems
@@ -172,6 +171,13 @@ def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
     den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
     den = np.where(np.abs(den) < 1e-300, 1e-300, den)
     return num / den
+
+
+def least_squares(*args, **kwargs):
+    """scipy's ``least_squares``, imported on first call, so only ``fit`` loads ``scipy.optimize``."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> HarvesterModel:

@@ -32,11 +32,11 @@ on it, trial by trial, into the one n-sized array an estimate owns, and
 counts the clamped and extrapolated trials block by block.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
 settings, takes the mean of that array in trial order, then sorts it in
-place for the median and quantiles, and returns a ``HarvestStats`` with the
-channel's mean dBm. Callers that compare models draw the channel once and
-pass it to ``estimate_harvest`` for each, with the same result as a fresh
-draw; the channel is read-only, so the models can reduce it side by side on
-``thread_map``.
+place and reads the median and quantiles off the sorted trials by index.
+It returns a ``HarvestStats`` with the channel's mean dBm. Callers that
+compare models draw the channel once and pass it to ``estimate_harvest`` for
+each, with the same result as a fresh draw; the channel is read-only, so the
+models can reduce it side by side on ``thread_map``.
 """
 
 from __future__ import annotations
@@ -386,14 +386,28 @@ def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
 
 
 def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
-    """numpy's median and quantiles of ``h``, which this reorders in place.
+    """The median and linear quantiles of ``h``, which this sorts in place.
 
-    ``h`` is sorted first, so that the partitions behind the median and the
-    quantiles run on sorted data. With both signed zeros, a zero's sign may vary.
+    Both are numpy's definitions (``np.median``, and ``np.quantile`` with
+    ``method="linear"``, type 7 of Hyndman and Fan, 1996), read off the
+    sorted trials with numpy's own arithmetic: the mean of the middle pair,
+    and the two-sided lerp between the neighbours of ``(n - 1) q``. A NaN
+    sorts last and makes every statistic NaN. With both signed zeros, a
+    zero's sign may vary.
     """
     h.sort()
-    median = float(np.median(h, overwrite_input=True))
-    return median, dict(zip(quantiles, np.quantile(h, quantiles, overwrite_input=True).tolist()))
+    n = h.size
+    if math.isnan(h[-1]):
+        return math.nan, dict.fromkeys(quantiles, math.nan)
+    mid = n // 2
+    median = float(h[mid]) if n % 2 else (float(h[mid - 1]) + float(h[mid])) / 2
+    by_q = {}
+    for q in quantiles:
+        v = (n - 1) * q
+        lo = math.floor(v)
+        a, b, t = float(h[lo]), float(h[min(lo + 1, n - 1)]), v - lo
+        by_q[q] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return median, by_q
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,

@@ -46,14 +46,24 @@ def three_cpus(monkeypatch):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
 
 
-def run_module(cwd, module, *argv):
-    """``python -m module argv`` in a child that imports the same marswpt as this process, whatever the cwd or installs."""
+def run_python(cwd, *argv):
+    """``python argv`` in a child that imports the same marswpt as this process, whatever the cwd or installs."""
     package_root = str(Path(marswpt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env)
+
+
+def run_module(cwd, module, *argv):
+    """``python -m module argv`` in such a child."""
+    return run_python(cwd, "-m", module, *argv)
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize(tmp_path):
+    # Only ``fit`` uses scipy.optimize, so ``link`` and ``sweep`` skip its import time.
+    result = run_python(tmp_path, "-c", "import sys, marswpt.cli; print('scipy.optimize' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -306,13 +306,36 @@ def test_order_statistics_match_numpy_at_engine_sizes(n):
     h = rng.lognormal(0.0, 3.0, n)
     h[rng.random(n) < 0.1] = 0.0
     before = h.copy()
-    quantiles = (0.05, 0.95, 0.01, 1e-9, 1 - 1e-9, 0.5)
+    # At n = 1e6, (n - 1) q for the largest q below 1 lands on or next to the last index.
+    quantiles = (0.05, 0.95, 0.01, 1e-9, 1 - 1e-9, 0.5, float(np.nextafter(1.0, 0.0)))
     median, by_q = link._order_statistics(h, quantiles)
-    # The reduce sorts and partitions its argument in place, so that it
-    # needs no copy: the trials are all still there, in another order.
+    # The reduce sorts its argument in place, so that it needs no copy: the
+    # trials are all still there, in another order.
     assert np.sort(h).tobytes() == np.sort(before).tobytes()
     assert _bits(median) == _bits(float(np.median(before)))
     for q in quantiles:
+        assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
+
+
+@pytest.mark.parametrize("n, q", [
+    # (n - 1) q = 0.5 and 1.5: the interpolation weight is exactly 0.5, numpy's
+    # lerp from the upper neighbour.
+    (3, 0.25),
+    (5, 0.375),
+    # One trial has no upper neighbour; two have an even-sized median.
+    (1, 0.25),
+    (1, 0.5),
+    (2, 0.25),
+    (2, 0.5),
+    (2, 0.75),
+])
+def test_order_statistics_match_numpy_at_the_lerp_edges(n, q):
+    rng = np.random.default_rng(n)
+    # Halving each of two subnormals before the sum would lose them.
+    for values in (rng.lognormal(0.0, 3.0, n), np.array([1e300, -1e300, 3.0, 0.0, 7.0])[:n], np.full(n, 5e-324)):
+        before = values.copy()
+        median, by_q = link._order_statistics(values, (q,))
+        assert _bits(median) == _bits(float(np.median(before)))
         assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
 
 
