@@ -135,15 +135,23 @@ def harvester_preset(name: str) -> HarvesterModel:
     return lookup(BUILTIN_HARVESTERS, "harvester", name)
 
 
-def raw_efficiency_percent(model: HarvesterModel, p_rx_mw):
-    """Unclamped rational efficiency in percent; a numpy scalar for a scalar input."""
+def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None):
+    """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input."""
     p = np.asarray(p_rx_mw, dtype=float)
     if np.any(p < 0.0):
         raise ValueError("p_rx_mw must be non-negative")
     with np.errstate(over="raise", invalid="raise"):
         try:
-            den = ((p + model.b2) * p + model.b1) * p + model.b0
-            out = ((model.a2 * p + model.a1) * p + model.a0) / den
+            den = np.add(p, model.b2)
+            den *= p
+            den += model.b1
+            den *= p
+            den += model.b0
+            out = np.multiply(model.a2, p, out=out)
+            out += model.a1
+            out *= p
+            out += model.a0
+            out /= den
         except FloatingPointError:
             raise ValueError(f"model {model.name!r} overflows at received power {np.max(p):.6g} mW") from None
     return out

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -225,7 +225,12 @@ EVERY_BRANCH = LinkScenario(
 
 @pytest.mark.parametrize("block_trials", [4, 12])
 def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_trials):
-    cases = [(n, MonteCarloSettings(n_samples=n, seed=31 + n)) for n in (1, 3, 4, 5, 17, 50)]
+    sizes = [1, 3, 4, 5, 17, 50]
+    if block_trials == 12:
+        # Around the default block's edges: one short, exact, one over, and a part third block.
+        block = link._BLOCK_TRIALS
+        sizes += [block - 1, block, block + 1, 2 * block + 3]
+    cases = [(n, MonteCarloSettings(n_samples=n, seed=31 + n)) for n in sizes]
 
     def outcomes(mc, n_workers=1):
         channel = draw_channel(EVERY_BRANCH, mc, n_workers)
@@ -770,6 +775,83 @@ def test_harvest_is_at_most_received_power_and_counters_lie_in_range(scenario, m
     stats = estimate_harvest(scenario, model, mc)
     assert 0 <= stats.clamp_count <= mc.n_samples
     assert 0 <= stats.extrapolated_count <= mc.n_samples
+
+
+# Powers a channel can carry: zero, subnormal, tiny, inside and far past every certified range.
+CHANNEL_POWERS = st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]) | st.floats(0.0, 1e6)
+# Below 0 % near 0 mW and near 5,000 % at 1 mW.
+SWINGING = HarvesterModel("swing", a2=0.0, a1=1e4, a0=-1.0, b2=0.0, b1=0.0, b0=1.0, valid_range_mw=(0.1, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
+    st.lists(CHANNEL_POWERS, min_size=1, max_size=40),
+    st.sampled_from([4, 12, link._BLOCK_TRIALS]),
+)
+@example(SWINGING, [0.0, 1e-6, 1.0, 1e3, 0.5], 4)
+def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials):
+    # The accepted models go below 0 % and above 100 %, so clamping is
+    # exercised too; built-in C never clamps.
+    p_mw = np.array(powers)
+    p_mw.flags.writeable = False
+    channel = link.Channel(LinkScenario(), 0, np.zeros_like(p_mw), p_mw, 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link, "_BLOCK_TRIALS", block_trials)
+        draws = harvest_samples(model, channel)
+    raw = raw_efficiency_percent(model, p_mw)
+    assert draws.p_h_uw.tobytes() == (p_mw * np.clip(raw, 0.0, 100.0) * 10.0).tobytes()
+    assert (draws.clamp_count, draws.extrapolated_count) == _recount(model, channel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
+    st.lists(CHANNEL_POWERS | st.sampled_from([1e100, 1e104, 1e300]), min_size=1, max_size=20),
+)
+def test_raw_efficiency_into_out_matches_the_allocating_call(model, powers):
+    p_mw = np.array(powers)
+    out = np.full_like(p_mw, np.nan)
+    try:
+        want = raw_efficiency_percent(model, p_mw)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            raw_efficiency_percent(model, p_mw, out=out)
+        assert str(caught.value) == str(exc)
+        return
+    assert raw_efficiency_percent(model, p_mw, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_numpy_loops_behind_the_channel_give_the_same_bits():
+    # draw_channel raises 10 to the dBm / 10 with an array base and takes the
+    # log of contiguous copies of uniform columns, because those loops are the
+    # faster ones. The golden hashes hold only while they give the bits of a
+    # scalar base and a strided column; a numpy build where they differ fails here.
+    rng = np.random.default_rng(7)
+    exponents = np.concatenate([
+        np.linspace(-330.0, 308.25, 1 << 16),
+        rng.uniform(-45.0, 20.0, 1 << 16),
+        [-np.inf, -324.0, -323.31, -307.5, -0.0, 0.0, 1e-300, 308.25],
+    ])
+    for y in np.array_split(exponents, 3):
+        scalar_base = np.power(10.0, y)
+        array_base = np.power(link._TENS[: y.size], y)
+        assert scalar_base.tobytes() == array_base.tobytes(), (
+            "numpy's power loop with an array base differs from a scalar base; draw_channel's mW would change"
+        )
+    eps = link._OPEN_INTERVAL_EPS
+    u = rng.random((1 << 16, 3))
+    u[:4] = [[0.0] * 3, [1.0 - 2.0**-53] * 3, [2.0**-53] * 3, [0.5] * 3]
+    u *= 1.0 - 2.0 * eps
+    u += eps
+    assert u.min() == eps and u.max() < 1.0
+    for k in (1, 2):
+        strided = np.log(u[:, k])
+        contiguous = np.log(np.ascontiguousarray(u[:, k]))
+        assert strided.tobytes() == contiguous.tobytes(), (
+            f"numpy's log on a strided column differs from a contiguous copy (column {k}); draw_channel would change"
+        )
 
 
 @settings(max_examples=50, deadline=None)
