@@ -16,7 +16,7 @@ from marswpt.link import (
     estimate_harvest,
     median_received_dbm,
 )
-from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
+from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, TerrainProfile
 
 BETA_M = 0.5
@@ -44,7 +44,8 @@ def main() -> None:
     channel = draw_channel(scenario, MonteCarloSettings(N_DRAWS, SEED))
     fades = model.a0 * 10.0 ** ((channel.p_rx_dbm - median_received_dbm(scenario)) / 10.0)
     sampled = float(np.mean(fades))
-    closed = mean_fraction(model)
+    # Under Rayleigh jitter the mean fade has the closed form a0 xi / (xi + 1).
+    closed = model.a0 * model.xi / (model.xi + 1.0)
     print(
         f"mean intercept fraction: engine {sampled:.5f} vs closed form "
         f"{closed:.5f} ({N_DRAWS} trials on calm terrain)"

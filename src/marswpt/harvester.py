@@ -269,7 +269,10 @@ def read_samples_csv(path) -> list[EfficiencySample]:
             raise ValueError(f"line 1: expected header {','.join(_SAMPLE_KINDS)}, got {','.join(header)}")
         samples: list[EfficiencySample] = []
         problems: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
+        # A quoted cell may span lines, so a record starts on the line after the last one read.
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             found: list[str] = []

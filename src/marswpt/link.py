@@ -8,7 +8,9 @@ The received power of one trial composes in dB:
 where ``chi`` is the log-normal shadowing draw, ``m`` the misalignment fade
 (when pointing is enabled), and ``g`` a unit-mean exponential power gain
 (when Rayleigh small-scale fading is enabled). The dBm value converts to mW
-exactly once, at the harvester boundary.
+exactly once, at the harvester boundary. Every pointing trial computes
+``10 log10(m) = (10 / ln 10)(ln a0 - 2 r^2 / w_eq^2)``; zero jitter is the
+``sigma_s = 0`` case of that one expression, with every offset term +0.
 
 Determinism contract
 --------------------
@@ -314,9 +316,10 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
     # scalar, so that an overflow of their sum raises under errstate.
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
     x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
-    if fade is not None and s.pointing.sigma_s_m > 0.0:
+    if fade is not None:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
-        # domain so huge offsets cannot underflow to zero mW.
+        # domain so huge offsets cannot underflow to zero mW. Zero jitter
+        # makes every offset +0, so its fade is this law's sigma -> 0 limit.
         # numpy's log on a strided column is 3x slower than on a contiguous copy.
         t = np.ascontiguousarray(u[:, 1])
         np.log(t, out=t)
@@ -326,8 +329,6 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
         np.subtract(math.log(fade.a0), t, out=t)
         t *= _DB_PER_LN
         x += t
-    elif fade is not None:
-        x += terms["pointing_db"]
     if SMALL_SCALE_MODES[s.small_scale]:
         t = np.ascontiguousarray(u[:, 2])
         np.log(t, out=t)

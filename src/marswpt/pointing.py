@@ -100,10 +100,3 @@ def derive_model(geom: PointingGeometry) -> MisalignmentModel:
         given = f"beta_m = {geom.beta_m}, sigma_s_m = {geom.sigma_s_m}, r_d_m = {geom.r_d_m}"
         raise ValueError(f"pointing geometry {given} gives a fade model outside the float64 range")
     return MisalignmentModel(a0=a0, w_eq_m=math.sqrt(w_eq_sq), xi=xi)
-
-
-def mean_fraction(model: MisalignmentModel) -> float:
-    """Closed-form mean fade E[m] = a0 * xi / (xi + 1); a0 when jitter is zero."""
-    if math.isinf(model.xi):
-        return model.a0
-    return model.a0 * model.xi / (model.xi + 1.0)

@@ -7,6 +7,8 @@ tests read it back from ``draw_channel`` and compare it with these
 formulas.
 """
 
+import math
+
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import binom
@@ -25,6 +27,13 @@ MIN_TAIL = 5.7e-7
 def fraction_at_offset(model, r_m):
     """Collected fraction at radial offset r: a0 exp(-2 r^2 / w_eq^2)."""
     return model.a0 * np.exp(-2.0 * np.asarray(r_m, dtype=float) ** 2 / model.w_eq_m**2)
+
+
+def mean_fraction(model):
+    """Closed-form mean fade E[m] = a0 xi / (xi + 1); a0 when jitter is zero."""
+    if math.isinf(model.xi):
+        return model.a0
+    return model.a0 * model.xi / (model.xi + 1.0)
 
 
 def fade_cdf(model, zeta):

@@ -30,11 +30,11 @@ from marswpt.harvester import (
 )
 from marswpt.cli import rows_to_csv
 from marswpt.link import LinkScenario, MonteCarloSettings, estimate_harvest, median_received_dbm
-from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
+from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import DustStorm, dust_attenuation_db
 from marswpt.quantities import dbm_to_mw
 from marswpt.sweep import builtin_presets, run_sweep
-from oracles import engine_fade_db, fade_cdf
+from oracles import engine_fade_db, fade_cdf, mean_fraction
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b")
 

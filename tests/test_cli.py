@@ -29,7 +29,7 @@ from marswpt.link import (
     LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
     median_received_dbm,
 )
-from marswpt.flatkeys import format_values, parse_values
+from marswpt.flatkeys import format_value, format_values, parse_values
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import AXES, PRESETS, SweepSpec, builtin_presets, config_kinds, run_sweep
 
@@ -780,6 +780,31 @@ def test_a_preset_and_its_keys_in_a_config_file_give_the_same_bytes(tmp_path, ca
     assert from_file == from_preset
 
 
+@pytest.mark.parametrize("name", ["fig3a", "fig7a"])
+def test_link_reproduces_the_first_and_last_row_of_a_preset_bit_for_bit(capsys, name):
+    code, table, _ = run_cli(capsys, "sweep", "--preset", name, "--n-samples", "3000")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(table)))
+    for row in (rows[0], rows[-1]):
+        # The row's seed is its own substream seed, so link draws the row's trials.
+        flags = ["--seed", row["seed"], "--n-samples", row["n_samples"], "--area", row["area"],
+                 "--harvester", row["harvester"], "--" + AXES[row["axis"]].replace("_", "-"), row["axis_value"]]
+        if row["secondary"]:
+            flags += ["--" + row["secondary"].replace("_", "-"), row["secondary_value"]]
+        code, out, _ = run_cli(capsys, "link", "--json", *flags)
+        assert code == 0
+        report = json.loads(out)
+        stats = report["harvesters"][row["harvester"]]["monte_carlo"]
+        floats = {
+            "p_rx_median_dbm": report["median_p_rx_dbm"], "p_h_mean_uw": stats["mean_uw"],
+            "p_h_median_uw": stats["median_uw"], "p_h_p05_uw": stats["quantiles_uw"]["0.05"],
+            "p_h_p95_uw": stats["quantiles_uw"]["0.95"],
+        }
+        cells = {key: format_value(value, "float") for key, value in floats.items()}
+        cells |= {key: str(stats[key]) for key in ("clamp_count", "extrapolated_count")}
+        assert cells == {key: row[key] for key in cells}, flags
+
+
 @pytest.mark.parametrize("text, message", [
     ("axis = p_tx\naxis_min = 1\naxis_max = 10\n", "(missing: axis_count)"),
     ("axis = distance\naxis_min = 10\naxis_max = 1e400\naxis_count = 3\n",
@@ -992,6 +1017,21 @@ def test_fit_refuses_a_power_whose_cube_overflows_in_one_line(tmp_path, power_mw
         f"error: line 10: input power {float(power_mw):g} mW is too large to fit: P^3 times the efficiency"
         " must stay within float64, below about 5.64e+102 mW\n"
     )
+
+
+@pytest.mark.parametrize("power_mw, code, error", [
+    # Just below the bound the sample is read, and the fit itself finds the points too far apart.
+    ("5.64e102", 1, "error: linear stage is rank-deficient (rank 1 of 6)\n"),
+    ("5.65e102", 2, "error: line 10: input power 5.65e+102 mW is too large to fit: P^3 times the efficiency"
+                    " must stay within float64, below about 5.64e+102 mW\n"),
+])
+def test_fit_reads_a_power_just_below_the_cube_bound_and_refuses_one_just_above(tmp_path, capsys, power_mw,
+                                                                                 code, error):
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples, n_points=8)
+    with open(samples, "a", encoding="utf-8") as handle:
+        handle.write(f"{power_mw},1\n")
+    assert run_cli(capsys, "fit", str(samples)) == (code, "", error)
 
 
 def test_fit_lists_every_problem_of_every_line(tmp_path, capsys):

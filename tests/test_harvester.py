@@ -240,6 +240,23 @@ def test_sample_validation():
     ]
 
 
+# P^3 overflows float64 between 5.64e102 and 5.65e102 mW; an efficiency above 1 % divides the bound by its cube root.
+@pytest.mark.parametrize("power_mw, eff, fits", [
+    (5.64e102, 1.0, True), (5.65e102, 1.0, False), (5.64e102, 0.5, True), (5.65e102, 0.5, False),
+    (1.5e102, 50.0, True), (1.6e102, 50.0, False),
+])
+def test_sample_power_cube_times_efficiency_must_stay_within_float64(power_mw, eff, fits):
+    if fits:
+        assert EfficiencySample(power_mw, eff).input_power_mw == power_mw
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        EfficiencySample(power_mw, eff)
+    assert excinfo.value.problems == [
+        f"input power {power_mw:g} mW is too large to fit: P^3 times the efficiency must stay within float64,"
+        " below about 5.64e+102 mW"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -333,6 +350,18 @@ def test_read_samples_csv_reports_offending_line(tmp_path):
     write_text(path, "input_power_mw,efficiency_percent\n1.0,66.7,extra\n")
     with pytest.raises(ValueError, match="line 2"):
         read_samples_csv(path)
+
+
+def test_read_samples_csv_numbers_a_record_by_the_line_it_starts_on(tmp_path):
+    # A quoted cell that spans two lines makes one record of two physical lines.
+    path = tmp_path / "samples.csv"
+    write_text(path, 'input_power_mw,efficiency_percent\n"1.0\n",66.7\nnope,1\n"x\ny",2\n5,7\n')
+    with pytest.raises(ValueError) as excinfo:
+        read_samples_csv(path)
+    assert str(excinfo.value) == (
+        "line 4: input_power_mw: could not parse 'nope' as a number;"
+        " line 5: input_power_mw: could not parse 'x\\ny' as a number"
+    )
 
 
 def test_read_samples_csv_names_the_column_that_does_not_parse(tmp_path):

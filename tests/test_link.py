@@ -41,11 +41,11 @@ from marswpt.link import (
     harvest_samples,
     median_received_dbm,
 )
-from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model, mean_fraction
+from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, AREA2, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db
 from marswpt.quantities import RfCarrier, dbm_to_mw, watts_to_dbm
 from oracles import (
-    assert_stats_match, emg_harvest_moments, gaussian_harvest_moments, rayleigh_harvest_moments,
+    assert_stats_match, emg_harvest_moments, gaussian_harvest_moments, mean_fraction, rayleigh_harvest_moments,
 )
 
 CARRIER = RfCarrier(2.45e9)
@@ -138,6 +138,19 @@ def test_zero_jitter_pointing_is_static_a0_penalty():
     p_rx_dbm = draw_channel(scenario, MonteCarloSettings(n_samples=100, seed=3)).p_rx_dbm
     assert np.all(p_rx_dbm == p_rx_dbm[0])
     assert p_rx_dbm[0] == pytest.approx(median_received_dbm(scenario), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta_m, r_d_m", [(0.5, R_D), (0.05, R_D), (0.2, 2.0), (0.3, 0.5)])
+def test_zero_jitter_is_the_jitter_fade_at_sigma_zero_bit_for_bit(beta_m, r_d_m):
+    # A jitter whose square underflows is zero jitter, and both run the one
+    # fade expression with every offset +0, so the trials match byte for byte.
+    mc = MonteCarloSettings(n_samples=1000, seed=7)
+    zero, tiny = (
+        draw_channel(LinkScenario(pointing=PointingGeometry(beta_m, sigma_s_m, r_d_m), small_scale="rayleigh"),
+                     mc).p_rx_dbm
+        for sigma_s_m in (0.0, 1e-200)
+    )
+    assert zero.tobytes() == tiny.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +878,7 @@ def test_median_budget_is_the_ordered_sum_of_its_terms(scenario):
 
 # Each knob: its values, the scenario with the knob set, and whether every
 # trial's received power rises (+1) or falls (-1) as the knob grows. Trials
-# reuse their uniforms, so this holds exactly, not only on average. Jitter
-# starts above zero: zero jitter takes the static branch 10 log10(a0), which
-# can sit one rounding step below the jitter branch's (10 / ln 10) ln(a0).
+# reuse their uniforms, so this holds exactly, not only on average.
 MONOTONE_KNOBS = {
     "p_tx_w": (st.floats(0.1, 1000.0), lambda s, v: replace(s, p_tx_w=v), +1),
     "distance_m": (st.floats(1.0, 1000.0), lambda s, v: replace(s, distance_m=v), -1),
@@ -877,7 +888,7 @@ MONOTONE_KNOBS = {
         -1,
     ),
     "sigma_s_m": (
-        st.floats(0.0, 2.0, exclude_min=True),
+        st.floats(0.0, 2.0),
         lambda s, v: replace(
             s, pointing=replace(s.pointing or PointingGeometry(0.5, 0.0, R_D), sigma_s_m=v)
         ),

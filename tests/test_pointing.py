@@ -14,10 +14,9 @@ from marswpt.pointing import (
     PointingGeometry,
     default_beam_waist,
     derive_model,
-    mean_fraction,
 )
 from marswpt.quantities import RfCarrier
-from oracles import engine_fade_db, fade_cdf, fraction_at_offset
+from oracles import engine_fade_db, fade_cdf, fraction_at_offset, mean_fraction
 
 CARRIER = RfCarrier(2.45e9)
 R_D = default_beam_waist(CARRIER)
