@@ -18,6 +18,7 @@ from marswpt.link import (
 )
 from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, TerrainProfile
+from marswpt.quantities import dbm_to_mw
 
 BETA_M = 0.5
 N_DRAWS = 200_000
@@ -38,11 +39,11 @@ def main() -> None:
     print()
 
     # Without shadowing or small-scale fading, each trial's received power
-    # sits 10 log10(m / a0) dB from the aligned-beam median.
+    # is m / a0 times the aligned-beam median.
     calm = TerrainProfile("calm", alpha=AREA1.alpha, sigma_db=0.0)
     scenario = LinkScenario(terrain=calm, pointing=geometry)
     channel = draw_channel(scenario, MonteCarloSettings(N_DRAWS, SEED))
-    fades = model.a0 * 10.0 ** ((channel.p_rx_dbm - median_received_dbm(scenario)) / 10.0)
+    fades = model.a0 * channel.p_mw / dbm_to_mw(median_received_dbm(scenario))
     sampled = float(np.mean(fades))
     # Under Rayleigh jitter the mean fade has the closed form a0 xi / (xi + 1).
     closed = model.a0 * model.xi / (model.xi + 1.0)

@@ -197,8 +197,8 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     only if it lowers the sum of squared sample errors.
 
     Requires at least 6 distinct input powers. Raises FitError when the
-    linear stage is rank-deficient or no candidate keeps the denominator
-    positive for every P >= 0.
+    linear stage is rank-deficient, naming the decades the powers span, or
+    no candidate keeps the denominator positive for every P >= 0.
     """
     p = np.array([s.input_power_mw for s in samples], dtype=float)
     y = np.array([s.efficiency_percent for s in samples], dtype=float)
@@ -218,7 +218,9 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     for _ in range(_SK_STEPS):
         coef, _, rank, _ = np.linalg.lstsq(design * weights[:, None], y * p**3 * weights, rcond=None)
         if rank < 6 and not candidates:
-            raise FitError(f"linear stage is rank-deficient (rank {rank} of 6)")
+            decades = math.log10(p.max()) - math.log10(p.min())
+            raise FitError(f"linear stage is rank-deficient (rank {rank} of 6);"
+                           f" the input powers span {decades:.1f} decades")
         candidates.append(coef)
         den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
         if np.any(den == 0.0):

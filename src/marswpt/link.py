@@ -27,17 +27,20 @@ transforms stay finite.
 Stages
 ------
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
-power in dBm and mW, and the mean received dBm, computed once. It does not
-depend on the harvester, and it raises ValueError when a trial or that mean
-overflows float64. ``harvest_samples(model, channel)`` evaluates one model
-on it block by block, straight into the one n-sized array an estimate owns,
-and counts the clamped trials before it clips them, and the extrapolated ones.
+power in mW, and the mean received dBm, computed once. It holds one float64
+per trial: a first pass writes each block's received dBm into that array,
+and a second turns them into mW in place, so the dBm values live only until
+their mean is taken. It does not depend on the harvester, and it raises
+ValueError when a trial or, after every trial, that mean overflows float64.
+``harvest_samples(model, channel)`` evaluates one model on it block by
+block, straight into the one n-sized array an estimate owns, and counts the
+clamped trials before it clips them, and the extrapolated ones.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
 settings, takes the mean of that array in trial order, then sorts it in
-place and reads the median and quantiles off the sorted trials by index.
-It returns a ``HarvestStats`` with the channel's mean dBm. Callers that
-compare models draw the channel once and pass it to ``estimate_harvest`` for
-each, with the same result as a fresh draw; the channel is read-only, so the
+place and reads the median and quantiles off the sorted trials by index. It
+returns a ``HarvestStats`` with the channel's mean dBm. Callers that compare
+models draw the channel once and pass it to ``estimate_harvest`` for each,
+with the same result as a fresh draw; the channel is read-only, so the
 models can reduce it side by side on ``thread_map``.
 """
 
@@ -201,11 +204,11 @@ class HarvestSamples:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Channel:
-    """Per-trial received power of one scenario and seed, and its mean in dBm; read-only, shared by models."""
+    """Per-trial received power in mW (no dBm: 8 bytes a trial) of one scenario and seed, and its mean
+    in dBm; read-only, shared by models."""
 
     scenario: LinkScenario
     seed: int
-    p_rx_dbm: np.ndarray
     p_mw: np.ndarray
     mean_p_rx_dbm: float
 
@@ -343,36 +346,43 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     terms = budget_terms(s)
     fade = derive_model(s.pointing) if s.pointing is not None else None
     n = mc.n_samples
-    p_rx_dbm, p_mw = np.empty(n), np.empty(n)
+    # One array: each block's received dBm, until their mean is taken; then its mW, in place.
+    p_mw = np.empty(n)
 
-    def fill(start: int) -> None:
+    def draw(x: np.ndarray, start: int) -> None:
         # Twelve draws are three Philox counter steps, so a block that starts
         # on a multiple of 4 trials begins exactly at row ``start``.
         bitgen = np.random.Philox(key=mc.seed)
         bitgen.advance(3 * start // 4)
-        stop = min(start + _BLOCK_TRIALS, n)
-        u = np.random.Generator(bitgen).random((stop - start, 3))
+        u = np.random.Generator(bitgen).random((x.size, 3))
         u *= 1.0 - 2.0 * _OPEN_INTERVAL_EPS
         u += _OPEN_INTERVAL_EPS
+        _received_dbm(s, fade, terms, u, x)
+
+    def to_mw(x: np.ndarray, start: int) -> None:
+        np.divide(x, 10.0, out=x)
+        np.power(_TENS[: x.size], x, out=x)
+
+    def in_block(step, start: int) -> None:
         # The error state is per thread, so each block sets its own.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             try:
-                _received_dbm(s, fade, terms, u, p_rx_dbm[start:stop])
-                np.divide(p_rx_dbm[start:stop], 10.0, out=p_mw[start:stop])
-                np.power(_TENS[: stop - start], p_mw[start:stop], out=p_mw[start:stop])
+                step(p_mw[start:start + _BLOCK_TRIALS], start)
             except ArithmeticError:
                 median = median_received_dbm(s)
                 raise ValueError(f"received power overflows float64 in a trial (median {median:.6g} dBm)") from None
 
-    thread_map(fill, range(0, n, _BLOCK_TRIALS), n_workers)
-    # Each trial is finite, but the sum behind a mean of huge dBm values may not be.
-    with np.errstate(over="raise"):
-        try:
-            mean_p_rx_dbm = float(np.mean(p_rx_dbm))
-        except FloatingPointError:
-            raise ValueError("the mean received power in dBm overflows float64") from None
-    p_rx_dbm.flags.writeable = p_mw.flags.writeable = False
-    return Channel(s, mc.seed, p_rx_dbm, p_mw, mean_p_rx_dbm)
+    starts = range(0, n, _BLOCK_TRIALS)
+    thread_map(lambda start: in_block(draw, start), starts, n_workers)
+    # Each trial is finite, but the sum behind a mean of huge dBm values may
+    # not be. A trial whose mW overflows is the error to report first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_p_rx_dbm = float(np.mean(p_mw))
+    thread_map(lambda start: in_block(to_mw, start), starts, n_workers)
+    if not math.isfinite(mean_p_rx_dbm):
+        raise ValueError("the mean received power in dBm overflows float64")
+    p_mw.flags.writeable = False
+    return Channel(s, mc.seed, p_mw, mean_p_rx_dbm)
 
 
 def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:

@@ -45,11 +45,11 @@ def engine_fade_db(geometry, n, seed):
     """Per-trial pointing fade of the Monte Carlo engine, 10 log10(m / a0).
 
     On calm terrain with small-scale fading off, the fade is the only random
-    term, so it is the received power minus the aligned-beam median.
+    term, so it is the received power in dB minus the aligned-beam median.
     """
     scenario = LinkScenario(terrain=CALM, pointing=geometry)
     channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=seed))
-    return channel.p_rx_dbm - median_received_dbm(scenario)
+    return 10.0 * np.log10(channel.p_mw) - median_received_dbm(scenario)
 
 
 def _harvest_uw(model, p_dbm):

@@ -1021,7 +1021,7 @@ def test_fit_refuses_a_power_whose_cube_overflows_in_one_line(tmp_path, power_mw
 
 @pytest.mark.parametrize("power_mw, code, error", [
     # Just below the bound the sample is read, and the fit itself finds the points too far apart.
-    ("5.64e102", 1, "error: linear stage is rank-deficient (rank 1 of 6)\n"),
+    ("5.64e102", 1, "error: linear stage is rank-deficient (rank 1 of 6); the input powers span 106.8 decades\n"),
     ("5.65e102", 2, "error: line 10: input power 5.65e+102 mW is too large to fit: P^3 times the efficiency"
                     " must stay within float64, below about 5.64e+102 mW\n"),
 ])

@@ -135,9 +135,9 @@ def test_zero_shadowing_collapses_to_deterministic_harvest():
 def test_zero_jitter_pointing_is_static_a0_penalty():
     pointing = PointingGeometry(beta_m=0.5, sigma_s_m=0.0, r_d_m=R_D)
     scenario = LinkScenario(terrain=CALM_AREA1, pointing=pointing)
-    p_rx_dbm = draw_channel(scenario, MonteCarloSettings(n_samples=100, seed=3)).p_rx_dbm
-    assert np.all(p_rx_dbm == p_rx_dbm[0])
-    assert p_rx_dbm[0] == pytest.approx(median_received_dbm(scenario), abs=1e-12)
+    p_mw = draw_channel(scenario, MonteCarloSettings(n_samples=100, seed=3)).p_mw
+    assert np.all(p_mw == p_mw[0])
+    assert 10.0 * math.log10(p_mw[0]) == pytest.approx(median_received_dbm(scenario), abs=1e-12)
 
 
 @pytest.mark.parametrize("beta_m, r_d_m", [(0.5, R_D), (0.05, R_D), (0.2, 2.0), (0.3, 0.5)])
@@ -147,7 +147,7 @@ def test_zero_jitter_is_the_jitter_fade_at_sigma_zero_bit_for_bit(beta_m, r_d_m)
     mc = MonteCarloSettings(n_samples=1000, seed=7)
     zero, tiny = (
         draw_channel(LinkScenario(pointing=PointingGeometry(beta_m, sigma_s_m, r_d_m), small_scale="rayleigh"),
-                     mc).p_rx_dbm
+                     mc).p_mw
         for sigma_s_m in (0.0, 1e-200)
     )
     assert zero.tobytes() == tiny.tobytes()
@@ -163,11 +163,13 @@ def test_scalar_loop_reproduces_vectorized_samples():
     # uniform by at most 1e-16, far inside the tolerance.
     scenario = LinkScenario()
     mc = MonteCarloSettings(n_samples=50, seed=2024)
-    vectorized = draw_channel(scenario, mc).p_rx_dbm
+    vectorized = draw_channel(scenario, mc).p_mw
     rows = np.random.Generator(np.random.Philox(key=mc.seed)).random((mc.n_samples, 3))
     median = median_received_dbm(scenario)
-    looped = np.array([median + scenario.terrain.sigma_db * float(ndtri(row[0])) for row in rows])
-    np.testing.assert_allclose(vectorized, looped, rtol=0.0, atol=1e-12)
+    looped_dbm = np.array([median + scenario.terrain.sigma_db * float(ndtri(row[0])) for row in rows])
+    looped = np.power(np.full(mc.n_samples, 10.0), looped_dbm / 10.0)
+    # 1e-12 dB, as a relative error in mW.
+    np.testing.assert_allclose(vectorized, looped, rtol=1e-12 * math.log(10.0) / 10.0, atol=0.0)
 
     # With every channel branch on, a shorter run is the prefix of a longer
     # one, bit for bit.
@@ -178,7 +180,7 @@ def test_scalar_loop_reproduces_vectorized_samples():
     )
     long_channel = draw_channel(full, mc)
     short_channel = draw_channel(full, MonteCarloSettings(n_samples=17, seed=mc.seed))
-    np.testing.assert_array_equal(long_channel.p_rx_dbm[:17], short_channel.p_rx_dbm)
+    np.testing.assert_array_equal(long_channel.p_mw[:17], short_channel.p_mw)
     long = harvest_samples(HARVESTER_C, long_channel)
     short = harvest_samples(HARVESTER_C, short_channel)
     np.testing.assert_array_equal(long.p_h_uw[:17], short.p_h_uw)
@@ -199,10 +201,13 @@ def test_fixed_uniform_budget_keeps_features_independent():
     mc = MonteCarloSettings(n_samples=1000, seed=5)
     pointing = PointingGeometry(beta_m=0.5, sigma_s_m=0.5, r_d_m=R_D)
 
-    plain = draw_channel(LinkScenario(), mc).p_rx_dbm
-    pointed = draw_channel(LinkScenario(pointing=pointing), mc).p_rx_dbm
-    faded = draw_channel(LinkScenario(small_scale="rayleigh"), mc).p_rx_dbm
-    both = draw_channel(LinkScenario(pointing=pointing, small_scale="rayleigh"), mc).p_rx_dbm
+    plain, pointed, faded, both = (
+        10.0 * np.log10(draw_channel(scenario, mc).p_mw)
+        for scenario in (
+            LinkScenario(), LinkScenario(pointing=pointing), LinkScenario(small_scale="rayleigh"),
+            LinkScenario(pointing=pointing, small_scale="rayleigh"),
+        )
+    )
 
     # The pointing fade never exceeds its aligned-beam ceiling ...
     fade_db = pointed - plain
@@ -225,7 +230,7 @@ def test_worker_count_does_not_change_results():
         harvest_samples(HARVESTER_A, serial_channel).p_h_uw,
         harvest_samples(HARVESTER_A, threaded_channel).p_h_uw,
     )
-    np.testing.assert_array_equal(serial_channel.p_rx_dbm, threaded_channel.p_rx_dbm)
+    np.testing.assert_array_equal(serial_channel.p_mw, threaded_channel.p_mw)
 
 
 EVERY_BRANCH = LinkScenario(
@@ -250,7 +255,7 @@ def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_tr
         draws = harvest_samples(HARVESTER_B, channel)
         counts = draws.clamp_count, draws.extrapolated_count
         assert counts == _recount(HARVESTER_B, channel)
-        return channel.p_rx_dbm, channel.p_mw, draws.p_h_uw, counts
+        return channel.p_mw, draws.p_h_uw, counts
 
     default = {n: outcomes(mc) for n, mc in cases}
     monkeypatch.setattr(link, "_BLOCK_TRIALS", block_trials)
@@ -268,7 +273,21 @@ def test_shared_channel_gives_the_per_model_result():
         assert shared == estimate_harvest(EVERY_BRANCH, model, mc)
         # Every model reports the channel's own mean, computed once when it was drawn.
         assert _bits(shared.mean_p_rx_dbm) == _bits(channel.mean_p_rx_dbm)
-    assert _bits(channel.mean_p_rx_dbm) == _bits(float(np.mean(channel.p_rx_dbm)))
+    # The channel's mW are its received dBm, as a replay of the first pass writes them, converted in place.
+    dbm = _replayed_dbm(EVERY_BRANCH, mc)
+    assert _bits(channel.mean_p_rx_dbm) == _bits(float(np.mean(dbm)))
+    np.testing.assert_array_equal(channel.p_mw, np.power(np.full(dbm.size, 10.0), dbm / 10.0))
+
+
+def _replayed_dbm(scenario, mc):
+    """Every trial's received dBm, from all of its uniforms at once through the engine's own transform."""
+    u = np.random.Generator(np.random.Philox(key=mc.seed)).random((mc.n_samples, 3))
+    u *= 1.0 - 2.0 * link._OPEN_INTERVAL_EPS
+    u += link._OPEN_INTERVAL_EPS
+    fade = derive_model(scenario.pointing) if scenario.pointing is not None else None
+    dbm = np.empty(mc.n_samples)
+    link._received_dbm(scenario, fade, budget_terms(scenario), u, dbm)
+    return dbm
 
 
 def test_channel_must_match_scenario_seed_and_count():
@@ -285,9 +304,8 @@ def test_channel_must_match_scenario_seed_and_count():
 
 def test_channel_arrays_are_read_only():
     channel = draw_channel(EVERY_BRANCH, MonteCarloSettings(n_samples=10, seed=1))
-    for values in (channel.p_rx_dbm, channel.p_mw):
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        channel.p_mw[0] = 0.0
 
 
 def _bits(value: float) -> bytes:
@@ -381,6 +399,24 @@ def test_one_estimate_owns_one_trial_array():
     assert peak < 10e6
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_channel_holds_one_float64_per_trial(n_workers):
+    # The link_1e6 scenario. Each trial's dBm lives in the channel's one
+    # array until their mean is taken, then becomes its mW in place, so the
+    # draw peaks at that array plus each thread's block of temporaries.
+    n = 1 << 20
+    scenario = replace(EVERY_BRANCH, p_tx_w=20.0)
+    tracemalloc.start()
+    try:
+        channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=3), n_workers)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert channel.p_mw.nbytes == 8 * n
+    assert abs(held - 8 * n) < 8 * link._BLOCK_TRIALS
+    assert peak < 2 * 8 * n
+
+
 def test_same_seed_reproduces_and_new_seed_differs():
     mc = MonteCarloSettings(n_samples=2000, seed=42)
     first = estimate_harvest(LinkScenario(), HARVESTER_C, mc)
@@ -421,9 +457,7 @@ def test_small_scale_gain_has_unit_mean():
     mc = MonteCarloSettings(n_samples=1_000_000, seed=31337)
     plain = draw_channel(LinkScenario(), mc)
     faded = draw_channel(LinkScenario(small_scale="rayleigh"), mc)
-    lin_plain = 10.0 ** (plain.p_rx_dbm / 10.0)
-    lin_faded = 10.0 ** (faded.p_rx_dbm / 10.0)
-    paired_diff = lin_faded - lin_plain
+    paired_diff = faded.p_mw - plain.p_mw
     stderr = float(np.std(paired_diff)) / math.sqrt(paired_diff.size)
     assert abs(float(np.mean(paired_diff))) < 3.0 * stderr
 
@@ -500,7 +534,7 @@ def test_harvested_power_bounded_by_received_power():
         small_scale="rayleigh",
     )
     channel = draw_channel(scenario, MonteCarloSettings(n_samples=5000, seed=8))
-    received_uw = 10.0 ** (channel.p_rx_dbm / 10.0) * 1e3
+    received_uw = channel.p_mw * 1e3
     for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
         draws = harvest_samples(model, channel)
         assert np.all(draws.p_h_uw <= received_uw * (1.0 + 1e-12))
@@ -748,6 +782,19 @@ def test_a_mean_received_power_past_float64_is_an_input_error():
         estimate_harvest(steep, HARVESTER_C, mc)
 
 
+def test_a_trial_past_float64_is_reported_before_a_mean_past_it():
+    # Shadowing of 1e307 dB: single trials overflow in mW, and the sum behind their mean in dBm overflows too.
+    wild = LinkScenario(terrain=TerrainProfile("wild", alpha=2.0, sigma_db=1e307))
+    mc = MonteCarloSettings(n_samples=1000, seed=1)
+    dbm = _replayed_dbm(wild, mc)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(dbm)) and not np.isfinite(np.mean(dbm))
+        assert not np.all(np.isfinite(np.power(10.0, dbm / 10.0)))
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError, match="received power overflows float64 in a trial"):
+            draw_channel(wild, mc, n_workers)
+
+
 # ---------------------------------------------------------------------------
 # properties over random scenarios
 
@@ -782,7 +829,7 @@ def test_harvest_is_at_most_received_power_and_counters_lie_in_range(scenario, m
     mc = MonteCarloSettings(n_samples=200, seed=seed)
     channel = draw_channel(scenario, mc)
     draws = harvest_samples(model, channel)
-    received_uw = 1e3 * 10.0 ** (channel.p_rx_dbm / 10.0)
+    received_uw = 1e3 * channel.p_mw
     assert np.all(draws.p_h_uw >= 0.0)
     assert np.all(draws.p_h_uw <= received_uw * (1.0 + 1e-12))
     stats = estimate_harvest(scenario, model, mc)
@@ -808,7 +855,7 @@ def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials
     # exercised too; built-in C never clamps.
     p_mw = np.array(powers)
     p_mw.flags.writeable = False
-    channel = link.Channel(LinkScenario(), 0, np.zeros_like(p_mw), p_mw, 0.0)
+    channel = link.Channel(LinkScenario(), 0, p_mw, 0.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link, "_BLOCK_TRIALS", block_trials)
         draws = harvest_samples(model, channel)
@@ -905,7 +952,7 @@ def test_each_trial_is_monotone_in_power_distance_dust_and_jitter(knob, scenario
     lo, hi = sorted((data.draw(values, label="lo"), data.draw(values, label="hi")))
     mc = MonteCarloSettings(n_samples=64, seed=seed)
     at_lo, at_hi = (
-        draw_channel(with_knob(scenario, v), mc).p_rx_dbm for v in (lo, hi)
+        draw_channel(with_knob(scenario, v), mc).p_mw for v in (lo, hi)
     )
     if direction > 0:
         assert np.all(at_hi >= at_lo)

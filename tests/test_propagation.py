@@ -108,10 +108,10 @@ def test_path_loss_rejects_non_positive_distance():
 
 
 def engine_shadowing_db(terrain, n, seed):
-    """Per-trial shadowing of the engine: received power minus the median."""
+    """Per-trial shadowing of the engine: received power in dB minus the median."""
     scenario = LinkScenario(terrain=terrain)
     channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=seed))
-    return channel.p_rx_dbm - median_received_dbm(scenario)
+    return 10.0 * np.log10(channel.p_mw) - median_received_dbm(scenario)
 
 
 def test_shadowing_zero_sigma_is_deterministic():
