@@ -14,15 +14,18 @@ exactly once, at the harvester boundary. Every pointing trial computes
 
 Determinism contract
 --------------------
-Every trial consumes a fixed budget of three uniforms from one counter-based
+Every trial owns a fixed budget of three 64-bit words from one counter-based
 Philox stream keyed by the seed, whether or not pointing and small-scale
-fading are enabled. Trial ``i`` owns draws ``3i..3i+2`` (row ``i`` of
-``Philox(key=seed).random((n, 3))``), so a run of ``n`` trials begins with
-the run of any shorter length. The trials are drawn in blocks; each block
-draws from its own Philox advanced to the block's first trial, which gives
-exactly that slice of the stream, so any worker count produces bit-identical
-results. Uniforms are remapped once to the open interval so the inverse-CDF
-transforms stay finite.
+fading are enabled. Trial ``i`` owns words ``3i..3i+2``: word ``3i + j``
+feeds shadowing (``j = 0``), the pointing offset (``j = 1``) and the
+small-scale fade (``j = 2``). So a run of ``n`` trials begins with the run
+of any shorter length. A word becomes a uniform only where the scenario
+reads it, and then it is the double of row ``i``, column ``j`` of
+``Generator(Philox(key=seed)).random((n, 3))``, remapped once to the open
+interval so the inverse-CDF transforms stay finite. The trials are drawn in
+blocks; each block draws from its own Philox advanced to the block's first
+trial, which gives exactly that slice of the stream, so any worker count
+produces bit-identical results.
 
 Stages
 ------
@@ -66,8 +69,12 @@ SMALL_SCALE_MODES = {"off": False, "rayleigh": True}
 
 _DB_PER_LN = 10.0 / math.log(10.0)
 _OPEN_INTERVAL_EPS = 1e-16
+# A word w becomes numpy's Philox double (w >> 11) * 2^-53, then the
+# open-interval remap u * (1 - 2 eps) + eps. Scaling by 2^-53 is exact, so
+# one multiply of w >> 11 by this product rounds as those two multiplies do.
+_WORD_TO_OPEN_UNIFORM = 2.0**-53 * (1.0 - 2.0 * _OPEN_INTERVAL_EPS)
 # Trials per block: a multiple of 4, so that a block starts on a Philox
-# counter step. At 2^16 its 1.5 MB of uniforms still fit a 2 MB L2, and its
+# counter step. At 2^16 its 1.5 MB of raw words still fit a 2 MB L2, and its
 # ufunc calls are long enough between GIL hand-offs for models to reduce side by side.
 _BLOCK_TRIALS = 1 << 16
 # dBm -> mW with an array base, which numpy's vector power loop takes: same bits, twice as fast.
@@ -283,6 +290,9 @@ def thread_map(fn, items, n_workers: int) -> list:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     items = list(items)
     n_helpers = min(n_workers, len(items)) - 1
+    if n_helpers <= 0:
+        # No helper: a serial run, with no pool or shared counter.
+        return [fn(item) for item in items]
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     # next() on a count is one atomic step under the GIL.
@@ -309,32 +319,62 @@ def thread_map(fn, items, n_workers: int) -> list:
     return results
 
 
+def _philox_words(seed: int, start: int, k: int) -> np.ndarray:
+    """The 3k words of trials ``start..start + k`` in stream order, shifted right by 11."""
+    # Twelve words are three Philox counter steps, so a block that starts on
+    # a multiple of 4 trials begins exactly at trial ``start``'s words.
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(3 * start // 4)
+    words = bitgen.random_raw(3 * k)
+    words >>= 11
+    # No int64 view or (k, 3) reshape, though int64 converts a little faster:
+    # a view's shape, allocated above the block and kept in numpy's cache,
+    # can stop a helper thread from reusing the freed block (+1.4 MB RSS).
+    return words
+
+
+def _open_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The open-interval uniforms of a column of Philox words shifted right by 11, into ``out``."""
+    # Each word is below 2^53, so the cast is exact. Casting on assignment
+    # needs no buffer, where a multiply straight from the words would cast
+    # through one, and the two passes take less time than that one.
+    out[...] = words
+    out *= _WORD_TO_OPEN_UNIFORM
+    out += _OPEN_INTERVAL_EPS
+    return out
+
+
 def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[str, float],
-                  u: np.ndarray, x: np.ndarray) -> None:
-    """Map a (k, 3) block of open-interval uniforms to received dBm in ``x``, in place."""
-    ndtri(u[:, 0], out=x)
+                  words: np.ndarray, x: np.ndarray) -> None:
+    """Map a block's Philox words shifted right by 11 to received dBm in ``x``, in place.
+
+    Trial i's words are ``words[3i:3i + 3]``. A word becomes a uniform only
+    when the scenario reads it: ``words[0::3]`` (shadowing) always,
+    ``words[1::3]`` with pointing, ``words[2::3]`` with Rayleigh fading.
+    """
+    ndtri(_open_uniforms(words[0::3], x), out=x)
     x *= s.terrain.sigma_db
     # Every budget term but pointing is the same for all trials; pointing
     # enters per trial through the fade model. The losses add as a numpy
     # scalar, so that an overflow of their sum raises under errstate.
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
     x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
+    rayleigh = SMALL_SCALE_MODES[s.small_scale]
+    # The log loops read the contiguous uniforms; on a strided column they are 3x slower.
+    t = np.empty_like(x) if fade is not None or rayleigh else None
     if fade is not None:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW. Zero jitter
         # makes every offset +0, so its fade is this law's sigma -> 0 limit.
-        # numpy's log on a strided column is 3x slower than on a contiguous copy.
-        t = np.ascontiguousarray(u[:, 1])
-        np.log(t, out=t)
+        np.log(_open_uniforms(words[1::3], t), out=t)
         t *= -2.0 * s.pointing.sigma_s_m**2
         t *= 2.0
         t /= fade.w_eq_m**2
         np.subtract(math.log(fade.a0), t, out=t)
         t *= _DB_PER_LN
         x += t
-    if SMALL_SCALE_MODES[s.small_scale]:
-        t = np.ascontiguousarray(u[:, 2])
-        np.log(t, out=t)
+    if rayleigh:
+        np.log(_open_uniforms(words[2::3], t), out=t)
         np.negative(t, out=t)
         np.log(t, out=t)
         t *= _DB_PER_LN
@@ -350,14 +390,7 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     p_mw = np.empty(n)
 
     def draw(x: np.ndarray, start: int) -> None:
-        # Twelve draws are three Philox counter steps, so a block that starts
-        # on a multiple of 4 trials begins exactly at row ``start``.
-        bitgen = np.random.Philox(key=mc.seed)
-        bitgen.advance(3 * start // 4)
-        u = np.random.Generator(bitgen).random((x.size, 3))
-        u *= 1.0 - 2.0 * _OPEN_INTERVAL_EPS
-        u += _OPEN_INTERVAL_EPS
-        _received_dbm(s, fade, terms, u, x)
+        _received_dbm(s, fade, terms, _philox_words(mc.seed, start, x.size), x)
 
     def to_mw(x: np.ndarray, start: int) -> None:
         np.divide(x, 10.0, out=x)

@@ -156,16 +156,16 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> list[SweepRow]:
     for axis_value, secondary_value in itertools.product(spec.points, secondary_values):
         scenario = spec.scenario_at(axis_value, secondary_value)
         point = (axis_value, secondary_value, scenario, median_received_dbm(scenario))
-        for name in spec.harvesters:
-            mc_row = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, len(jobs)))
-            jobs.append((point, name, mc_row))
+        jobs += [(point, name) for name in spec.harvesters]
 
-    def run_job(job) -> SweepRow:
-        (axis_value, secondary_value, scenario, median_dbm), name, mc_row = job
+    def run_job(index: int) -> SweepRow:
+        (axis_value, secondary_value, scenario, median_dbm), name = jobs[index]
+        # Each row hashes its own seed, on whichever thread runs it.
+        mc_row = replace(spec.mc, seed=derive_substream_seed(spec.mc.seed, index))
         stats = estimate_harvest(scenario, harvester_preset(name), mc_row)
         return SweepRow(spec.axis, axis_value, spec.secondary, secondary_value, scenario, name, median_dbm, stats)
 
-    return thread_map(run_job, jobs, n_workers)
+    return thread_map(run_job, range(len(jobs)), n_workers)
 
 
 def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) -> SweepSpec:

@@ -1,5 +1,6 @@
 """Rational efficiency models: evaluation, clamping, fitting, persistence."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from marswpt.harvester import (
     read_samples_csv,
     write_model_file,
 )
+from marswpt.link import Channel, LinkScenario, harvest_samples
 from marswpt.quantities import ConfigError
 
 MEDIAN_RX_10W_MW = 0.08583935989573008
@@ -115,6 +117,33 @@ def test_model_b_is_least_efficient_below_one_milliwatt():
     eta_c = efficiency_percent(HARVESTER_C, grid)
     assert np.all(eta_b < eta_a)
     assert np.all(eta_b < eta_c)
+
+
+def test_model_b_clamps_to_zero_inside_its_certified_range():
+    # B's numerator -5.28e3 P^2 + 9.46e5 P - 2.04e4 turns negative above its
+    # larger root, 179.1 mW, well inside B's certified 1-300 mW. PAPER.md has
+    # no coefficient table, so whether the coefficients or the range were
+    # transcribed wrongly cannot be told; this pins what the model does.
+    a2, a1, a0 = HARVESTER_B.a2, HARVESTER_B.a1, HARVESTER_B.a0
+    root = (-a1 - math.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2)
+    assert root == pytest.approx(179.145, abs=1e-3)
+    lo, hi = HARVESTER_B.valid_range_mw
+    assert np.all(raw_efficiency_percent(HARVESTER_B, np.geomspace(lo, 179.1, 10_001)) > 0.0)
+    above = np.linspace(179.2, hi, 10_001)
+    assert np.all(raw_efficiency_percent(HARVESTER_B, above) < 0.0)
+    assert np.all(harvested_mw(HARVESTER_B, above) == 0.0)
+    # On a channel, those trials count as clamped and as certified, not extrapolated.
+    channel = Channel(LinkScenario(), 0, above, float(np.mean(above)))
+    draws = harvest_samples(HARVESTER_B, channel)
+    assert (draws.clamp_count, draws.extrapolated_count) == (above.size, 0)
+    assert np.all(draws.p_h_uw == 0.0)
+
+
+@pytest.mark.parametrize("model", [HARVESTER_A, HARVESTER_C], ids=lambda m: m.name)
+def test_models_a_and_c_never_clamp_inside_their_certified_ranges(model):
+    lo, hi = model.valid_range_mw
+    eta = raw_efficiency_percent(model, np.geomspace(lo, hi, 100_001))
+    assert np.all((eta >= 0.0) & (eta <= 100.0))
 
 
 def test_harvested_power_reference_values():

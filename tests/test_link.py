@@ -280,13 +280,11 @@ def test_shared_channel_gives_the_per_model_result():
 
 
 def _replayed_dbm(scenario, mc):
-    """Every trial's received dBm, from all of its uniforms at once through the engine's own transform."""
-    u = np.random.Generator(np.random.Philox(key=mc.seed)).random((mc.n_samples, 3))
-    u *= 1.0 - 2.0 * link._OPEN_INTERVAL_EPS
-    u += link._OPEN_INTERVAL_EPS
+    """Every trial's received dBm, from all of its Philox words at once through the engine's own transform."""
+    words = np.random.Philox(key=mc.seed).random_raw(3 * mc.n_samples) >> np.uint64(11)
     fade = derive_model(scenario.pointing) if scenario.pointing is not None else None
     dbm = np.empty(mc.n_samples)
-    link._received_dbm(scenario, fade, budget_terms(scenario), u, dbm)
+    link._received_dbm(scenario, fade, budget_terms(scenario), words, dbm)
     return dbm
 
 
@@ -719,6 +717,38 @@ def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(n
     assert running == set()
 
 
+@pytest.mark.parametrize("n_items, n_workers", [(1, 1), (1, 4), (5, 1), (0, 3)])
+def test_thread_map_without_helpers_runs_inline(monkeypatch, n_items, n_workers):
+    # No helper to share the items with: they run on the calling thread, and
+    # no pool is made or waited on.
+    def no_pool(*args):
+        raise AssertionError("thread_map touched the helper pool")
+
+    monkeypatch.setattr(link, "_helper_pool", no_pool)
+    monkeypatch.setattr(link, "wait", no_pool)
+    pools = dict(link._HELPER_POOLS)
+    helpers = {t for t in threading.enumerate() if t.name.startswith("marswpt-helper")}
+    caller = threading.current_thread()
+    threads = []
+
+    def fn(i):
+        threads.append(threading.current_thread())
+        if i in (1, 3):
+            raise ItemError(i)
+        return i
+
+    if n_items > 1:
+        with pytest.raises(ItemError) as raised:
+            link.thread_map(fn, range(n_items), n_workers)
+        assert raised.value.args == (1,)
+        assert len(threads) == 2
+    else:
+        assert link.thread_map(fn, range(n_items), n_workers) == list(range(n_items))
+    assert set(threads) <= {caller}
+    assert link._HELPER_POOLS == pools
+    assert {t for t in threading.enumerate() if t.name.startswith("marswpt-helper")} == helpers
+
+
 NESTED_THREAD_MAP = """
 import json
 from marswpt import link
@@ -885,9 +915,9 @@ def test_raw_efficiency_into_out_matches_the_allocating_call(model, powers):
 
 def test_numpy_loops_behind_the_channel_give_the_same_bits():
     # draw_channel raises 10 to the dBm / 10 with an array base and takes the
-    # log of contiguous copies of uniform columns, because those loops are the
-    # faster ones. The golden hashes hold only while they give the bits of a
-    # scalar base and a strided column; a numpy build where they differ fails here.
+    # log of contiguous uniform columns, because those loops are the faster
+    # ones. The golden hashes hold only while they give the bits of a scalar
+    # base and a strided column; a numpy build where they differ fails here.
     rng = np.random.default_rng(7)
     exponents = np.concatenate([
         np.linspace(-330.0, 308.25, 1 << 16),
@@ -912,6 +942,32 @@ def test_numpy_loops_behind_the_channel_give_the_same_bits():
         assert strided.tobytes() == contiguous.tobytes(), (
             f"numpy's log on a strided column differs from a contiguous copy (column {k}); draw_channel would change"
         )
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_the_columns_the_engine_converts_are_numpys_philox_uniforms(seed):
+    # draw_channel turns a block's raw Philox words into uniforms itself, with
+    # numpy's own conversion (w >> 11) * 2^-53 and the open-interval remap
+    # fused into one multiply. The golden hashes hold only while that gives
+    # the bits of Generator.random; a numpy build where it differs fails here.
+    eps = link._OPEN_INTERVAL_EPS
+    for start in (0, 4, 1 << 16):
+        for k in (1, 3, 65535, 65537):
+            u = np.random.Generator(np.random.Philox(key=seed)).random((start + k, 3))[start:]
+            u *= 1.0 - 2.0 * eps
+            u += eps
+            words = link._philox_words(seed, start, k)
+            for j in range(3):
+                got = link._open_uniforms(words[j::3], np.empty(k))
+                assert got.tobytes() == u[:, j].tobytes(), (
+                    f"uniform column {j} of trials {start}..{start + k} (seed {seed}) differs from numpy's"
+                )
+    # The stream's ends too: the fused multiply rounds as numpy's double times the remap factor.
+    ends = np.array([0, 1, 2, 3, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    want = ends * 2.0**-53
+    want *= 1.0 - 2.0 * eps
+    want += eps
+    assert link._open_uniforms(ends, np.empty(ends.size)).tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)

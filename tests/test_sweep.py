@@ -259,10 +259,12 @@ def test_run_sweep_computes_one_median_per_grid_point(monkeypatch):
 
 def test_each_row_uses_its_derived_substream():
     spec = make_small_spec()
-    rows = run_sweep(spec)
-    for index, row in enumerate(rows):
-        assert row.stats.seed == derive_substream_seed(spec.mc.seed, index)
-    assert len({row.stats.seed for row in rows}) == len(rows)
+    # Each row derives its seed in its own job, so a pool must number the rows as a serial run does.
+    for n_workers in (1, 2):
+        rows = run_sweep(spec, n_workers)
+        for index, row in enumerate(rows):
+            assert row.stats.seed == derive_substream_seed(spec.mc.seed, index)
+        assert len({row.stats.seed for row in rows}) == len(rows)
 
 
 def test_rows_match_hand_built_scenarios():
