@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal
@@ -91,15 +90,11 @@ def _merge_config(args: argparse.Namespace, kinds: dict[str, str], problems: lis
     return values, entries.keys() - values.keys()
 
 
-def _cpu_count() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _n_workers(cfg: dict, problems: list[str]) -> int:
-    """The n_workers value, at most one thread per CPU: the results are the same at any count."""
+    """The n_workers value; thread_map caps the threads it runs at one per CPU."""
     if (n_workers := cfg.get("n_workers", 1)) < 1:
         problems.append(f"n_workers must be at least 1, got {n_workers}")
-    return min(n_workers, _cpu_count())
+    return n_workers
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
+import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
@@ -263,33 +263,29 @@ def derive_substream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-# One long-lived pool per helper count. A thread that lives across calls
-# reuses its malloc arena, where a fresh pool's threads would each keep one.
-_HELPER_POOLS: dict[int, ThreadPoolExecutor] = {}
-_HELPER_POOLS_LOCK = threading.Lock()
-
-
-def _helper_pool(n_helpers: int) -> ThreadPoolExecutor:
-    with _HELPER_POOLS_LOCK:
-        if n_helpers not in _HELPER_POOLS:
-            _HELPER_POOLS[n_helpers] = ThreadPoolExecutor(n_helpers, thread_name_prefix="marswpt-helper")
-        return _HELPER_POOLS[n_helpers]
+# The CPUs this process may run on, and the one pool of helper threads that
+# serves every thread_map call. A helper lives for the rest of the process
+# and reuses its malloc arena, where a fresh thread would keep one more.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_HELPERS = ThreadPoolExecutor(max(_CPUS - 1, 1), thread_name_prefix="marswpt-helper")
 
 
 def thread_map(fn, items, n_workers: int) -> list:
-    """``[fn(item) for item in items]``, on the calling thread and up to ``n_workers - 1`` helpers.
+    """``[fn(item) for item in items]``, on the calling thread and ``min(n_workers, CPUs) - 1`` helpers.
 
-    Every thread takes the next item index from one shared counter, and stops
-    taking them once an item has failed. Every index below a failing one was
-    taken before it and runs, so the exception raised is the one of the
-    lowest failing index, as in a serial run. When this returns or raises, no
-    helper runs one of its items: a helper task that has started is waited
-    on, and one that has not is cancelled, so a nested call cannot deadlock.
+    The helpers come from the process's one pool, so a process never has more
+    than CPUs - 1 of them, whatever count its callers pass. Every thread takes
+    the next item index from one shared counter, and stops taking them once an
+    item has failed. Every index below a failing one was taken before it and
+    runs, so the exception raised is the one of the lowest failing index, as
+    in a serial run. When this returns or raises, no helper runs one of its
+    items: a helper task that has started is waited on, and one that has not
+    is cancelled, so a nested call cannot deadlock.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     items = list(items)
-    n_helpers = min(n_workers, len(items)) - 1
+    n_helpers = min(n_workers, len(items), _CPUS) - 1
     if n_helpers <= 0:
         # No helper: a serial run, with no pool or shared counter.
         return [fn(item) for item in items]
@@ -308,7 +304,7 @@ def thread_map(fn, items, n_workers: int) -> list:
             except BaseException as exc:
                 errors[i] = exc
 
-    tasks = [_helper_pool(n_helpers).submit(work) for _ in range(n_helpers)]
+    tasks = [_HELPERS.submit(work) for _ in range(n_helpers)]
     try:
         work()
     finally:

@@ -97,7 +97,8 @@ class SweepSpec:
         axis_known = attempt(problems, lookup, AXES, "axis", self.axis) is not None
         if not self.points:
             problems.append("points must be non-empty")
-        elif any(b <= a for a, b in zip(self.points, self.points[1:])):
+        elif any(not a < b for a, b in zip(self.points, self.points[1:])):
+            # A NaN point compares false with its neighbours, so it fails here.
             problems.append("points must be strictly increasing")
         if not self.harvesters:
             problems.append("harvesters must be non-empty")
@@ -185,7 +186,9 @@ def build_sweep_spec(values: dict, problems: list[str], unparsed=frozenset()) ->
     mc = build_mc(values, problems) if runs(unparsed, MC_KEYS) else None
 
     points = values.get("axis_points")
-    if points is None and "axis_points" not in unparsed:
+    if points is not None and (ranged := [key for key in (*_AXIS_RANGE, "axis_spacing") if key in values]):
+        problems.append(f"axis_points cannot be given with {', '.join(ranged)}: give the points or the range")
+    elif points is None and "axis_points" not in unparsed:
         if missing := [key for key in _AXIS_RANGE if key not in values and key not in unparsed]:
             problems.append("either axis_points or all of axis_min/axis_max/axis_count are required"
                             f" (missing: {', '.join(missing)})")

@@ -40,12 +40,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """``--n-workers 3`` runs three threads, on a machine with fewer CPUs too."""
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-
-
 def run_python(cwd, *argv):
     """``python argv`` in a child that imports the same marswpt as this process, whatever the cwd or installs."""
     package_root = str(Path(marswpt.__file__).resolve().parents[1])
@@ -399,7 +393,8 @@ def test_link_rejects_a_model_file_named_like_a_selected_builtin(tmp_path, capsy
     assert set(json.loads(out)["harvesters"]) == {"A", "B"}
 
 
-def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys, three_cpus):
+def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys, cpus):
+    cpus(3)
     path = tmp_path / "d.model"
     write_model_file(replace(HARVESTER_C, name="D"), path)
     reports = set()
@@ -414,7 +409,8 @@ def test_link_report_is_the_same_at_any_worker_count(tmp_path, capsys, three_cpu
     assert list(json.loads(reports.pop())["harvesters"]) == ["A", "B", "C", "D"]
 
 
-def test_link_raises_the_first_model_error_at_any_worker_count(capsys, three_cpus):
+def test_link_raises_the_first_model_error_at_any_worker_count(capsys, cpus):
+    cpus(3)
     # At 1050 dB of gain every model overflows; a serial run stops at A.
     for n_workers in ("1", "3"):
         code, out, err = run_cli(
@@ -425,8 +421,8 @@ def test_link_raises_the_first_model_error_at_any_worker_count(capsys, three_cpu
         assert err.startswith("error: model 'A' overflows at received power")
 
 
-def test_n_workers_runs_at_most_one_thread_per_cpu(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+def test_n_workers_runs_at_most_one_thread_per_cpu(capsys, monkeypatch, cpus):
+    cpus(2)
     threads, counts = set(), set()
 
     def recording(thread_map):
@@ -446,8 +442,18 @@ def test_n_workers_runs_at_most_one_thread_per_cpu(capsys, monkeypatch):
     # Four channel blocks, and a map over the three models.
     argv = ["link", "--json", "--n-samples", str(3 * link._BLOCK_TRIALS + 1)]
     wide = run_cli(capsys, *argv, "--n-workers", "1000")
-    assert counts == {2} and 1 <= len(threads) <= 2
+    # The CLI passes N on, and thread_map runs at most the caller and one helper.
+    assert counts == {1000} and 1 <= len(threads) <= 2
     assert wide[0] == 0 and wide == run_cli(capsys, *argv, "--n-workers", "1")
+
+
+def test_no_process_keeps_more_helpers_than_cpus_less_one(capsys):
+    # Library maps of several sizes, then a CLI run, each asking for far more workers than CPUs.
+    for n_items in (16, 3, 2):
+        assert link.thread_map(lambda i: -i, range(n_items), 1000) == [-i for i in range(n_items)]
+    assert run_cli(capsys, "link", "--json", "--n-samples", "1000", "--n-workers", "1000")[0] == 0
+    helpers = [t for t in threading.enumerate() if t.name.startswith("marswpt-helper")]
+    assert len(helpers) <= link._CPUS - 1
 
 
 def test_link_config_file(tmp_path, capsys):
@@ -566,7 +572,8 @@ def test_sweep_lists_an_unknown_preset_with_the_other_problems(capsys):
     ))
 
 
-def test_sweep_preset_writes_deterministic_csv(tmp_path, capsys, three_cpus):
+def test_sweep_preset_writes_deterministic_csv(tmp_path, capsys, cpus):
+    cpus(3)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     threaded = tmp_path / "c.csv"
@@ -639,17 +646,19 @@ def test_sweep_writes_to_stdout_without_out_flag(tmp_path, capsys):
 
 
 def test_sweep_config_lists_every_violation(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "axis = speed\nharvesters = A,Z\naxis_points = 3,2\nn_samples = 0\n",
-        encoding="utf-8",
-    )
-    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-    assert code == 2
-    assert "unknown axis 'speed'; valid names: distance, dust_density, jitter_sigma, p_tx" in err
-    assert "n_samples" in err
-    assert "unknown harvester 'Z'" in err
-    assert "strictly increasing" in err
+    # A NaN point is listed as out of order with the other problems.
+    for points in ("3,2", "1,nan,3"):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            f"axis = speed\nharvesters = A,Z\naxis_points = {points}\nn_samples = 0\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "unknown axis 'speed'; valid names: distance, dust_density, jitter_sigma, p_tx" in err
+        assert "n_samples" in err
+        assert "unknown harvester 'Z'" in err
+        assert "strictly increasing" in err
 
 
 def test_sweep_config_keeps_each_problem_whole(tmp_path, capsys):
@@ -811,7 +820,9 @@ def test_link_reproduces_the_first_and_last_row_of_a_preset_bit_for_bit(capsys, 
      "error: axis range and its width must be finite, got [10.0, inf]"),
     ("axis = p_tx\naxis_points = 1,10\nquantiles = 0.1,0.9\n", "unknown config key 'quantiles'"),
     ("axis = p_tx\naxis_points = 1,10\nn_workers = 0\n", "n_workers must be at least 1, got 0"),
-], ids=["no_axis_count", "infinite_axis_end", "quantiles", "zero_workers"])
+    ("axis = p_tx\naxis_points = 1,2\naxis_min = 1\naxis_max = 5\naxis_count = 3\n",
+     "error: axis_points cannot be given with axis_min, axis_max, axis_count: give the points or the range\n"),
+], ids=["no_axis_count", "infinite_axis_end", "quantiles", "zero_workers", "points_and_range"])
 def test_sweep_config_problems_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text, encoding="utf-8")

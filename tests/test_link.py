@@ -217,9 +217,11 @@ def test_fixed_uniform_budget_keeps_features_independent():
     np.testing.assert_allclose(both - pointed, faded - plain, rtol=0.0, atol=1e-9)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(cpus):
+    # Three blocks, so that 4 and 8 workers split the draw among real threads.
+    cpus(8)
     scenario = LinkScenario(small_scale="rayleigh")
-    mc = MonteCarloSettings(n_samples=10_007, seed=99)
+    mc = MonteCarloSettings(n_samples=2 * link._BLOCK_TRIALS + 7, seed=99)
     serial = estimate_harvest(scenario, HARVESTER_A, mc, channel=draw_channel(scenario, mc, 1))
     threaded = estimate_harvest(scenario, HARVESTER_A, mc, channel=draw_channel(scenario, mc, 4))
     assert serial == threaded
@@ -242,7 +244,8 @@ EVERY_BRANCH = LinkScenario(
 
 
 @pytest.mark.parametrize("block_trials", [4, 12])
-def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, block_trials):
+def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, cpus, block_trials):
+    cpus(3)
     sizes = [1, 3, 4, 5, 17, 50]
     if block_trials == 12:
         # Around the default block's edges: one short, exact, one over, and a part third block.
@@ -663,14 +666,16 @@ def test_monte_carlo_settings_validation():
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
-def test_thread_map_keeps_item_order(n_workers):
+def test_thread_map_keeps_item_order(cpus, n_workers):
+    cpus(4)
     for n in range(41):
         assert link.thread_map(lambda i: i * i, range(n), n_workers) == [i * i for i in range(n)]
 
 
-def test_thread_map_runs_each_item_once_under_frequent_switches():
+def test_thread_map_runs_each_item_once_under_frequent_switches(cpus):
     # More threads than cores, switching every microsecond: a lost update of
     # the shared index would run an item twice or skip it.
+    cpus(8)
     calls, lock = [], threading.Lock()
 
     def fn(i):
@@ -694,7 +699,8 @@ class ItemError(Exception):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 8])
-def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(n_workers):
+def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(cpus, n_workers):
+    cpus(8)
     # Item 1 fails last, after a pause in which later items fail on other threads.
     running, lock = set(), threading.Lock()
 
@@ -720,13 +726,12 @@ def test_thread_map_raises_the_lowest_failing_index_and_leaves_nothing_running(n
 @pytest.mark.parametrize("n_items, n_workers", [(1, 1), (1, 4), (5, 1), (0, 3)])
 def test_thread_map_without_helpers_runs_inline(monkeypatch, n_items, n_workers):
     # No helper to share the items with: they run on the calling thread, and
-    # no pool is made or waited on.
+    # no helper task is submitted or waited on.
     def no_pool(*args):
         raise AssertionError("thread_map touched the helper pool")
 
-    monkeypatch.setattr(link, "_helper_pool", no_pool)
+    monkeypatch.setattr(link._HELPERS, "submit", no_pool)
     monkeypatch.setattr(link, "wait", no_pool)
-    pools = dict(link._HELPER_POOLS)
     helpers = {t for t in threading.enumerate() if t.name.startswith("marswpt-helper")}
     caller = threading.current_thread()
     threads = []
@@ -745,7 +750,6 @@ def test_thread_map_without_helpers_runs_inline(monkeypatch, n_items, n_workers)
     else:
         assert link.thread_map(fn, range(n_items), n_workers) == list(range(n_items))
     assert set(threads) <= {caller}
-    assert link._HELPER_POOLS == pools
     assert {t for t in threading.enumerate() if t.name.startswith("marswpt-helper")} == helpers
 
 

@@ -103,8 +103,10 @@ def test_spec_rejects_unknown_harvester():
 
 
 def test_spec_rejects_unsorted_points():
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        SweepSpec(LinkScenario(), ("A",), "p_tx", (2.0, 1.0))
+    # A NaN is not larger than the point before it, though min() and max() skip it.
+    for points in ((2.0, 1.0), (1.0, 1.0), (1.0, math.nan, 3.0)):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            SweepSpec(LinkScenario(), ("A",), "p_tx", points)
 
 
 @pytest.mark.parametrize("keys, problem", [
@@ -328,7 +330,8 @@ def test_beta_secondary_keeps_the_base_jitter_and_waist():
     assert rows[1].stats == estimate_harvest(scenario, harvester_preset("C"), expected_mc)
 
 
-def test_run_sweep_is_reproducible_across_workers():
+def test_run_sweep_is_reproducible_across_workers(cpus):
+    cpus(3)
     spec = make_small_spec()
     rows_one = run_sweep(spec)
     rows_again = run_sweep(spec)
