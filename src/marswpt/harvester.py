@@ -138,7 +138,7 @@ def harvester_preset(name: str) -> HarvesterModel:
 def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None):
     """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input."""
     p = np.asarray(p_rx_mw, dtype=float)
-    if np.any(p < 0.0):
+    if p.size and p.min() < 0.0:
         raise ValueError("p_rx_mw must be non-negative")
     with np.errstate(over="raise", invalid="raise"):
         try:

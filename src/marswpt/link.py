@@ -23,9 +23,10 @@ of any shorter length. A word becomes a uniform only where the scenario
 reads it, and then it is the double of row ``i``, column ``j`` of
 ``Generator(Philox(key=seed)).random((n, 3))``, remapped once to the open
 interval so the inverse-CDF transforms stay finite. The trials are drawn in
-blocks; each block draws from its own Philox advanced to the block's first
-trial, which gives exactly that slice of the stream, so any worker count
-produces bit-identical results.
+blocks. Each thread keeps one Philox, and for each block re-keys it with the
+seed and advances it to the block's first trial, which gives exactly that
+slice of the stream, so any worker count produces bit-identical results.
+Nothing here reads OS entropy.
 
 Stages
 ------
@@ -51,7 +52,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
@@ -158,6 +162,14 @@ def build_scenario(values: dict, problems: list[str]) -> LinkScenario | None:
     return attempt(problems, scenario_with, LinkScenario(), **given)
 
 
+def _integer(value) -> int | None:
+    """``value`` as an int, or None unless it is an integer other than a bool; numpy integers pass."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloSettings:
     n_samples: int = 20_000
@@ -166,14 +178,23 @@ class MonteCarloSettings:
 
     def __post_init__(self) -> None:
         problems = []
-        if not self.n_samples >= 1:
-            problems.append(f"n_samples must be at least 1, got {self.n_samples}")
-        if not 0 <= self.seed < 2**64:
-            problems.append(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if any(not 0.0 < q < 1.0 for q in self.quantiles):
-            problems.append(f"quantiles must lie strictly inside (0, 1), got {self.quantiles}")
-        if len(set(self.quantiles)) < len(self.quantiles):
-            problems.append(f"quantiles must not repeat, got {self.quantiles}")
+        n, seed = _integer(self.n_samples), _integer(self.seed)
+        if n is None:
+            problems.append(f"n_samples must be an integer, got {self.n_samples!r}")
+        elif n < 1:
+            problems.append(f"n_samples must be at least 1, got {n}")
+        if seed is None:
+            problems.append(f"seed must be an integer, got {self.seed!r}")
+        elif not 0 <= seed < 2**64:
+            problems.append(f"seed must be a 64-bit unsigned integer, got {seed}")
+        q = self.quantiles
+        if not (isinstance(q, tuple) and all(isinstance(v, numbers.Real) for v in q)):
+            problems.append(f"quantiles must be a tuple of numbers, got {q!r}")
+        else:
+            if any(not 0.0 < v < 1.0 for v in q):
+                problems.append(f"quantiles must lie strictly inside (0, 1), got {q}")
+            if len(set(q)) < len(q):
+                problems.append(f"quantiles must not repeat, got {q}")
         raise_problems(problems)
 
 
@@ -315,11 +336,21 @@ def thread_map(fn, items, n_workers: int) -> list:
     return results
 
 
+# Each thread's one Philox, re-keyed for every block it draws.
+_THREAD = threading.local()
+
+
 def _philox_words(seed: int, start: int, k: int) -> np.ndarray:
     """The 3k words of trials ``start..start + k`` in stream order, shifted right by 11."""
+    bitgen = getattr(_THREAD, "philox", None)
+    if bitgen is None:
+        # A Philox built from a key draws OS entropy it then ignores; one built from a seed reads none.
+        bitgen = _THREAD.philox = np.random.Philox(0)
+    # The state of a fresh Philox(key=seed): counter 0 and an empty buffer.
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     # Twelve words are three Philox counter steps, so a block that starts on
     # a multiple of 4 trials begins exactly at trial ``start``'s words.
-    bitgen = np.random.Philox(key=seed)
     bitgen.advance(3 * start // 4)
     words = bitgen.random_raw(3 * k)
     words >>= 11
@@ -404,9 +435,10 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     starts = range(0, n, _BLOCK_TRIALS)
     thread_map(lambda start: in_block(draw, start), starts, n_workers)
     # Each trial is finite, but the sum behind a mean of huge dBm values may
-    # not be. A trial whose mW overflows is the error to report first.
+    # not be. A trial whose mW overflows is the error to report first. The
+    # mean is np.mean's arithmetic, without its Python wrapper.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_p_rx_dbm = float(np.mean(p_mw))
+        mean_p_rx_dbm = float(np.add.reduce(p_mw)) / n
     thread_map(lambda start: in_block(to_mw, start), starts, n_workers)
     if not math.isfinite(mean_p_rx_dbm):
         raise ValueError("the mean received power in dBm overflows float64")
@@ -424,7 +456,8 @@ def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
         block = slice(start, start + _BLOCK_TRIALS)
         p_mw = channel.p_mw[block]
         eta = raw_efficiency_percent(model, p_mw, out=p_h_uw[block])
-        clamped += p_mw.size - int(np.count_nonzero((eta >= 0.0) & (eta <= 100.0)))
+        # No eta is NaN: raw_efficiency_percent raises on an invalid operation, and the channel holds no NaN.
+        clamped += int(np.count_nonzero(eta < 0.0)) + int(np.count_nonzero(eta > 100.0))
         np.clip(eta, 0.0, 100.0, out=eta)
         extrapolated += int(np.count_nonzero(is_extrapolated(model, p_mw)))
         eta *= p_mw
@@ -465,8 +498,9 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
     elif (channel.scenario, channel.seed, channel.p_mw.size) != (s, mc.seed, mc.n_samples):
         raise ValueError(f"channel (seed {channel.seed}, n {channel.p_mw.size}) was not drawn for {s} at {mc}")
     draws = harvest_samples(model, channel)
-    # The mean sums the trials in their own order, before the reduce sorts them.
-    mean_uw = float(np.mean(draws.p_h_uw))
+    # The mean sums the trials in their own order, before the reduce sorts
+    # them, with np.mean's arithmetic.
+    mean_uw = float(np.add.reduce(draws.p_h_uw)) / mc.n_samples
     median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
     return HarvestStats(
         mean_uw=mean_uw,

@@ -929,6 +929,25 @@ def test_rows_to_csv_is_stable(tmp_path):
     assert text_one == text_two
 
 
+def test_the_numeric_path_reads_no_os_entropy(monkeypatch, cpus):
+    # The module docstring's promise: nothing in the numeric path reads ambient entropy.
+    def randbits(*args):
+        raise AssertionError("the numeric path read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", randbits)
+    # Every thread builds its generator afresh, so the build is checked too.
+    monkeypatch.setattr(link, "_THREAD", threading.local())
+    cpus(2)
+    scenario = LinkScenario(small_scale="rayleigh")
+    mc = MonteCarloSettings(n_samples=2 * link._BLOCK_TRIALS + 3, seed=5)
+    for n_workers in (1, 2):
+        draw_channel(scenario, mc, n_workers)
+    spec = SweepSpec(base=scenario, harvesters=("A", "C"), axis="distance", points=(25.0, 75.0),
+                     mc=MonteCarloSettings(n_samples=150, seed=3))
+    run_sweep(spec, n_workers=2)
+    assert main(["link", "--n-samples", "1000", "--n-workers", "2", "--json"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -661,6 +662,25 @@ def test_monte_carlo_settings_validation():
         MonteCarloSettings(n_samples=0, quantiles=(0.5, 0.1, 0.5))
 
 
+def test_monte_carlo_settings_take_integer_counts_and_a_tuple_of_numbers():
+    # A float seed would run the stream of its integer part and report the float.
+    with pytest.raises(ValueError) as excinfo:
+        MonteCarloSettings(n_samples=10.5, seed=5.5, quantiles=("a",))
+    assert str(excinfo.value) == (
+        "n_samples must be an integer, got 10.5; seed must be an integer, got 5.5; "
+        "quantiles must be a tuple of numbers, got ('a',)"
+    )
+    with pytest.raises(ValueError, match=r"^n_samples must be an integer, got True; seed must be an integer, got False$"):
+        MonteCarloSettings(n_samples=True, seed=False)
+    with pytest.raises(ValueError, match=r"^quantiles must be a tuple of numbers, got 0\.5$"):
+        MonteCarloSettings(quantiles=0.5)
+    with pytest.raises(ValueError, match=r"^quantiles must be a tuple of numbers, got \[0\.5\]$"):
+        MonteCarloSettings(quantiles=[0.5])
+    # numpy integers pass.
+    mc = MonteCarloSettings(n_samples=np.int32(7), seed=np.uint64(2**64 - 1), quantiles=(np.float64(0.5),))
+    assert estimate_harvest(LinkScenario(), HARVESTER_A, mc).seed == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # thread_map
 
@@ -966,6 +986,21 @@ def test_the_columns_the_engine_converts_are_numpys_philox_uniforms(seed):
                 assert got.tobytes() == u[:, j].tobytes(), (
                     f"uniform column {j} of trials {start}..{start + k} (seed {seed}) differs from numpy's"
                 )
+    # Each thread re-keys its one Philox for every block. Seeds that
+    # alternate on two threads, and blocks that leave its 4-word buffer part
+    # used, must still give a fresh Philox(key=seed)'s words.
+    def fresh_words(s, start, k):
+        bitgen = np.random.Philox(key=s)
+        bitgen.advance(3 * start // 4)
+        return bitgen.random_raw(3 * k) >> np.uint64(11)
+
+    with ThreadPoolExecutor(1) as helper:
+        for start in (0, 4, 1 << 16):
+            for k in (1, 3, 65537):
+                for s in (seed, 7):
+                    want = fresh_words(s, start, k).tobytes()
+                    assert link._philox_words(s, start, k).tobytes() == want
+                    assert helper.submit(link._philox_words, s, start, k).result().tobytes() == want
     # The stream's ends too: the fused multiply rounds as numpy's double times the remap factor.
     ends = np.array([0, 1, 2, 3, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
     want = ends * 2.0**-53
