@@ -21,6 +21,7 @@ numeric path reads clocks or ambient entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -288,7 +289,9 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves nothing on it, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="marswpt",
         description="RF wireless power transfer simulator for the Martian surface",

@@ -135,14 +135,17 @@ def harvester_preset(name: str) -> HarvesterModel:
     return lookup(BUILTIN_HARVESTERS, "harvester", name)
 
 
-def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None):
-    """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input."""
+def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None, den=None):
+    """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input.
+
+    ``den``, when given, is an array of ``p_rx_mw``'s shape that the denominator is computed in.
+    """
     p = np.asarray(p_rx_mw, dtype=float)
     if p.size and p.min() < 0.0:
         raise ValueError("p_rx_mw must be non-negative")
     with np.errstate(over="raise", invalid="raise"):
         try:
-            den = np.add(p, model.b2)
+            den = np.add(p, model.b2, out=den)
             den *= p
             den += model.b1
             den *= p
@@ -167,11 +170,11 @@ def harvested_mw(model: HarvesterModel, p_rx_mw):
     return np.asarray(p_rx_mw, dtype=float) * efficiency_percent(model, p_rx_mw) / 100.0
 
 
-def is_extrapolated(model: HarvesterModel, p_rx_mw):
-    """Whether the power sits outside the model's certified range."""
+def is_extrapolated(model: HarvesterModel, p_rx_mw, out=None):
+    """Whether the power sits outside the model's certified range, written into ``out`` when given."""
     lo, hi = model.valid_range_mw
     p = np.asarray(p_rx_mw, dtype=float)
-    return (p < lo) | (p > hi)
+    return np.logical_or(np.less(p, lo, out=out), p > hi, out=out)
 
 
 def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -30,6 +30,9 @@ Nothing here reads OS entropy.
 
 Stages
 ------
+A ``LinkScenario`` derives its budget terms, their sum (the median received
+dBm) and its pointing fade model once, when it is built, and carries them;
+``budget_terms``, ``median_received_dbm`` and ``draw_channel`` read them.
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
 power in mW, and the mean received dBm, computed once. It holds one float64
 per trial: a first pass writes each block's received dBm into that array,
@@ -37,8 +40,9 @@ and a second turns them into mW in place, so the dBm values live only until
 their mean is taken. It does not depend on the harvester, and it raises
 ValueError when a trial or, after every trial, that mean overflows float64.
 ``harvest_samples(model, channel)`` evaluates one model on it block by
-block, straight into the one n-sized array an estimate owns, and counts the
-clamped trials before it clips them, and the extrapolated ones.
+block, straight into the one n-sized array an estimate owns, with one float
+and one boolean scratch for every block; it counts the trials that the clip
+moved, and the extrapolated ones.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
 settings, takes the mean of that array in trial order, then sorts it in
 place and reads the median and quantiles off the sorted trials by index. It
@@ -57,7 +61,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -87,8 +91,22 @@ _TENS.flags.writeable = False
 
 
 @dataclass(frozen=True, slots=True)
+class _Budget:
+    """What a scenario derives from its fields: the signed dB terms of its median
+    budget, their ordered sum (the median P_RX), and the pointing fade model."""
+
+    terms: dict[str, float]
+    median_dbm: float
+    fade: MisalignmentModel | None
+
+
+@dataclass(frozen=True, slots=True)
 class LinkScenario:
-    """One transmitter-receiver configuration. Defaults: 10 W, 50 m, Area 1."""
+    """One transmitter-receiver configuration. Defaults: 10 W, 50 m, Area 1.
+
+    A scenario derives its budget once, when it is built, and carries it in a
+    field that is not a parameter and takes no part in its repr, equality or hash.
+    """
 
     p_tx_w: float = 10.0
     distance_m: float = 50.0
@@ -99,14 +117,15 @@ class LinkScenario:
     dust: DustStorm | None = None
     pointing: PointingGeometry | None = None
     small_scale: str = "off"
+    _budget: _Budget = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         problems = field_problems(self, p_tx_w="positive", distance_m="positive")
         attempt(problems, lookup, SMALL_SCALE_MODES, "small_scale", self.small_scale)
-        if not problems:
-            # The budget derives the fade model, so this also checks the pointing geometry.
-            attempt(problems, budget_terms, self)
+        # The budget derives the fade model, so this also checks the pointing geometry.
+        budget = None if problems else attempt(problems, _derive_budget, self)
         raise_problems(problems)
+        object.__setattr__(self, "_budget", budget)
 
 
 # The parts of a LinkScenario whose float fields are flat keys of scenario_with.
@@ -170,6 +189,10 @@ def _integer(value) -> int | None:
         return None
 
 
+# The most trials whose float64 array numpy can index: its byte count must fit an intp.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloSettings:
     n_samples: int = 20_000
@@ -183,6 +206,9 @@ class MonteCarloSettings:
             problems.append(f"n_samples must be an integer, got {self.n_samples!r}")
         elif n < 1:
             problems.append(f"n_samples must be at least 1, got {n}")
+        elif n > _MAX_SAMPLES:
+            problems.append(f"n_samples must be at most {_MAX_SAMPLES}, the most float64 values an array"
+                            f" can index, got {n}")
         if seed is None:
             problems.append(f"seed must be an integer, got {self.seed!r}")
         elif not 0 <= seed < 2**64:
@@ -248,11 +274,9 @@ def _ordered_sum(terms: dict[str, float]) -> float:
     return total
 
 
-def budget_terms(s: LinkScenario) -> dict[str, float]:
-    """Signed dB terms of the median budget; their ordered sum is the median P_RX.
-
-    Raises ValueError unless every term, their sum and its mW value are finite.
-    """
+def _derive_budget(s: LinkScenario) -> _Budget:
+    """The budget of ``s``; ValueError unless every term, their sum and its mW value are finite."""
+    fade = None
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             terms = {
@@ -261,7 +285,7 @@ def budget_terms(s: LinkScenario) -> dict[str, float]:
                 "g_r_db": s.g_r_db,
                 "path_loss_db": -path_loss_db(s.distance_m, s.carrier, s.terrain),
                 "dust_db": -dust_attenuation_db(s.dust, s.distance_m, s.carrier) if s.dust else 0.0,
-                "pointing_db": 10.0 * math.log10(derive_model(s.pointing).a0) if s.pointing else 0.0,
+                "pointing_db": 10.0 * math.log10((fade := derive_model(s.pointing)).a0) if s.pointing else 0.0,
             }
             total = _ordered_sum(terms)
             finite = all(map(math.isfinite, (*terms.values(), total, dbm_to_mw(total))))
@@ -269,12 +293,17 @@ def budget_terms(s: LinkScenario) -> dict[str, float]:
         finite = False
     if not finite:
         raise ValueError("the median link budget lies outside the float64 range")
-    return terms
+    return _Budget(terms, total, fade)
+
+
+def budget_terms(s: LinkScenario) -> dict[str, float]:
+    """Signed dB terms of the median budget, as a fresh dict; their ordered sum is the median P_RX."""
+    return dict(s._budget.terms)
 
 
 def median_received_dbm(s: LinkScenario) -> float:
     """Median received power: zero shadowing, aligned beam (m = a0), fading off."""
-    return _ordered_sum(budget_terms(s))
+    return s._budget.median_dbm
 
 
 def derive_substream_seed(seed: int, index: int) -> int:
@@ -371,8 +400,7 @@ def _open_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[str, float],
-                  words: np.ndarray, x: np.ndarray) -> None:
+def _received_dbm(s: LinkScenario, words: np.ndarray, x: np.ndarray) -> None:
     """Map a block's Philox words shifted right by 11 to received dBm in ``x``, in place.
 
     Trial i's words are ``words[3i:3i + 3]``. A word becomes a uniform only
@@ -384,6 +412,7 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
     # Every budget term but pointing is the same for all trials; pointing
     # enters per trial through the fade model. The losses add as a numpy
     # scalar, so that an overflow of their sum raises under errstate.
+    terms, fade = s._budget.terms, s._budget.fade
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
     x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
     rayleigh = SMALL_SCALE_MODES[s.small_scale]
@@ -410,14 +439,12 @@ def _received_dbm(s: LinkScenario, fade: MisalignmentModel | None, terms: dict[s
 
 def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) -> Channel:
     """The per-trial channel of ``s`` at ``mc``, bit-identical for any worker count."""
-    terms = budget_terms(s)
-    fade = derive_model(s.pointing) if s.pointing is not None else None
     n = mc.n_samples
     # One array: each block's received dBm, until their mean is taken; then its mW, in place.
     p_mw = np.empty(n)
 
     def draw(x: np.ndarray, start: int) -> None:
-        _received_dbm(s, fade, terms, _philox_words(mc.seed, start, x.size), x)
+        _received_dbm(s, _philox_words(mc.seed, start, x.size), x)
 
     def to_mw(x: np.ndarray, start: int) -> None:
         np.divide(x, 10.0, out=x)
@@ -448,19 +475,26 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
 
 def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
     """Every trial's harvested power for ``model`` on ``channel``, and its clamp and range counts."""
-    p_h_uw = np.empty(channel.p_mw.size)
+    n = channel.p_mw.size
+    p_h_uw = np.empty(n)
+    # One float and one boolean scratch serve every block, so a block allocates nothing.
+    scratch = np.empty(min(n, _BLOCK_TRIALS))
+    mask = np.empty(scratch.size, dtype=bool)
     clamped = extrapolated = 0
     # One thread: a model block is a few short ufuncs, and handing the GIL
     # over after each one costs more than a second core saves.
-    for start in range(0, p_h_uw.size, _BLOCK_TRIALS):
+    for start in range(0, n, _BLOCK_TRIALS):
         block = slice(start, start + _BLOCK_TRIALS)
         p_mw = channel.p_mw[block]
-        eta = raw_efficiency_percent(model, p_mw, out=p_h_uw[block])
-        # No eta is NaN: raw_efficiency_percent raises on an invalid operation, and the channel holds no NaN.
-        clamped += int(np.count_nonzero(eta < 0.0)) + int(np.count_nonzero(eta > 100.0))
-        np.clip(eta, 0.0, 100.0, out=eta)
-        extrapolated += int(np.count_nonzero(is_extrapolated(model, p_mw)))
-        eta *= p_mw
+        den, flags = scratch[:p_mw.size], mask[:p_mw.size]
+        eta = raw_efficiency_percent(model, p_mw, out=p_h_uw[block], den=den)
+        # The denominator is spent, so its scratch takes the clipped percent.
+        clipped = np.clip(eta, 0.0, 100.0, out=den)
+        # No eta is NaN (raw_efficiency_percent raises on an invalid operation,
+        # and the channel holds no NaN), so the clip moved exactly the trials it clamped.
+        clamped += int(np.count_nonzero(np.not_equal(eta, clipped, out=flags)))
+        extrapolated += int(np.count_nonzero(is_extrapolated(model, p_mw, out=flags)))
+        np.multiply(clipped, p_mw, out=eta)
         eta *= 1000.0 / 100.0
     return HarvestSamples(p_h_uw, clamped, extrapolated)
 

@@ -910,6 +910,37 @@ def test_an_allocation_that_cannot_succeed_is_a_runtime_error(tmp_path, capsys, 
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["link", "--harvester", "C"], ["sweep", "--preset", "fig6a"]], ids=["link", "sweep"])
+@pytest.mark.parametrize("n_samples", [str(10**23), str(2**63 - 1)])
+def test_a_trial_count_no_array_can_index_is_an_input_error_that_names_n_samples(capsys, argv, n_samples):
+    # numpy refused both counts only when the channel was allocated, with
+    # "Maximum allowed dimension exceeded" or "array is too big".
+    code, out, err = run_cli(capsys, *argv, "--n-samples", n_samples)
+    limit = np.iinfo(np.intp).max // 8
+    assert (code, out) == (2, "")
+    assert err == (f"error: n_samples must be at most {limit}, the most float64 values an array can index,"
+                   f" got {n_samples}\n")
+
+
+def test_one_process_parses_each_call_as_a_fresh_process_does(tmp_path, capsys):
+    # The parser is built once per process, so no call may leave a value on it for the next.
+    link_argv = ["link", "--json", "--n-samples", "300", "--harvester", "B"]
+    calls = [
+        link_argv[:1] + ["--p-tx-w", "30"] + link_argv[1:],
+        link_argv,
+        ["sweep", "--preset", "fig6a", "--n-samples", "40", "--seed", "9"],
+    ]
+    outputs = []
+    for argv in calls:
+        fresh = run_module(tmp_path, "marswpt.cli", *argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert run_cli(capsys, *argv) == (0, fresh.stdout, "")
+        outputs.append(fresh.stdout)
+    # The first call's --p-tx-w changes its report, so a value kept for the second would show.
+    assert len(set(outputs)) == len(calls)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_sweep_unwritable_output_is_runtime_error(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--preset", "fig6a", "--n-samples", "10",

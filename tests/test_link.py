@@ -10,7 +10,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,36 @@ def test_budget_terms_are_plain_floats(scenario):
     terms = budget_terms(scenario)
     assert all(type(value) is float for value in terms.values()), terms
     assert type(median_received_dbm(scenario)) is float
+
+
+def test_a_scenario_carries_its_budget_and_hands_out_fresh_copies():
+    storm = DustStorm(n_t_per_m3=1e4, rho_p_m=1e-4)
+    scenario = LinkScenario(dust=storm, pointing=PointingGeometry(0.5, 0.3, R_D))
+    first = budget_terms(scenario)
+    first["p_tx_dbm"] = 1e9
+    first.clear()
+    again = budget_terms(scenario)
+    assert again is not budget_terms(scenario)
+    assert again["p_tx_dbm"] == watts_to_dbm(10.0) and len(again) == 6
+    assert median_received_dbm(scenario) == link._derive_budget(scenario).median_dbm
+
+    # The stored budget is derived, not a parameter: no key, repr, equality or hash sees it.
+    stored = next(f for f in fields(LinkScenario) if f.name == "_budget")
+    assert (stored.init, stored.repr, stored.compare) == (False, False, False)
+    assert not any(key.startswith("_") for key in link.SCENARIO_KEYS)
+    twin = LinkScenario(dust=storm, pointing=PointingGeometry(0.5, 0.3, R_D))
+    object.__setattr__(twin, "_budget", link._derive_budget(LinkScenario()))
+    assert twin == scenario and hash(twin) == hash(scenario) and repr(twin) == repr(scenario)
+    assert "budget" not in repr(scenario)
+
+    # A changed copy derives its own budget, by replace and by flat keys alike.
+    for changed in (replace(scenario, p_tx_w=20.0), link.scenario_with(scenario, p_tx_w=20.0)):
+        assert budget_terms(changed)["p_tx_dbm"] == watts_to_dbm(20.0)
+        assert median_received_dbm(changed) == median_received_dbm(LinkScenario(
+            p_tx_w=20.0, dust=storm, pointing=PointingGeometry(0.5, 0.3, R_D)))
+    wider = link.scenario_with(scenario, beta_m=1.0)
+    assert budget_terms(wider)["pointing_db"] == 10.0 * math.log10(derive_model(wider.pointing).a0)
+    assert budget_terms(wider)["pointing_db"] != budget_terms(scenario)["pointing_db"]
 
 
 def test_huge_collector_removes_pointing_penalty():
@@ -286,9 +316,8 @@ def test_shared_channel_gives_the_per_model_result():
 def _replayed_dbm(scenario, mc):
     """Every trial's received dBm, from all of its Philox words at once through the engine's own transform."""
     words = np.random.Philox(key=mc.seed).random_raw(3 * mc.n_samples) >> np.uint64(11)
-    fade = derive_model(scenario.pointing) if scenario.pointing is not None else None
     dbm = np.empty(mc.n_samples)
-    link._received_dbm(scenario, fade, budget_terms(scenario), words, dbm)
+    link._received_dbm(scenario, words, dbm)
     return dbm
 
 
@@ -662,6 +691,18 @@ def test_monte_carlo_settings_validation():
         MonteCarloSettings(n_samples=0, quantiles=(0.5, 0.1, 0.5))
 
 
+def test_monte_carlo_settings_bound_n_samples_by_what_an_array_can_index():
+    limit = np.iinfo(np.intp).max // 8
+    assert MonteCarloSettings(n_samples=limit).n_samples == limit
+    for n in (limit + 1, 2**63 - 1, 10**23):
+        with pytest.raises(ValueError) as excinfo:
+            MonteCarloSettings(n_samples=n, seed=-1)
+        assert str(excinfo.value) == (
+            f"n_samples must be at most {limit}, the most float64 values an array can index, got {n}; "
+            "seed must be a 64-bit unsigned integer, got -1"
+        )
+
+
 def test_monte_carlo_settings_take_integer_counts_and_a_tuple_of_numbers():
     # A float seed would run the stream of its integer part and report the float.
     with pytest.raises(ValueError) as excinfo:
@@ -901,12 +942,15 @@ SWINGING = HarvesterModel("swing", a2=0.0, a1=1e4, a0=-1.0, b2=0.0, b1=0.0, b0=1
 @given(
     st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
     st.lists(CHANNEL_POWERS, min_size=1, max_size=40),
-    st.sampled_from([4, 12, link._BLOCK_TRIALS]),
+    st.sampled_from([1, 3, 4, 12, link._BLOCK_TRIALS]),
 )
 @example(SWINGING, [0.0, 1e-6, 1.0, 1e3, 0.5], 4)
+@example(SWINGING, [1e3, 0.0, 1e-6, 1.0, 0.5, 20.0, 1e-6], 3)
 def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials):
     # The accepted models go below 0 % and above 100 %, so clamping is
-    # exercised too; built-in C never clamps.
+    # exercised too; built-in C never clamps. Blocks of a few trials reuse
+    # the scratch that the block before them wrote, and a last short block
+    # uses only the front of it.
     p_mw = np.array(powers)
     p_mw.flags.writeable = False
     channel = link.Channel(LinkScenario(), 0, p_mw, 0.0)
@@ -915,7 +959,12 @@ def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials
         draws = harvest_samples(model, channel)
     raw = raw_efficiency_percent(model, p_mw)
     assert draws.p_h_uw.tobytes() == (p_mw * np.clip(raw, 0.0, 100.0) * 10.0).tobytes()
-    assert (draws.clamp_count, draws.extrapolated_count) == _recount(model, channel)
+    # harvested_mw(p) * 1000 rounds twice where the engine's one product
+    # rounds once, so the two differ by up to a few ulp, or a subnormal.
+    np.testing.assert_allclose(draws.p_h_uw, harvested_mw(model, p_mw) * 1000.0, rtol=4e-16, atol=1e-300)
+    lo, hi = model.valid_range_mw
+    assert draws.clamp_count == sum(not 0.0 <= eta <= 100.0 for eta in raw.tolist())
+    assert draws.extrapolated_count == sum(not lo <= p <= hi for p in powers)
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,12 +18,14 @@ from marswpt.pointing import PointingGeometry, default_beam_waist, derive_model
 from marswpt.propagation import AREA1, AREA2, DustStorm, dust_attenuation_db
 from marswpt.harvester import harvester_preset
 from marswpt.quantities import ConfigError
-from marswpt import sweep
+from marswpt import link, sweep
 from marswpt.sweep import (
     AXES,
+    PRESETS,
     SECONDARY_KINDS,
     SweepSpec,
     axis_points,
+    build_sweep_spec,
     builtin_presets,
     run_sweep,
 )
@@ -257,6 +259,40 @@ def test_run_sweep_computes_one_median_per_grid_point(monkeypatch):
     assert medians == [row.scenario for row in rows[::len(spec.harvesters)]]
     for row in rows:
         assert row.p_rx_median_dbm == median_received_dbm(row.scenario)
+
+
+def test_each_scenario_derives_its_budget_once_and_no_row_derives_one(monkeypatch):
+    built, derived, per_row = [], [], []
+    post_init, derive, estimate = LinkScenario.__post_init__, link._derive_budget, sweep.estimate_harvest
+
+    def counting_post_init(scenario):
+        built.append(scenario)
+        post_init(scenario)
+
+    def counting_derive(scenario):
+        derived.append(scenario)
+        return derive(scenario)
+
+    def counting_estimate(*args, **kwargs):
+        before = len(derived)
+        stats = estimate(*args, **kwargs)
+        per_row.append(len(derived) - before)
+        return stats
+
+    monkeypatch.setattr(LinkScenario, "__post_init__", counting_post_init)
+    monkeypatch.setattr(link, "_derive_budget", counting_derive)
+    monkeypatch.setattr(sweep, "estimate_harvest", counting_estimate)
+    spec = build_sweep_spec({**PRESETS["fig7a"], "n_samples": 50}, [])
+    # The base scenario, then both ends of the axis at every secondary value.
+    n_ends = 2 * len(spec.secondary_values)
+    assert derived == built and len(built) > n_ends
+    built.clear()
+    derived.clear()
+    rows = run_sweep(spec)
+    assert derived == built
+    assert len(built) == len(spec.points) * len(spec.secondary_values)
+    assert built == [row.scenario for row in rows[::len(spec.harvesters)]]
+    assert per_row == [0] * len(rows)
 
 
 def test_each_row_uses_its_derived_substream():
