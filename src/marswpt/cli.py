@@ -54,7 +54,6 @@ from .link import (
     draw_channel,
     estimate_harvest,
     median_received_dbm,
-    thread_map,
 )
 from .quantities import attempt, dbm_to_mw, lookup, raise_problems
 from .sweep import (
@@ -177,22 +176,20 @@ def cmd_link(args: argparse.Namespace) -> int:
         "budget_terms_db": terms,
     }
     # Every model sees the same trials, so the channel is drawn once; the
-    # models then reduce it side by side.
+    # models then reduce it one at a time, each stage over the pool, so the
+    # report holds one harvest array beside the channel.
     channel = draw_channel(scenario, mc, n_workers) if models else None
-
-    def harvester_entry(model: HarvesterModel) -> dict:
+    report["harvesters"] = {}
+    for model in models:
         deterministic = {
             "p_rx_mw": median_mw,
             "efficiency_percent": efficiency_percent(model, median_mw),
             "harvested_uw": harvested_mw(model, median_mw) * 1000.0,
             "extrapolated": bool(is_extrapolated(model, median_mw)),
         }
-        stats = estimate_harvest(scenario, model, mc, channel=channel)
+        stats = estimate_harvest(scenario, model, mc, channel=channel, n_workers=n_workers)
         # json writes the float quantile keys as their repr, such as "0.05".
-        return {"deterministic": deterministic, "monte_carlo": asdict(stats)}
-
-    entries = thread_map(harvester_entry, models, n_workers)
-    report["harvesters"] = {model.name: entry for model, entry in zip(models, entries)}
+        report["harvesters"][model.name] = {"deterministic": deterministic, "monte_carlo": asdict(stats)}
 
     if args.json:
         print(json.dumps(report, indent=2))

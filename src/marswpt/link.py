@@ -39,21 +39,26 @@ per trial: a first pass writes each block's received dBm into that array,
 and a second turns them into mW in place, so the dBm values live only until
 their mean is taken. It does not depend on the harvester, and it raises
 ValueError when a trial or, after every trial, that mean overflows float64.
-``harvest_samples(model, channel)`` evaluates one model on it block by
-block, straight into the one n-sized array an estimate owns, with one float
-and one boolean scratch for every block; it counts the trials that the clip
-moved, and the extrapolated ones.
+``harvest_samples(model, channel, n_workers)`` evaluates one model on it
+block by block, over ``thread_map``, straight into the one n-sized array an
+estimate owns; each thread keeps one float and one boolean scratch for the
+blocks it runs, so a block allocates nothing. It counts the trials that the
+clip moved, and the extrapolated ones.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
-settings, takes the mean of that array in trial order, then sorts it in
-place and reads the median and quantiles off the sorted trials by index. It
+settings, and takes the mean of that array in trial order. It then splits
+the trials at the block boundary nearest their middle into two runs (the
+first is empty below two blocks), sorts both in place over ``thread_map``,
+and reads the median and quantiles off them as k-th smallest trials. It
 returns a ``HarvestStats`` with the channel's mean dBm. Callers that compare
 models draw the channel once and pass it to ``estimate_harvest`` for each,
-with the same result as a fresh draw; the channel is read-only, so the
-models can reduce it side by side on ``thread_map``.
+with the same result as a fresh draw; ``link`` reduces the models one at a
+time, each stage over the pool, so a report holds the channel and one
+harvest array: 16 B per trial at any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -83,7 +88,7 @@ _OPEN_INTERVAL_EPS = 1e-16
 _WORD_TO_OPEN_UNIFORM = 2.0**-53 * (1.0 - 2.0 * _OPEN_INTERVAL_EPS)
 # Trials per block: a multiple of 4, so that a block starts on a Philox
 # counter step. At 2^16 its 1.5 MB of raw words still fit a 2 MB L2, and its
-# ufunc calls are long enough between GIL hand-offs for models to reduce side by side.
+# ufunc calls are long enough between GIL hand-offs for threads to share one estimate's blocks.
 _BLOCK_TRIALS = 1 << 16
 # dBm -> mW with an array base, which numpy's vector power loop takes: same bits, twice as fast.
 _TENS = np.full(_BLOCK_TRIALS, 10.0)
@@ -473,69 +478,106 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     return Channel(s, mc.seed, p_mw, mean_p_rx_dbm)
 
 
-def harvest_samples(model: HarvesterModel, channel: Channel) -> HarvestSamples:
+def _block_scratch(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's float and boolean scratch, cut to ``k`` trials; grown only when a block needs more."""
+    scratch = getattr(_THREAD, "scratch", None)
+    if scratch is None or scratch.size < k:
+        scratch = _THREAD.scratch = np.empty(k)
+        _THREAD.mask = np.empty(k, dtype=bool)
+    return scratch[:k], _THREAD.mask[:k]
+
+
+def harvest_samples(model: HarvesterModel, channel: Channel, n_workers: int = 1) -> HarvestSamples:
     """Every trial's harvested power for ``model`` on ``channel``, and its clamp and range counts."""
     n = channel.p_mw.size
     p_h_uw = np.empty(n)
-    # One float and one boolean scratch serve every block, so a block allocates nothing.
-    scratch = np.empty(min(n, _BLOCK_TRIALS))
-    mask = np.empty(scratch.size, dtype=bool)
-    clamped = extrapolated = 0
-    # One thread: a model block is a few short ufuncs, and handing the GIL
-    # over after each one costs more than a second core saves.
-    for start in range(0, n, _BLOCK_TRIALS):
+
+    def harvest(start: int) -> tuple[int, int]:
         block = slice(start, start + _BLOCK_TRIALS)
         p_mw = channel.p_mw[block]
-        den, flags = scratch[:p_mw.size], mask[:p_mw.size]
-        eta = raw_efficiency_percent(model, p_mw, out=p_h_uw[block], den=den)
-        # The denominator is spent, so its scratch takes the clipped percent.
-        clipped = np.clip(eta, 0.0, 100.0, out=den)
+        eta, flags = _block_scratch(p_mw.size)
+        # The block's output holds the denominator until the clipped percent
+        # replaces it, so the last two multiplies run in place.
+        out = p_h_uw[block]
+        raw_efficiency_percent(model, p_mw, out=eta, den=out)
+        clipped = np.clip(eta, 0.0, 100.0, out=out)
         # No eta is NaN (raw_efficiency_percent raises on an invalid operation,
         # and the channel holds no NaN), so the clip moved exactly the trials it clamped.
-        clamped += int(np.count_nonzero(np.not_equal(eta, clipped, out=flags)))
-        extrapolated += int(np.count_nonzero(is_extrapolated(model, p_mw, out=flags)))
-        np.multiply(clipped, p_mw, out=eta)
-        eta *= 1000.0 / 100.0
+        clamped = int(np.count_nonzero(np.not_equal(eta, clipped, out=flags)))
+        extrapolated = int(np.count_nonzero(is_extrapolated(model, p_mw, out=flags)))
+        clipped *= p_mw
+        clipped *= 1000.0 / 100.0
+        return clamped, extrapolated
+
+    clamped, extrapolated = map(sum, zip(*thread_map(harvest, range(0, n, _BLOCK_TRIALS), n_workers)))
     return HarvestSamples(p_h_uw, clamped, extrapolated)
 
 
-def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...]) -> tuple[float, dict[float, float]]:
-    """The median and linear quantiles of ``h``, which this sorts in place.
+def _kth_smallest(a: np.ndarray, b: np.ndarray, k: int) -> float:
+    """The ``k``-th smallest trial (from 0) of the sorted runs ``a`` and ``b`` together, which hold no NaN."""
+    # The k + 1 smallest are the first i of a and the first k + 1 - i of b,
+    # for the least i at which a[i] is not below b[k - i]; binary search finds it.
+    # Conditionals, not max and min, bound i: this runs a few times per sweep row.
+    lo = k + 1 - len(b) if k >= len(b) else 0
+    hi = k + 1 if k < len(a) else len(a)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if a.item(i) < b.item(k - i):
+            lo = i + 1
+        else:
+            hi = i
+    if lo == 0:
+        return b.item(k)
+    if lo == k + 1:
+        return a.item(k)
+    return max(a.item(lo - 1), b.item(k - lo))
 
+
+def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...],
+                      n_workers: int = 1) -> tuple[float, dict[float, float]]:
+    """The median and linear quantiles of ``h``, which this sorts in two runs in place.
+
+    The runs split ``h`` at the block boundary nearest its middle, so below
+    two blocks the first run is empty; ``thread_map`` sorts both. Order
+    statistics are values, not positions, so the split changes none of them.
     Both are numpy's definitions (``np.median``, and ``np.quantile`` with
-    ``method="linear"``, type 7 of Hyndman and Fan, 1996), read off the
-    sorted trials with numpy's own arithmetic: the mean of the middle pair,
+    ``method="linear"``, type 7 of Hyndman and Fan, 1996), read off the k-th
+    smallest trials with numpy's own arithmetic: the mean of the middle pair,
     and the two-sided lerp between the neighbours of ``(n - 1) q``. A NaN
-    sorts last and makes every statistic NaN. With both signed zeros, a
-    zero's sign may vary.
+    sorts last in its run and makes every statistic NaN. With both signed
+    zeros, a zero's sign may vary.
     """
-    h.sort()
     n = h.size
-    if math.isnan(h[-1]):
+    split = _BLOCK_TRIALS * ((n + _BLOCK_TRIALS - 1) // (2 * _BLOCK_TRIALS))
+    runs = h[:split], h[split:]
+    thread_map(np.ndarray.sort, runs, n_workers)
+    # The last trial of each run; with the first run empty, h[split - 1] is h[-1].
+    if math.isnan(h[split - 1]) or math.isnan(h[-1]):
         return math.nan, dict.fromkeys(quantiles, math.nan)
+    kth = functools.partial(_kth_smallest, *runs)
     mid = n // 2
-    median = float(h[mid]) if n % 2 else (float(h[mid - 1]) + float(h[mid])) / 2
+    median = kth(mid) if n % 2 else (kth(mid - 1) + kth(mid)) / 2
     by_q = {}
     for q in quantiles:
         v = (n - 1) * q
         lo = math.floor(v)
-        a, b, t = float(h[lo]), float(h[min(lo + 1, n - 1)]), v - lo
+        a, b, t = kth(lo), kth(min(lo + 1, n - 1)), v - lo
         by_q[q] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
     return median, by_q
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
-                     *, channel: Channel | None = None) -> HarvestStats:
-    """Monte Carlo summary over ``mc.n_samples`` trials, on ``channel`` when given."""
+                     *, channel: Channel | None = None, n_workers: int = 1) -> HarvestStats:
+    """Monte Carlo summary over ``mc.n_samples`` trials, on ``channel`` when given, each stage over the pool."""
     if channel is None:
-        channel = draw_channel(s, mc)
+        channel = draw_channel(s, mc, n_workers)
     elif (channel.scenario, channel.seed, channel.p_mw.size) != (s, mc.seed, mc.n_samples):
         raise ValueError(f"channel (seed {channel.seed}, n {channel.p_mw.size}) was not drawn for {s} at {mc}")
-    draws = harvest_samples(model, channel)
+    draws = harvest_samples(model, channel, n_workers)
     # The mean sums the trials in their own order, before the reduce sorts
     # them, with np.mean's arithmetic.
     mean_uw = float(np.add.reduce(draws.p_h_uw)) / mc.n_samples
-    median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles)
+    median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles, n_workers)
     return HarvestStats(
         mean_uw=mean_uw,
         median_uw=median_uw,

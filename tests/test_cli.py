@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -438,13 +439,45 @@ def test_n_workers_runs_at_most_one_thread_per_cpu(capsys, monkeypatch, cpus):
         return wrapped
 
     monkeypatch.setattr(link, "thread_map", recording(link.thread_map))
-    monkeypatch.setattr(cli, "thread_map", recording(cli.thread_map))
-    # Four channel blocks, and a map over the three models.
+    # Four channel blocks, then for each model its four harvest blocks and its two sorted runs.
     argv = ["link", "--json", "--n-samples", str(3 * link._BLOCK_TRIALS + 1)]
     wide = run_cli(capsys, *argv, "--n-workers", "1000")
     # The CLI passes N on, and thread_map runs at most the caller and one helper.
     assert counts == {1000} and 1 <= len(threads) <= 2
     assert wide[0] == 0 and wide == run_cli(capsys, *argv, "--n-workers", "1")
+
+
+# The link_1e6 benchmark scenario: every channel branch on.
+EVERY_BRANCH_FLAGS = (
+    "--area", "area2", "--p-tx-w", "20", "--distance-m", "50", "--n-t-per-m3", "1e4",
+    "--rho-p-m", "1e-4", "--beta-m", "0.5", "--sigma-s-m", "0.3", "--small-scale", "rayleigh",
+)
+
+
+def test_link_report_is_the_same_at_every_worker_count(capsys, cpus):
+    cpus(3)
+    argv = ["link", *EVERY_BRANCH_FLAGS, "--n-samples", "1000000", "--json"]
+    serial = run_cli(capsys, *argv, "--n-workers", "1")
+    assert serial[0] == 0
+    for n_workers in ("2", "1000"):
+        assert run_cli(capsys, *argv, "--n-workers", n_workers) == serial
+
+
+def test_a_link_report_holds_the_channel_and_one_harvest_array(capsys, cpus):
+    # The models reduce one at a time, so at 2 workers the report peaks at the
+    # channel and one harvest array (16 B a trial) plus each thread's block
+    # temporaries, not at two harvest arrays in flight.
+    cpus(2)
+    n = 1 << 20
+    argv = ["link", *EVERY_BRANCH_FLAGS, "--n-samples", str(n), "--n-workers", "2", "--json"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sorted(json.loads(capsys.readouterr().out)["harvesters"]) == ["A", "B", "C"]
+    assert peak < 2.5 * 8 * n
 
 
 def test_no_process_keeps_more_helpers_than_cpus_less_one(capsys):

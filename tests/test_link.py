@@ -299,6 +299,20 @@ def test_block_size_and_worker_count_do_not_change_samples(monkeypatch, cpus, bl
                 np.testing.assert_array_equal(got, want)
 
 
+def test_estimate_is_the_same_at_every_worker_count(cpus):
+    # Harvest blocks and the two sorted runs of the reduce spread over the
+    # pool: one trial, one block short, exact and over, a part third block,
+    # and 16 blocks and a bit, whose runs split 8 + 9 blocks.
+    cpus(3)
+    block = link._BLOCK_TRIALS
+    for n in (1, block - 1, block, block + 1, 2 * block + 3, (1 << 20) + 5):
+        mc = MonteCarloSettings(n_samples=n, seed=n)
+        for model in (HARVESTER_A, HARVESTER_B, HARVESTER_C):
+            serial = estimate_harvest(EVERY_BRANCH, model, mc)
+            for n_workers in (2, 3):
+                assert estimate_harvest(EVERY_BRANCH, model, mc, n_workers=n_workers) == serial
+
+
 def test_shared_channel_gives_the_per_model_result():
     mc = MonteCarloSettings(n_samples=20_001, seed=12345, quantiles=(0.01, 0.5, 0.95))
     channel = draw_channel(EVERY_BRANCH, mc, n_workers=2)
@@ -357,14 +371,46 @@ ORDER_VALUES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5, math.nan]) | st.floats(
     st.lists(ORDER_VALUES, min_size=1, max_size=60),
     st.lists(st.sampled_from([0.05, 0.95, 1e-9, 1 - 1e-9, 0.25, 0.01]) | st.floats(1e-9, 1 - 1e-9),
              max_size=4),
+    st.sampled_from([4, link._BLOCK_TRIALS]),
 )
-def test_order_statistics_match_numpy_median_and_quantile(values, extra):
+# With blocks of 4 trials: up to 4 trials the first run is empty; 5 split 4 + 1,
+# 12 split 4 + 8 and 13 split 8 + 5. Zeros tie across the split, and a NaN sits
+# in the first or the second run.
+@example([0.0, 1.0, 0.0, 2.5, 0.0], [0.25], 4)
+@example([0.0] * 6 + [1.0] * 6, [0.5, 0.75], 4)
+@example([2.5, 0.0, 0.0, 1.0, 0.0, 0.0, 2.5, 2.5, 0.0, 1.0, 0.0, 0.0, 7.0], [], 4)
+@example([1.0, math.nan, 0.0, 2.5, 0.0, 1.0], [], 4)
+@example([1.0, 0.0, 0.0, 2.5, 0.0, math.nan], [], 4)
+@example([math.nan, 1.0, 0.0], [], 4)
+def test_order_statistics_match_numpy_median_and_quantile(values, extra, block_trials):
     h = np.array(values)
+    before = h.copy()
     quantiles = (0.5, 1e-9, 1 - 1e-9, *extra)
-    median, by_q = link._order_statistics(h, quantiles)
-    assert _bits(median) == _bits(float(np.median(h)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(link, "_BLOCK_TRIALS", block_trials)
+        median, by_q = link._order_statistics(h, quantiles)
+    assert _bits(median) == _bits(float(np.median(before)))
     for q in quantiles:
-        assert _bits(by_q[q]) == _bits(float(np.quantile(h, q)))
+        assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], [3.0]),
+    ([], [0.0, 0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0, 3.0], [4.0]),
+    ([5.0], [0.0, 1.0, 2.0, 3.0]),
+    ([2.0], [2.0]),
+    ([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0, 1.0]),
+    ([1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0]),
+    ([1.0, 2.0, 3.0], []),
+])
+def test_kth_smallest_of_two_sorted_runs(a, b):
+    # Every k from 0 to n - 1, so the first and last trial too; one run may be
+    # a single trial or empty, and an empty run is never read.
+    a, b = np.array(a), np.array(b)
+    merged = np.sort(np.concatenate([a, b]))
+    for k in range(merged.size):
+        assert _bits(link._kth_smallest(a, b, k)) == _bits(float(merged[k]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 19_999, 20_000, 1_000_000])
