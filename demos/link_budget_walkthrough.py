@@ -6,7 +6,7 @@ prints every dB contribution, then compares the deterministic median-channel
 harvest with a Monte Carlo estimate over shadowing.
 """
 
-from marswpt.harvester import BUILTIN_HARVESTERS, harvested_mw
+from marswpt.harvester import BUILTIN_HARVESTERS, efficiency_percent, harvested_uw
 from marswpt.link import (
     LinkScenario,
     MonteCarloSettings,
@@ -40,7 +40,7 @@ def main() -> None:
     median_mw = dbm_to_mw(median_dbm)
     print("deterministic harvest on the median channel:")
     for name, model in BUILTIN_HARVESTERS.items():
-        uw = harvested_mw(model, median_mw) * 1e3
+        uw = harvested_uw(median_mw, efficiency_percent(model, median_mw))
         print(f"  harvester {name}: {uw:8.2f} uW")
     print()
 

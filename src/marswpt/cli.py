@@ -38,7 +38,7 @@ from .harvester import (
     HarvesterModel,
     efficiency_percent,
     fit_model,
-    harvested_mw,
+    harvested_uw,
     is_extrapolated,
     raw_efficiency_percent,
     read_model_file,
@@ -181,10 +181,11 @@ def cmd_link(args: argparse.Namespace) -> int:
     channel = draw_channel(scenario, mc, n_workers) if models else None
     report["harvesters"] = {}
     for model in models:
+        # The median channel, harvested with the per-trial arithmetic.
         deterministic = {
             "p_rx_mw": median_mw,
-            "efficiency_percent": efficiency_percent(model, median_mw),
-            "harvested_uw": harvested_mw(model, median_mw) * 1000.0,
+            "efficiency_percent": (percent := efficiency_percent(model, median_mw)),
+            "harvested_uw": harvested_uw(median_mw, percent),
             "extrapolated": bool(is_extrapolated(model, median_mw)),
         }
         stats = estimate_harvest(scenario, model, mc, channel=channel, n_workers=n_workers)

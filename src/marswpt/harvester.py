@@ -4,10 +4,11 @@ Each harvester is a rational efficiency surface in the input power P (mW):
 
     eta(P) = (a2 P^2 + a1 P + a0) / (P^3 + b2 P^2 + b1 P + b0)
 
-whose output is a PERCENTAGE, clamped to [0, 100] before use. Three built-in
-coefficient sets (A, B, C) describe published rectifier designs; each carries
-the input-power range over which its fit is trusted. Outside that range the
-model still evaluates but callers can flag the result as extrapolated.
+whose output is a PERCENTAGE, clamped to [0, 100] before use; ``harvested_uw``,
+clip(eta) * P * (1000 / 100) µW, is the one formula for harvested power. Three
+built-in coefficient sets (A, B, C) describe published rectifier designs, each
+with the input-power range its fit is trusted over; outside it the model still
+evaluates, but callers can flag the result as extrapolated.
 
 Domain rule: the monic cubic denominator must be positive for every P >= 0,
 not only inside the certified range, because shadowing sends Monte Carlo
@@ -165,9 +166,9 @@ def efficiency_percent(model: HarvesterModel, p_rx_mw):
     return np.clip(raw_efficiency_percent(model, p_rx_mw), 0.0, 100.0)
 
 
-def harvested_mw(model: HarvesterModel, p_rx_mw):
-    """DC power harvested from ``p_rx_mw`` of incident RF power."""
-    return np.asarray(p_rx_mw, dtype=float) * efficiency_percent(model, p_rx_mw) / 100.0
+def harvested_uw(p_rx_mw, percent, out=None):
+    """µW harvested from ``p_rx_mw`` of RF power at the clamped efficiency ``percent``, into ``out`` when given."""
+    return np.multiply(np.multiply(percent, p_rx_mw, out=out), 1000.0 / 100.0, out=out)
 
 
 def is_extrapolated(model: HarvesterModel, p_rx_mw, out=None):

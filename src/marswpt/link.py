@@ -72,7 +72,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .flatkeys import field_kinds
-from .harvester import HarvesterModel, is_extrapolated, raw_efficiency_percent
+from .harvester import HarvesterModel, harvested_uw, is_extrapolated, raw_efficiency_percent
 from .pointing import MisalignmentModel, PointingGeometry, default_pointing, derive_model
 from .propagation import AREA1, DustStorm, TerrainProfile, dust_attenuation_db, path_loss_db, terrain_preset
 from .quantities import RfCarrier, attempt, dbm_to_mw, field_problems, lookup, raise_problems, watts_to_dbm
@@ -273,6 +273,8 @@ class Channel:
 
 
 def _ordered_sum(terms: dict[str, float]) -> float:
+    # Not sum(): since CPython 3.12 it adds floats with compensation (gh-100425), which would
+    # change the median dBm's last bits, and one golden.json pins every Python that CI runs.
     total = 0.0
     for term in terms.values():
         total += term
@@ -497,7 +499,7 @@ def harvest_samples(model: HarvesterModel, channel: Channel, n_workers: int = 1)
         p_mw = channel.p_mw[block]
         eta, flags = _block_scratch(p_mw.size)
         # The block's output holds the denominator until the clipped percent
-        # replaces it, so the last two multiplies run in place.
+        # replaces it, so the harvest runs in place.
         out = p_h_uw[block]
         raw_efficiency_percent(model, p_mw, out=eta, den=out)
         clipped = np.clip(eta, 0.0, 100.0, out=out)
@@ -505,8 +507,7 @@ def harvest_samples(model: HarvesterModel, channel: Channel, n_workers: int = 1)
         # and the channel holds no NaN), so the clip moved exactly the trials it clamped.
         clamped = int(np.count_nonzero(np.not_equal(eta, clipped, out=flags)))
         extrapolated = int(np.count_nonzero(is_extrapolated(model, p_mw, out=flags)))
-        clipped *= p_mw
-        clipped *= 1000.0 / 100.0
+        harvested_uw(p_mw, clipped, out=clipped)
         return clamped, extrapolated
 
     clamped, extrapolated = map(sum, zip(*thread_map(harvest, range(0, n, _BLOCK_TRIALS), n_workers)))

@@ -26,7 +26,7 @@ from marswpt.harvester import (
     EfficiencySample,
     efficiency_percent,
     fit_model,
-    harvested_mw,
+    harvested_uw,
 )
 from marswpt.cli import rows_to_csv
 from marswpt.link import LinkScenario, MonteCarloSettings, estimate_harvest, median_received_dbm
@@ -75,8 +75,8 @@ def test_criterion_2_figure3a_order_of_magnitude():
     base = builtin_presets()["fig3a"].base
     scenario = replace(base, p_tx_w=20.0)
     median_mw = dbm_to_mw(median_received_dbm(scenario))
-    harvested_a = harvested_mw(HARVESTER_A, median_mw) * 1e3
-    harvested_c = harvested_mw(HARVESTER_C, median_mw) * 1e3
+    harvested_a = harvested_uw(median_mw, efficiency_percent(HARVESTER_A, median_mw))
+    harvested_c = harvested_uw(median_mw, efficiency_percent(HARVESTER_C, median_mw))
     ok = 60.0 <= harvested_a <= 600.0 and 60.0 <= harvested_c <= 600.0
     announce(
         2, ok,

@@ -454,6 +454,30 @@ EVERY_BRANCH_FLAGS = (
 )
 
 
+@pytest.mark.parametrize("flags", [(), EVERY_BRANCH_FLAGS], ids=["default", "every_branch"])
+def test_link_median_channel_figures_are_the_engine_at_one_trial(tmp_path, capsys, monkeypatch, flags):
+    # The deterministic block harvests the median power with the per-trial
+    # arithmetic, so it is, bit for bit, a one-trial channel at that power.
+    # It does not depend on the trial count, so a short run gives the figures of a long one.
+    path = tmp_path / "d.model"
+    write_model_file(replace(HARVESTER_C, name="D", a2=120.0), path)
+    scenarios = []
+    monkeypatch.setattr(cli, "draw_channel", lambda s, *args: scenarios.append(s) or draw_channel(s, *args))
+    code, out, err = run_cli(capsys, "link", *flags, "--n-samples", "3", "--harvester-file", str(path), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    median_mw = report["median_p_rx_mw"]
+    channel = link.Channel(scenarios[0], 0, np.array([median_mw]), report["median_p_rx_dbm"])
+    models = [harvester_preset(name) for name in "ABC"] + [read_model_file(path)]
+    assert list(report["harvesters"]) == [model.name for model in models]
+    for model in models:
+        deterministic = report["harvesters"][model.name]["deterministic"]
+        trial = harvest_samples(model, channel)
+        assert deterministic["p_rx_mw"] == median_mw
+        assert deterministic["harvested_uw"].hex() == trial.p_h_uw[0].hex(), model.name
+        assert deterministic["extrapolated"] == (trial.extrapolated_count == 1), model.name
+
+
 def test_link_report_is_the_same_at_every_worker_count(capsys, cpus):
     cpus(3)
     argv = ["link", *EVERY_BRANCH_FLAGS, "--n-samples", "1000000", "--json"]

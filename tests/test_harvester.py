@@ -19,7 +19,7 @@ from marswpt.harvester import (
     denominator_minimum,
     efficiency_percent,
     fit_model,
-    harvested_mw,
+    harvested_uw,
     harvester_preset,
     is_extrapolated,
     raw_efficiency_percent,
@@ -131,7 +131,7 @@ def test_model_b_clamps_to_zero_inside_its_certified_range():
     assert np.all(raw_efficiency_percent(HARVESTER_B, np.geomspace(lo, 179.1, 10_001)) > 0.0)
     above = np.linspace(179.2, hi, 10_001)
     assert np.all(raw_efficiency_percent(HARVESTER_B, above) < 0.0)
-    assert np.all(harvested_mw(HARVESTER_B, above) == 0.0)
+    assert np.all(harvested_uw(above, efficiency_percent(HARVESTER_B, above)) == 0.0)
     # On a channel, those trials count as clamped and as certified, not extrapolated.
     channel = Channel(LinkScenario(), 0, above, float(np.mean(above)))
     draws = harvest_samples(HARVESTER_B, channel)
@@ -146,24 +146,40 @@ def test_models_a_and_c_never_clamp_inside_their_certified_ranges(model):
     assert np.all((eta >= 0.0) & (eta <= 100.0))
 
 
+def harvest_uw(model, p_mw):
+    return harvested_uw(p_mw, efficiency_percent(model, p_mw))
+
+
 def test_harvested_power_reference_values():
-    assert harvested_mw(HARVESTER_A, MEDIAN_RX_10W_MW) * 1e3 == pytest.approx(
-        37.23728285979588, rel=1e-12
-    )
-    assert harvested_mw(HARVESTER_B, MEDIAN_RX_10W_MW) * 1e3 == pytest.approx(
-        4.749654388711213, rel=1e-12
-    )
-    assert harvested_mw(HARVESTER_C, MEDIAN_RX_10W_MW) * 1e3 == pytest.approx(
-        42.76039698105052, rel=1e-12
-    )
+    assert harvest_uw(HARVESTER_A, MEDIAN_RX_10W_MW) == pytest.approx(37.23728285979588, rel=1e-12)
+    assert harvest_uw(HARVESTER_B, MEDIAN_RX_10W_MW) == pytest.approx(4.749654388711213, rel=1e-12)
+    assert harvest_uw(HARVESTER_C, MEDIAN_RX_10W_MW) == pytest.approx(42.76039698105052, rel=1e-12)
 
 
 def test_harvested_power_never_exceeds_input():
     grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 300)])
     for model in BUILTIN_HARVESTERS.values():
-        out = harvested_mw(model, grid)
-        assert np.all(out <= grid)
+        out = harvest_uw(model, grid)
+        # At 100 % the formula gives back the input power in µW.
+        assert np.all(out <= harvested_uw(grid, 100.0))
         assert out[0] == 0.0
+
+
+def test_harvested_power_peaks_where_the_readme_says():
+    # On a log grid from 1e-6 to 1e6 mW, each point 0.005 % above the last, A's and
+    # B's harvested power rises to one peak and never rises after it; C's never falls.
+    grid = np.geomspace(1e-6, 1e6, 600_001)
+    peaks = {}
+    for name, model in BUILTIN_HARVESTERS.items():
+        out = harvest_uw(model, grid)
+        i = int(np.argmax(out))
+        assert np.all(np.diff(out[: i + 1]) >= 0.0) and np.all(np.diff(out[i:]) <= 0.0), name
+        peaks[name] = grid[i], out[i]
+    # A peaks inside its 0.03-10 mW range, then falls towards its top.
+    assert peaks["A"] == (pytest.approx(4.18, abs=0.005), pytest.approx(1229.0, abs=0.5))
+    assert harvest_uw(HARVESTER_A, 10.0) == pytest.approx(1153.0, abs=0.5)
+    assert peaks["B"] == (pytest.approx(82.6, abs=0.05), pytest.approx(56.7e3, abs=50.0))
+    assert peaks["C"][0] == grid[-1]
 
 
 def test_extrapolation_flags():

@@ -25,7 +25,8 @@ from marswpt.harvester import (
     HARVESTER_C,
     HarvesterModel,
     denominator_minimum,
-    harvested_mw,
+    efficiency_percent,
+    harvested_uw,
     is_extrapolated,
     raw_efficiency_percent,
 )
@@ -522,7 +523,8 @@ def test_pointing_fade_matches_closed_form_mean():
     channel = draw_channel(scenario, MonteCarloSettings(n_samples=1_000_000, seed=777))
     draws = harvest_samples(FLAT_5PCT, channel)
 
-    aligned_uw = harvested_mw(FLAT_5PCT, dbm_to_mw(median_received_dbm(scenario))) * 1e3
+    aligned_mw = dbm_to_mw(median_received_dbm(scenario))
+    aligned_uw = harvested_uw(aligned_mw, efficiency_percent(FLAT_5PCT, aligned_mw))
     ratio = draws.p_h_uw / aligned_uw
     model = derive_model(pointing)
     expected = mean_fraction(model) / model.a0
@@ -1005,9 +1007,8 @@ def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials
         draws = harvest_samples(model, channel)
     raw = raw_efficiency_percent(model, p_mw)
     assert draws.p_h_uw.tobytes() == (p_mw * np.clip(raw, 0.0, 100.0) * 10.0).tobytes()
-    # harvested_mw(p) * 1000 rounds twice where the engine's one product
-    # rounds once, so the two differ by up to a few ulp, or a subnormal.
-    np.testing.assert_allclose(draws.p_h_uw, harvested_mw(model, p_mw) * 1000.0, rtol=4e-16, atol=1e-300)
+    # The engine harvests with the one public formula, so the two agree bit for bit.
+    assert draws.p_h_uw.tobytes() == harvested_uw(p_mw, efficiency_percent(model, p_mw)).tobytes()
     lo, hi = model.valid_range_mw
     assert draws.clamp_count == sum(not 0.0 <= eta <= 100.0 for eta in raw.tolist())
     assert draws.extrapolated_count == sum(not lo <= p <= hi for p in powers)
