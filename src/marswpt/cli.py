@@ -168,6 +168,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
     terms = budget_terms(scenario)
     median_dbm = median_received_dbm(scenario)
+    # dbm_to_mw is the one dBm-to-mW conversion, so this is the mW of a trial at the median level.
     median_mw = dbm_to_mw(median_dbm)
 
     report: dict = {

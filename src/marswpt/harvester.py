@@ -136,6 +136,20 @@ def harvester_preset(name: str) -> HarvesterModel:
     return lookup(BUILTIN_HARVESTERS, "harvester", name)
 
 
+def _polynomials(p, a2, a1, a0, b2, b1, b0, num=None, den=None):
+    """Numerator (a2 P + a1) P + a0 and denominator ((P + b2) P + b1) P + b0, into ``num`` and ``den`` if given."""
+    den = np.add(p, b2, out=den)
+    den *= p
+    den += b1
+    den *= p
+    den += b0
+    num = np.multiply(a2, p, out=num)
+    num += a1
+    num *= p
+    num += a0
+    return num, den
+
+
 def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None, den=None):
     """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input.
 
@@ -146,15 +160,7 @@ def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None, den=None):
         raise ValueError("p_rx_mw must be non-negative")
     with np.errstate(over="raise", invalid="raise"):
         try:
-            den = np.add(p, model.b2, out=den)
-            den *= p
-            den += model.b1
-            den *= p
-            den += model.b0
-            out = np.multiply(model.a2, p, out=out)
-            out += model.a1
-            out *= p
-            out += model.a0
+            out, den = _polynomials(p, model.a2, model.a1, model.a0, model.b2, model.b1, model.b0, out, den)
             out /= den
         except FloatingPointError:
             raise ValueError(f"model {model.name!r} overflows at received power {np.max(p):.6g} mW") from None
@@ -179,10 +185,8 @@ def is_extrapolated(model: HarvesterModel, p_rx_mw, out=None):
 
 
 def _rational(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
-    num = (coef[0] * p + coef[1]) * p + coef[2]
-    den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
-    den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-    return num / den
+    num, den = _polynomials(p, *coef)
+    return num / np.where(np.abs(den) < 1e-300, 1e-300, den)
 
 
 def least_squares(*args, **kwargs):
@@ -226,7 +230,7 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
             raise FitError(f"linear stage is rank-deficient (rank {rank} of 6);"
                            f" the input powers span {decades:.1f} decades")
         candidates.append(coef)
-        den = ((p + coef[3]) * p + coef[4]) * p + coef[5]
+        den = _polynomials(p, *coef)[1]
         if np.any(den == 0.0):
             break
         weights = 1.0 / np.abs(den)
@@ -235,8 +239,7 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
     if score(start) == math.inf:
         start = candidates[-1].copy()
         start[5] += 1e-4 * (p.max() ** 3 + 1.0) - denominator_minimum(*start[3:])
-        den = ((p + start[3]) * p + start[4]) * p + start[5]
-        start[:3] = np.linalg.lstsq(design[:, :3], y * den, rcond=None)[0]
+        start[:3] = np.linalg.lstsq(design[:, :3], y * _polynomials(p, *start)[1], rcond=None)[0]
         if score(start) == math.inf:
             raise FitError("no candidate keeps the denominator positive for every P >= 0")
 

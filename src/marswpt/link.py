@@ -8,7 +8,8 @@ The received power of one trial composes in dB:
 where ``chi`` is the log-normal shadowing draw, ``m`` the misalignment fade
 (when pointing is enabled), and ``g`` a unit-mean exponential power gain
 (when Rayleigh small-scale fading is enabled). The dBm value converts to mW
-exactly once, at the harvester boundary. Every pointing trial computes
+exactly once, at the harvester boundary, by ``dbm_to_mw``, the one conversion,
+which a report's median channel takes too. Every pointing trial computes
 ``10 log10(m) = (10 / ln 10)(ln a0 - 2 r^2 / w_eq^2)``; zero jitter is the
 ``sigma_s = 0`` case of that one expression, with every offset term +0.
 
@@ -36,9 +37,9 @@ dBm) and its pointing fade model once, when it is built, and carries them;
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
 power in mW, and the mean received dBm, computed once. It holds one float64
 per trial: a first pass writes each block's received dBm into that array,
-and a second turns them into mW in place, so the dBm values live only until
-their mean is taken. It does not depend on the harvester, and it raises
-ValueError when a trial or, after every trial, that mean overflows float64.
+and a second, ``dbm_to_mw``, turns them into mW in place, so the dBm values
+live only until their mean is taken. It does not depend on the harvester,
+and raises ValueError when a trial or, after every trial, the mean overflows.
 ``harvest_samples(model, channel, n_workers)`` evaluates one model on it
 block by block, over ``thread_map``, straight into the one n-sized array an
 estimate owns; each thread keeps one float and one boolean scratch for the
@@ -90,9 +91,6 @@ _WORD_TO_OPEN_UNIFORM = 2.0**-53 * (1.0 - 2.0 * _OPEN_INTERVAL_EPS)
 # counter step. At 2^16 its 1.5 MB of raw words still fit a 2 MB L2, and its
 # ufunc calls are long enough between GIL hand-offs for threads to share one estimate's blocks.
 _BLOCK_TRIALS = 1 << 16
-# dBm -> mW with an array base, which numpy's vector power loop takes: same bits, twice as fast.
-_TENS = np.full(_BLOCK_TRIALS, 10.0)
-_TENS.flags.writeable = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,10 +451,6 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     def draw(x: np.ndarray, start: int) -> None:
         _received_dbm(s, _philox_words(mc.seed, start, x.size), x)
 
-    def to_mw(x: np.ndarray, start: int) -> None:
-        np.divide(x, 10.0, out=x)
-        np.power(_TENS[: x.size], x, out=x)
-
     def in_block(step, start: int) -> None:
         # The error state is per thread, so each block sets its own.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -473,7 +467,7 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     # mean is np.mean's arithmetic, without its Python wrapper.
     with np.errstate(over="ignore", invalid="ignore"):
         mean_p_rx_dbm = float(np.add.reduce(p_mw)) / n
-    thread_map(lambda start: in_block(to_mw, start), starts, n_workers)
+    thread_map(lambda start: in_block(lambda x, _: dbm_to_mw(x, out=x), start), starts, n_workers)
     if not math.isfinite(mean_p_rx_dbm):
         raise ValueError("the mean received power in dBm overflows float64")
     p_mw.flags.writeable = False

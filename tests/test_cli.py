@@ -27,12 +27,13 @@ from marswpt import cli, link
 from marswpt.cli import CSV_COLUMNS, main, rows_to_csv
 from marswpt.harvester import HARVESTER_C, efficiency_percent, write_model_file
 from marswpt.link import (
-    LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
+    SCENARIO_KEYS, LinkScenario, MonteCarloSettings, draw_channel, estimate_harvest, harvest_samples,
     median_received_dbm,
 )
 from marswpt.flatkeys import format_value, format_values, parse_values
 from marswpt.harvester import harvester_preset, read_model_file
 from marswpt.sweep import AXES, PRESETS, SweepSpec, builtin_presets, config_kinds, run_sweep
+from marswpt.quantities import dbm_to_mw
 
 
 def run_cli(capsys, *argv):
@@ -454,11 +455,16 @@ EVERY_BRANCH_FLAGS = (
 )
 
 
-@pytest.mark.parametrize("flags", [(), EVERY_BRANCH_FLAGS], ids=["default", "every_branch"])
+# A fig5a grid point whose median mW from Python's ** (libm's pow) is one ulp off numpy's AVX-512 power loop.
+POW_SPLIT_FLAGS = ("--n-t-per-m3", "10000", "--rho-p-m", "0.005")
+
+
+@pytest.mark.parametrize("flags", [(), EVERY_BRANCH_FLAGS, POW_SPLIT_FLAGS],
+                         ids=["default", "every_branch", "pow_split"])
 def test_link_median_channel_figures_are_the_engine_at_one_trial(tmp_path, capsys, monkeypatch, flags):
-    # The deterministic block harvests the median power with the per-trial
-    # arithmetic, so it is, bit for bit, a one-trial channel at that power.
-    # It does not depend on the trial count, so a short run gives the figures of a long one.
+    # The deterministic block converts and harvests the median power with the
+    # per-trial arithmetic, so it is, bit for bit, a one-trial channel at that
+    # level. It does not depend on the trial count, so a short run gives the figures of a long one.
     path = tmp_path / "d.model"
     write_model_file(replace(HARVESTER_C, name="D", a2=120.0), path)
     scenarios = []
@@ -467,13 +473,15 @@ def test_link_median_channel_figures_are_the_engine_at_one_trial(tmp_path, capsy
     assert (code, err) == (0, "")
     report = json.loads(out)
     median_mw = report["median_p_rx_mw"]
+    trial_mw = dbm_to_mw(np.array([report["median_p_rx_dbm"]]))[0]
+    assert median_mw.hex() == trial_mw.hex()
     channel = link.Channel(scenarios[0], 0, np.array([median_mw]), report["median_p_rx_dbm"])
     models = [harvester_preset(name) for name in "ABC"] + [read_model_file(path)]
     assert list(report["harvesters"]) == [model.name for model in models]
     for model in models:
         deterministic = report["harvesters"][model.name]["deterministic"]
         trial = harvest_samples(model, channel)
-        assert deterministic["p_rx_mw"] == median_mw
+        assert deterministic["p_rx_mw"].hex() == median_mw.hex()
         assert deterministic["harvested_uw"].hex() == trial.p_h_uw[0].hex(), model.name
         assert deterministic["extrapolated"] == (trial.extrapolated_count == 1), model.name
 
@@ -930,6 +938,72 @@ def test_sweep_config_gives_a_table_or_one_error_line(tmp_path_factory, config):
     else:
         assert code == 2
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+# Text a user may give for any key: finite numbers, often of a workable size, the float64 edges, names and lists.
+ANY_VALUE = st.one_of(
+    finite.map(repr), st.floats(1e-3, 1e3).map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "5e-324", "-5e-324", "1e308", "-1e308", "", "text", "1,2", "0.5,0.5",
+                     "0.05,0.95", "1e-320,0.999", "A", "B,C", "all", "none", "area1", "area2", "rayleigh", "off",
+                     "p_tx", "distance", "jitter_sigma", "rho_p_m", "beta_m", "area", "log", "linear"]),
+)
+LIST_VALUE = st.lists(ANY_VALUE, min_size=1, max_size=3).map(",".join)
+# axis_count is a grid dimension, so its integers stay small enough to run.
+AXIS_COUNT_VALUE = ANY_VALUE.filter(lambda text: not text.lstrip("-").isdigit()) | st.integers(-1, 3).map(str)
+
+
+def exit_code_of(argv: list[str]) -> int:
+    """main's exit code for ``argv``, or argparse's own; stderr must hold no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error, such as a value like -inf that reads as a flag.
+            assert exc.code == 2
+            code = 2
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=120, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(sorted({*SCENARIO_KEYS, "seed", "quantiles", "harvester"})),
+                             ANY_VALUE | LIST_VALUE, max_size=4),
+       n_samples=st.integers(1, 50))
+def test_every_link_input_exits_0_1_or_2(flags, n_samples):
+    argv = ["link", "--n-samples", str(n_samples)]
+    for key, value in flags.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    assert exit_code_of(argv) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """One directory for the config files of a property, which a function-scoped tmp_path cannot give."""
+    return tmp_path_factory.mktemp("configs")
+
+
+@st.composite
+def any_sweep_config(draw):
+    lines = {}
+    if draw(st.booleans()):
+        # A runnable core, so that the other keys often reach the sweep itself.
+        lines["axis"] = draw(st.sampled_from(sorted(AXES)))
+        points = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3, unique=True))
+        lines["axis_points"] = ",".join(map(repr, sorted(points)))
+    keys = sorted(cli._SWEEP_CONFIG_KEYS.keys() - {"n_workers", "n_samples"})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+        lines[key] = draw(AXIS_COUNT_VALUE if key == "axis_count" else ANY_VALUE | LIST_VALUE)
+    lines["n_samples"] = str(draw(st.integers(1, 5)))
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=any_sweep_config())
+def test_every_sweep_config_exits_0_1_or_2(config_dir, text):
+    path = config_dir / "sweep.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert exit_code_of(["sweep", "--config", str(path)]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_presets()))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from marswpt.harvester import (
+    COEFFICIENTS,
     HARVESTER_A,
     HARVESTER_B,
     HARVESTER_C,
@@ -27,10 +28,11 @@ from marswpt.harvester import (
     denominator_minimum,
     efficiency_percent,
     harvested_uw,
+    _rational,
     is_extrapolated,
     raw_efficiency_percent,
 )
-from marswpt import link
+from marswpt import link, quantities
 from marswpt.link import (
     SMALL_SCALE_MODES,
     HarvestStats,
@@ -864,7 +866,7 @@ def test_thread_map_without_helpers_runs_inline(monkeypatch, n_items, n_workers)
 
 NESTED_THREAD_MAP = """
 import json
-from marswpt import link
+from marswpt import link, quantities
 
 def outer(i):
     return sum(link.thread_map(lambda j: i * j, range(6), 2))
@@ -1017,6 +1019,22 @@ def test_block_kernel_equals_the_whole_array_harvest(model, powers, block_trials
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
+    st.lists(CHANNEL_POWERS, min_size=1, max_size=40),
+)
+def test_the_fitter_evaluates_a_model_with_the_engines_arithmetic(model, powers):
+    # fit_model scores and polishes its candidates with _rational, so a fitted
+    # model's sample errors are those its trials would give, bit for bit,
+    # wherever _rational's guard against a vanishing denominator does not act.
+    p_mw = np.array(powers)
+    coef = np.array([getattr(model, key) for key in COEFFICIENTS])
+    den = ((p_mw + model.b2) * p_mw + model.b1) * p_mw + model.b0
+    kept = np.abs(den) >= 1e-300
+    assert _rational(coef, p_mw)[kept].tobytes() == raw_efficiency_percent(model, p_mw)[kept].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([HARVESTER_A, HARVESTER_B, HARVESTER_C]) | ACCEPTED_MODELS,
     st.lists(CHANNEL_POWERS | st.sampled_from([1e100, 1e104, 1e300]), min_size=1, max_size=20),
 )
 def test_raw_efficiency_into_out_matches_the_allocating_call(model, powers):
@@ -1034,9 +1052,9 @@ def test_raw_efficiency_into_out_matches_the_allocating_call(model, powers):
 
 
 def test_numpy_loops_behind_the_channel_give_the_same_bits():
-    # draw_channel raises 10 to the dBm / 10 with an array base and takes the
-    # log of contiguous uniform columns, because those loops are the faster
-    # ones. The golden hashes hold only while they give the bits of a scalar
+    # dbm_to_mw raises 10 to the dBm / 10 with an array base, and draw_channel
+    # takes the log of contiguous uniform columns, because those loops are the
+    # faster ones. The golden hashes hold only while they give the bits of a scalar
     # base and a strided column; a numpy build where they differ fails here.
     rng = np.random.default_rng(7)
     exponents = np.concatenate([
@@ -1046,7 +1064,7 @@ def test_numpy_loops_behind_the_channel_give_the_same_bits():
     ])
     for y in np.array_split(exponents, 3):
         scalar_base = np.power(10.0, y)
-        array_base = np.power(link._TENS[: y.size], y)
+        array_base = np.power(quantities._TENS[: y.size], y)
         assert scalar_base.tobytes() == array_base.tobytes(), (
             "numpy's power loop with an array base differs from a scalar base; draw_channel's mW would change"
         )

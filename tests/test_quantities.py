@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from marswpt.link import median_received_dbm
 from marswpt.quantities import (
     SPEED_OF_LIGHT_M_S,
     ConfigError,
@@ -14,12 +17,47 @@ from marswpt.quantities import (
     raise_problems,
     watts_to_dbm,
 )
+from marswpt.sweep import builtin_presets
 
 
 def test_dbm_to_mw_reference_points():
     assert dbm_to_mw(0.0) == 1.0
     assert dbm_to_mw(40.0) == pytest.approx(10_000.0, rel=1e-12)
     assert dbm_to_mw(-10.66) == pytest.approx(0.0859, abs=5e-5)
+
+
+# Preset grid medians whose mW from Python's ** (libm's pow) is one ulp off numpy's power
+# where numpy runs its AVX-512 power loop; where it falls back to libm, the two agree.
+POW_SPLIT_DBM = (-9.829801962314747, -13.724192713958523, -19.939450868980813)
+
+
+def test_the_levels_above_are_preset_medians():
+    presets = builtin_presets()
+    points = [("fig3a", 12.115276586285882, None), ("fig5a", 1e4, 5e-3), ("fig5b", 1e3, 1e-4)]
+    for level, (name, axis_value, secondary_value) in zip(POW_SPLIT_DBM, points, strict=True):
+        assert median_received_dbm(presets[name].scenario_at(axis_value, secondary_value)) == level
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-400.0, 3000.0))
+@example(POW_SPLIT_DBM[0])
+@example(POW_SPLIT_DBM[1])
+@example(POW_SPLIT_DBM[2])
+def test_dbm_to_mw_gives_a_level_the_same_bits_in_every_form(level):
+    # One conversion for the median channel and for every trial: a float, a
+    # 0-d array and a one-element array get the bits of the level inside a
+    # channel block (65,536 levels) and inside a longer array.
+    mw = dbm_to_mw(level)
+    assert type(mw) is float
+    assert dbm_to_mw(np.array(level)).hex() == mw.hex()
+    assert dbm_to_mw(np.array([level]))[0].hex() == mw.hex()
+    for n in (1 << 16, 70_000):
+        levels = np.linspace(-400.0, 3000.0, n)
+        levels[[0, n // 2, -1]] = level
+        fresh = dbm_to_mw(levels)
+        assert dbm_to_mw(levels, out=levels) is levels
+        for p_mw in (fresh, levels):
+            assert [p_mw[i].hex() for i in (0, n // 2, -1)] == [mw.hex()] * 3
 
 
 def test_mw_to_dbm_reference_points():
