@@ -365,6 +365,7 @@ def thread_map(fn, items, n_workers: int) -> list:
     finally:
         # wait() would block on a cancelled task until a helper dequeued it.
         wait([task for task in tasks if not task.cancel()])
+        fn = items = None  # A helper drops ``work`` after this returns: it must not keep the caller's arrays.
     if errors:
         raise errors[min(errors)]
     return results
