@@ -36,25 +36,27 @@ dBm) and its pointing fade model once, when it is built, and carries them;
 ``budget_terms``, ``median_received_dbm`` and ``draw_channel`` read them.
 ``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
 power in mW, and the mean received dBm, computed once. It holds one float64
-per trial: a first pass writes each block's received dBm into that array,
-and a second, ``dbm_to_mw``, turns them into mW in place, so the dBm values
-live only until their mean is taken. It does not depend on the harvester,
-and raises ValueError when a trial or, after every trial, the mean overflows.
+per trial. A first pass writes each block's received dBm into that array:
+the unit stage, ``_unit_draw``, turns a column of the block's Philox words
+into z = ndtri(u0), ln u1 or ln(-ln u2), with no scenario value, and the
+scenario stage, ``_received_dbm``, takes only the columns the scenario reads
+and sums the dBm. A second pass, ``dbm_to_mw``, turns them into mW in place,
+so the dBm values live only until their mean is taken. It does not depend on
+the harvester, and raises ValueError when a trial or, after every trial, the
+mean overflows.
 ``harvest_samples(model, channel, n_workers)`` evaluates one model on it
 block by block, over ``thread_map``, straight into the one n-sized array an
 estimate owns; each thread keeps one float and one boolean scratch for the
 blocks it runs, so a block allocates nothing. It counts the trials that the
 clip moved, and the extrapolated ones.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
-settings, and takes the mean of that array in trial order. It then splits
-the trials at the block boundary nearest their middle into two runs (the
-first is empty below two blocks), sorts both in place over ``thread_map``,
-and reads the median and quantiles off them as k-th smallest trials. It
-returns a ``HarvestStats`` with the channel's mean dBm. Callers that compare
-models draw the channel once and pass it to ``estimate_harvest`` for each,
-with the same result as a fresh draw; ``link`` reduces the models one at a
-time, each stage over the pool, so a report holds the channel and one
-harvest array: 16 B per trial at any worker count.
+settings, takes the mean of that array in trial order, and reads the median
+and quantiles off it with ``_order_statistics``, which sorts it in two runs
+over ``thread_map``. It returns a ``HarvestStats`` with the channel's mean
+dBm. Callers that compare models draw the channel once and pass it to
+``estimate_harvest`` for each, with the same result as a fresh draw; ``link``
+reduces the models one at a time, each stage over the pool, so a report
+holds the channel and one harvest array: 16 B per trial at any worker count.
 """
 
 from __future__ import annotations
@@ -395,52 +397,48 @@ def _philox_words(seed: int, start: int, k: int) -> np.ndarray:
     return words
 
 
-def _open_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The open-interval uniforms of a column of Philox words shifted right by 11, into ``out``."""
+def _unit_draw(words: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """The unit stage: column ``j`` of a block's Philox words shifted right by 11, as unit draws in ``out``.
+    Word ``3i + j`` is trial i's uniform u_j, drawn as z = ndtri(u0), ln u1 or ln(-ln u2): no scenario value."""
     # Each word is below 2^53, so the cast is exact. Casting on assignment
     # needs no buffer, where a multiply straight from the words would cast
     # through one, and the two passes take less time than that one.
-    out[...] = words
+    out[...] = words[j::3]
     out *= _WORD_TO_OPEN_UNIFORM
     out += _OPEN_INTERVAL_EPS
-    return out
+    if j == 0:
+        return ndtri(out, out=out)
+    # The log loops read the contiguous uniforms; on a strided column they are 3x slower.
+    np.log(out, out=out)
+    return np.log(np.negative(out, out=out), out=out) if j == 2 else out
 
 
-def _received_dbm(s: LinkScenario, words: np.ndarray, x: np.ndarray) -> None:
-    """Map a block's Philox words shifted right by 11 to received dBm in ``x``, in place.
+def _received_dbm(s: LinkScenario, draw, x: np.ndarray) -> None:
+    """The scenario stage: a block's received dBm in ``x`` from the unit draws ``draw(j)`` returns.
 
-    Trial i's words are ``words[3i:3i + 3]``. A word becomes a uniform only
-    when the scenario reads it: ``words[0::3]`` (shadowing) always,
-    ``words[1::3]`` with pointing, ``words[2::3]`` with Rayleigh fading.
+    It asks, in turn, only for the columns ``s`` reads: ``j = 0`` always, 1 with pointing, 2 with
+    Rayleigh fading. It forms each term in its draw's row, so one row can hold both in turn.
     """
-    ndtri(_open_uniforms(words[0::3], x), out=x)
-    x *= s.terrain.sigma_db
+    np.multiply(draw(0), s.terrain.sigma_db, out=x)
     # Every budget term but pointing is the same for all trials; pointing
     # enters per trial through the fade model. The losses add as a numpy
     # scalar, so that an overflow of their sum raises under errstate.
     terms, fade = s._budget.terms, s._budget.fade
     base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
     x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
-    rayleigh = SMALL_SCALE_MODES[s.small_scale]
-    # The log loops read the contiguous uniforms; on a strided column they are 3x slower.
-    t = np.empty_like(x) if fade is not None or rayleigh else None
     if fade is not None:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW. Zero jitter
         # makes every offset +0, so its fade is this law's sigma -> 0 limit.
-        np.log(_open_uniforms(words[1::3], t), out=t)
+        t = draw(1)
         t *= -2.0 * s.pointing.sigma_s_m**2
         t *= 2.0
         t /= fade.w_eq_m**2
         np.subtract(math.log(fade.a0), t, out=t)
-        t *= _DB_PER_LN
-        x += t
-    if rayleigh:
-        np.log(_open_uniforms(words[2::3], t), out=t)
-        np.negative(t, out=t)
-        np.log(t, out=t)
-        t *= _DB_PER_LN
-        x += t
+        x += np.multiply(t, _DB_PER_LN, out=t)
+    if SMALL_SCALE_MODES[s.small_scale]:
+        t = draw(2)
+        x += np.multiply(t, _DB_PER_LN, out=t)
 
 
 def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) -> Channel:
@@ -450,7 +448,9 @@ def draw_channel(s: LinkScenario, mc: MonteCarloSettings, n_workers: int = 1) ->
     p_mw = np.empty(n)
 
     def draw(x: np.ndarray, start: int) -> None:
-        _received_dbm(s, _philox_words(mc.seed, start, x.size), x)
+        # z goes straight into x; ln u1 and ln(-ln u2) take turns in the thread's float scratch.
+        words = _philox_words(mc.seed, start, x.size)
+        _received_dbm(s, lambda j: _unit_draw(words, j, _block_scratch(x.size)[0] if j else x), x)
 
     def in_block(step, start: int) -> None:
         # The error state is per thread, so each block sets its own.

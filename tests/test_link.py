@@ -1,5 +1,6 @@
 """Link budget composition and the Monte Carlo harvested-power estimator."""
 
+import hashlib
 import json
 import math
 import os
@@ -332,10 +333,10 @@ def test_shared_channel_gives_the_per_model_result():
 
 
 def _replayed_dbm(scenario, mc):
-    """Every trial's received dBm, from all of its Philox words at once through the engine's own transform."""
+    """Every trial's received dBm, from all of its Philox words at once through the engine's own two stages."""
     words = np.random.Philox(key=mc.seed).random_raw(3 * mc.n_samples) >> np.uint64(11)
-    dbm = np.empty(mc.n_samples)
-    link._received_dbm(scenario, words, dbm)
+    dbm, row = np.empty(mc.n_samples), np.empty(mc.n_samples)
+    link._received_dbm(scenario, lambda j: link._unit_draw(words, j, row if j else dbm), dbm)
     return dbm
 
 
@@ -355,6 +356,38 @@ def test_channel_arrays_are_read_only():
     channel = draw_channel(EVERY_BRANCH, MonteCarloSettings(n_samples=10, seed=1))
     with pytest.raises(ValueError, match="read-only"):
         channel.p_mw[0] = 0.0
+
+
+ZERO_JITTER = LinkScenario(pointing=PointingGeometry(beta_m=0.5, sigma_s_m=0.0, r_d_m=R_D))
+# The sha256 of draw_channel's p_mw bytes and the hex of its mean dBm at seed
+# 12345, as the draw gave them before it was split into a unit and a scenario
+# stage: one trial, a part block, one past a block and a part fourth block,
+# which golden.json's 2e4-trial rows and 1e6 report do not reach. Like
+# golden.json, they hold where numpy runs its X86_V4 (AVX-512) float64 loops.
+PINNED_CHANNELS = {
+    ("default", 1): ("f79ce381e83e34135f3e589997cf0f469370f482e5d6d24ec48217fbdb20b4e0", "-0x1.982ff90c6d613p+2"),
+    ("default", 5): ("54f8d44f96e39d0769b7126bbf6bf1d2975e049e1b38111607da674f580aa41a", "-0x1.a325274d15caap+2"),
+    ("default", 65537): ("80078ca4011c5a7d2c61565eae9aed529c4f1a9773b0fdfb50589aef3d0c5a9f", "-0x1.550ce0f7a2fa6p+3"),
+    ("default", 200003): ("e393fc02cdb6b946640f3e48930ca2039b8e1f8f54799d9012beb3c3363a92c2", "-0x1.55e93c4c39a11p+3"),
+    ("every_branch", 1): ("48946b05050e55f957fd5af29c632d4b02806808a0a7720692730e8329f39a77", "-0x1.8a364b4c3328bp+4"),
+    ("every_branch", 5): ("ecd488c692bf3e936b9b569b74ec4326cb9d7bccd64960fd21d489b612507d92", "-0x1.e94eac07fec6ap+4"),
+    ("every_branch", 65537): ("12a31352ecdb78802c0015301fa9636654305b4db18319f89419a868f737f019", "-0x1.aff628d9f1515p+4"),
+    ("every_branch", 200003): ("36c11e72ee1566eb0b776eba5d34e7306fa93f364e774bc379bc405b8612e551", "-0x1.b1025b05c2cf8p+4"),
+    ("zero_jitter", 1): ("e8e5d3a93b724289070f88a8d4f15ddc15cffb13378084a506f8bf322c4e0500", "-0x1.2f8feb93552e0p+3"),
+    ("zero_jitter", 5): ("8d92fea3c0db180799f6c0877b62acf1f69c99804298d1c9869db67ce2b6325b", "-0x1.350a82b3a962bp+3"),
+    ("zero_jitter", 65537): ("0949bffc4957e0938aab0e6b933c670ac5748691198c0620dcbf82b1b25d0137", "-0x1.b884d004c177cp+3"),
+    ("zero_jitter", 200003): ("c4e7c2bbd05eea8095b1403e5601793412946fcfa1ac733d9bad79488a7f36aa", "-0x1.b9612b59581e7p+3"),
+}
+
+
+@pytest.mark.parametrize(("name", "n"), sorted(PINNED_CHANNELS))
+def test_channel_bytes_and_mean_dbm_are_pinned(cpus, name, n):
+    cpus(2)
+    scenario = {"default": LinkScenario(), "every_branch": EVERY_BRANCH, "zero_jitter": ZERO_JITTER}[name]
+    for n_workers in (1, 2):
+        channel = draw_channel(scenario, MonteCarloSettings(n_samples=n, seed=12345), n_workers=n_workers)
+        got = hashlib.sha256(channel.p_mw.tobytes()).hexdigest(), channel.mean_p_rx_dbm.hex()
+        assert got == PINNED_CHANNELS[name, n], f"{n_workers} workers"
 
 
 def _bits(value: float) -> bytes:
@@ -1104,10 +1137,11 @@ def test_numpy_loops_behind_the_channel_give_the_same_bits():
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_the_columns_the_engine_converts_are_numpys_philox_uniforms(seed):
-    # draw_channel turns a block's raw Philox words into uniforms itself, with
-    # numpy's own conversion (w >> 11) * 2^-53 and the open-interval remap
-    # fused into one multiply. The golden hashes hold only while that gives
-    # the bits of Generator.random; a numpy build where it differs fails here.
+    # draw_channel's unit stage turns a block's raw Philox words into uniforms
+    # itself, with numpy's own conversion (w >> 11) * 2^-53 and the open-interval
+    # remap fused into one multiply, and then into its draws. The golden hashes
+    # hold only while those are the draws of Generator.random's bits; a numpy
+    # build where they differ fails here.
     eps = link._OPEN_INTERVAL_EPS
     for start in (0, 4, 1 << 16):
         for k in (1, 3, 65535, 65537):
@@ -1116,8 +1150,8 @@ def test_the_columns_the_engine_converts_are_numpys_philox_uniforms(seed):
             u += eps
             words = link._philox_words(seed, start, k)
             for j in range(3):
-                got = link._open_uniforms(words[j::3], np.empty(k))
-                assert got.tobytes() == u[:, j].tobytes(), (
+                got = link._unit_draw(words, j, np.empty(k))
+                assert got.tobytes() == _unit_draws_of(u[:, j], j).tobytes(), (
                     f"uniform column {j} of trials {start}..{start + k} (seed {seed}) differs from numpy's"
                 )
     # Each thread re-keys its one Philox for every block. Seeds that
@@ -1140,7 +1174,14 @@ def test_the_columns_the_engine_converts_are_numpys_philox_uniforms(seed):
     want = ends * 2.0**-53
     want *= 1.0 - 2.0 * eps
     want += eps
-    assert link._open_uniforms(ends, np.empty(ends.size)).tobytes() == want.tobytes()
+    for j in range(3):
+        got = link._unit_draw(np.repeat(ends, 3), j, np.empty(ends.size))
+        assert got.tobytes() == _unit_draws_of(want, j).tobytes()
+
+
+def _unit_draws_of(u, j):
+    """The unit stage's draws of column ``j`` from its open-interval uniforms ``u``, by numpy's and scipy's own calls."""
+    return ndtri(u) if j == 0 else np.log(u) if j == 1 else np.log(-np.log(u))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1183,6 +1224,28 @@ def test_each_trial_is_monotone_in_power_distance_dust_and_jitter(knob, scenario
     at_lo, at_hi = (
         draw_channel(with_knob(scenario, v), mc).p_mw for v in (lo, hi)
     )
+    if direction > 0:
+        assert np.all(at_hi >= at_lo)
+    else:
+        assert np.all(at_hi <= at_lo)
+
+
+@pytest.mark.parametrize("knob", sorted(MONOTONE_KNOBS))
+@settings(max_examples=25, deadline=None)
+@given(scenario=SCENARIOS, seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_the_scenario_stage_is_monotone_on_one_block_of_unit_draws(knob, scenario, seed, data):
+    # The scenario stage alone, on unit draws made once for both values. It
+    # compares dBm, not mW: numpy's AVX-512 power loop is not guaranteed
+    # monotone to the last ulp.
+    values, with_knob, direction = MONOTONE_KNOBS[knob]
+    lo, hi = sorted((data.draw(values, label="lo"), data.draw(values, label="hi")))
+    k = 64
+    words = link._philox_words(seed, 0, k)
+    draws = [link._unit_draw(words, j, np.empty(k)) for j in range(3)]
+    at_lo, at_hi = np.empty(k), np.empty(k)
+    for value, dbm in ((lo, at_lo), (hi, at_hi)):
+        # The stage forms its terms in the rows it is given, so each run gets copies.
+        link._received_dbm(with_knob(scenario, value), lambda j: draws[j].copy(), dbm)
     if direction > 0:
         assert np.all(at_hi >= at_lo)
     else:
