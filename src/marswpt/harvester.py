@@ -154,10 +154,12 @@ def raw_efficiency_percent(model: HarvesterModel, p_rx_mw, out=None, den=None):
     """Unclamped rational efficiency in percent, written into ``out`` when given; a numpy scalar for a scalar input.
 
     ``den``, when given, is an array of ``p_rx_mw``'s shape that the denominator is computed in.
+    Every caller's power is checked here, in one reduction: a negative or NaN power raises ValueError,
+    and a non-negative one gives a finite efficiency or raises ValueError for the overflow.
     """
     p = np.asarray(p_rx_mw, dtype=float)
-    if p.size and p.min() < 0.0:
-        raise ValueError("p_rx_mw must be non-negative")
+    if p.size and not p.min() >= 0.0:
+        raise ValueError("p_rx_mw must be a non-negative number")
     with np.errstate(over="raise", invalid="raise"):
         try:
             out, den = _polynomials(p, model.a2, model.a1, model.a0, model.b2, model.b1, model.b0, out, den)
@@ -178,7 +180,7 @@ def harvested_uw(p_rx_mw, percent, out=None):
 
 
 def is_extrapolated(model: HarvesterModel, p_rx_mw, out=None):
-    """Whether the power sits outside the model's certified range, written into ``out`` when given."""
+    """Whether a power ``raw_efficiency_percent`` accepted is outside the certified range, into ``out`` if given."""
     lo, hi = model.valid_range_mw
     p = np.asarray(p_rx_mw, dtype=float)
     return np.logical_or(np.less(p, lo, out=out), p > hi, out=out)

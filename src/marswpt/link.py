@@ -25,7 +25,7 @@ reads it, and then it is the double of row ``i``, column ``j`` of
 ``Generator(Philox(key=seed)).random((n, 3))``, remapped once to the open
 interval so the inverse-CDF transforms stay finite. The trials are drawn in
 blocks. Each thread keeps one Philox, and for each block re-keys it with the
-seed and advances it to the block's first trial, which gives exactly that
+seed and sets its counter to the block's first trial, which gives exactly that
 slice of the stream, so any worker count produces bit-identical results.
 Nothing here reads OS entropy.
 
@@ -47,8 +47,9 @@ mean overflows.
 ``harvest_samples(model, channel, n_workers)`` evaluates one model on it
 block by block, over ``thread_map``, straight into the one n-sized array an
 estimate owns; each thread keeps one float and one boolean scratch for the
-blocks it runs, so a block allocates nothing. It counts the trials that the
-clip moved, and the extrapolated ones.
+blocks it runs, so a block allocates nothing. ``raw_efficiency_percent``
+refuses a negative or NaN power there, so every harvest is finite and >= 0.
+It counts the trials that the clip moved, and the extrapolated ones.
 ``estimate_harvest`` checks that the channel was drawn for its scenario and
 settings, takes the mean of that array in trial order, and reads the median
 and quantiles off it with ``_order_statistics``, which sorts it in two runs
@@ -383,12 +384,10 @@ def _philox_words(seed: int, start: int, k: int) -> np.ndarray:
     if bitgen is None:
         # A Philox built from a key draws OS entropy it then ignores; one built from a seed reads none.
         bitgen = _THREAD.philox = np.random.Philox(0)
-    # The state of a fresh Philox(key=seed): counter 0 and an empty buffer.
-    bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+    # The state of Philox(key=seed) advanced to trial ``start`` with an empty buffer. Twelve words
+    # are three counter steps, so a block that starts on a multiple of 4 trials begins exactly there.
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": (3 * start // 4, 0, 0, 0), "key": (seed, 0)},
                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    # Twelve words are three Philox counter steps, so a block that starts on
-    # a multiple of 4 trials begins exactly at trial ``start``'s words.
-    bitgen.advance(3 * start // 4)
     words = bitgen.random_raw(3 * k)
     words >>= 11
     # No int64 view or (k, 3) reshape, though int64 converts a little faster:
@@ -498,8 +497,8 @@ def harvest_samples(model: HarvesterModel, channel: Channel, n_workers: int = 1)
         out = p_h_uw[block]
         raw_efficiency_percent(model, p_mw, out=eta, den=out)
         clipped = np.clip(eta, 0.0, 100.0, out=out)
-        # No eta is NaN (raw_efficiency_percent raises on an invalid operation,
-        # and the channel holds no NaN), so the clip moved exactly the trials it clamped.
+        # raw_efficiency_percent refuses a NaN power and raises on an invalid operation,
+        # so no eta is NaN and the clip moved exactly the trials it clamped.
         clamped = int(np.count_nonzero(np.not_equal(eta, clipped, out=flags)))
         extrapolated = int(np.count_nonzero(is_extrapolated(model, p_mw, out=flags)))
         harvested_uw(p_mw, clipped, out=clipped)
@@ -510,7 +509,7 @@ def harvest_samples(model: HarvesterModel, channel: Channel, n_workers: int = 1)
 
 
 def _kth_smallest(a: np.ndarray, b: np.ndarray, k: int) -> float:
-    """The ``k``-th smallest trial (from 0) of the sorted runs ``a`` and ``b`` together, which hold no NaN."""
+    """The ``k``-th smallest (from 0) of the sorted harvest runs ``a`` and ``b`` together, all finite and >= 0."""
     # The k + 1 smallest are the first i of a and the first k + 1 - i of b,
     # for the least i at which a[i] is not below b[k - i]; binary search finds it.
     # Conditionals, not max and min, bound i: this runs a few times per sweep row.
@@ -539,17 +538,13 @@ def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...],
     Both are numpy's definitions (``np.median``, and ``np.quantile`` with
     ``method="linear"``, type 7 of Hyndman and Fan, 1996), read off the k-th
     smallest trials with numpy's own arithmetic: the mean of the middle pair,
-    and the two-sided lerp between the neighbours of ``(n - 1) q``. A NaN
-    sorts last in its run and makes every statistic NaN. With both signed
-    zeros, a zero's sign may vary.
+    and the two-sided lerp between the neighbours of ``(n - 1) q``. ``h`` is a
+    harvest, finite and >= 0; with both signed zeros, a zero's sign may vary.
     """
     n = h.size
     split = _BLOCK_TRIALS * ((n + _BLOCK_TRIALS - 1) // (2 * _BLOCK_TRIALS))
     runs = h[:split], h[split:]
     thread_map(np.ndarray.sort, runs, n_workers)
-    # The last trial of each run; with the first run empty, h[split - 1] is h[-1].
-    if math.isnan(h[split - 1]) or math.isnan(h[-1]):
-        return math.nan, dict.fromkeys(quantiles, math.nan)
     kth = functools.partial(_kth_smallest, *runs)
     mid = n // 2
     median = kth(mid) if n % 2 else (kth(mid - 1) + kth(mid)) / 2

@@ -11,6 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from marswpt import cli
@@ -27,16 +28,28 @@ LINK_FLAGS = (
 )
 
 
+def _numpy_build() -> str:
+    """A failure message naming what the golden bytes depend on: numpy's version and float64 power loop."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        target = opt_func_info(func_name="power", signature="d")["power"]["ddd"]["current"]
+    except (ImportError, KeyError):
+        target = "unknown (numpy.lib.introspect.opt_func_info is missing)"
+    return (f"numpy {np.__version__}, float64 power loop dispatched to {target};"
+            f" the golden bytes were recorded on numpy's X86_V4 (AVX-512) loops")
+
+
 def test_golden_file_covers_every_preset():
     assert GOLDEN["seed"] == 12345
-    assert sorted(GOLDEN["presets_sha256"]) == sorted(builtin_presets())
+    assert sorted(GOLDEN["presets_sha256"]) == sorted(builtin_presets()), _numpy_build()
 
 
 @pytest.mark.parametrize("table", sorted(GOLDEN["presets_sha256"]))
 def test_preset_csv_matches_golden_hash(tmp_path, table):
     path = tmp_path / f"{table}.csv"
     assert cli.main(["sweep", "--preset", table, "--seed", str(GOLDEN["seed"]), "-o", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["presets_sha256"][table]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["presets_sha256"][table], _numpy_build()
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -45,4 +58,4 @@ def test_link_1e6_report_matches_golden(capsys, n_workers):
             "--n-workers", str(n_workers), "--json"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)["harvesters"]
-    assert {name: entry["monte_carlo"] for name, entry in report.items()} == GOLDEN["link_1e6"]
+    assert {name: entry["monte_carlo"] for name, entry in report.items()} == GOLDEN["link_1e6"], _numpy_build()

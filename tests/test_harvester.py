@@ -192,8 +192,10 @@ def test_extrapolation_flags():
 
 
 def test_evaluation_rejects_negative_power():
-    with pytest.raises(ValueError):
-        efficiency_percent(HARVESTER_A, -0.1)
+    # NaN is refused as a negative is: every harvest is finite and >= 0.
+    for power in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="p_rx_mw must be a non-negative number"):
+            efficiency_percent(HARVESTER_A, power)
 
 
 @pytest.mark.parametrize("model", [HARVESTER_A, HARVESTER_B, HARVESTER_C], ids=lambda m: m.name)
