@@ -223,19 +223,21 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
         return float(np.sum((_rational(coef, p) - y) ** 2))
 
     design = np.column_stack([p**2, p, np.ones_like(p), -y * p**2, -y * p, -y])
-    weights = np.ones_like(p)
+    system = design, y * p**3
     candidates = []
     for _ in range(_SK_STEPS):
-        coef, _, rank, _ = np.linalg.lstsq(design * weights[:, None], y * p**3 * weights, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(*system, rcond=None)
         if rank < 6 and not candidates:
             decades = math.log10(p.max()) - math.log10(p.min())
             raise FitError(f"linear stage is rank-deficient (rank {rank} of 6);"
                            f" the input powers span {decades:.1f} decades")
         candidates.append(coef)
-        den = _polynomials(p, *coef)[1]
-        if np.any(den == 0.0):
+        # The steps stop at a weighted system past float64, such as one of a zero den, which LAPACK cannot take.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = 1.0 / np.abs(_polynomials(p, *coef)[1])
+            system = design * weights[:, None], y * p**3 * weights
+        if not all(np.isfinite(a).all() for a in system):
             break
-        weights = 1.0 / np.abs(den)
 
     start = min(candidates, key=score)
     if score(start) == math.inf:
@@ -251,8 +253,9 @@ def fit_model(samples: list[EfficiencySample], *, name: str = "fitted") -> Harve
         penalty = min(denominator_minimum(*coef[3:]) - floor, 0.0) * 1e6
         return np.append(_rational(coef, p) - y, penalty)
 
-    polished = least_squares(residuals, start, method="trf", ftol=1e-9, max_nfev=1400).x
-    best = min((start, polished), key=score)
+    with np.errstate(all="ignore"):  # A polish whose steps leave float64 scores inf or NaN: the start is kept.
+        polished = least_squares(residuals, start, method="trf", ftol=1e-9, max_nfev=1400).x
+        best = min((start, polished), key=score)
     return HarvesterModel(
         name, **{key: float(value) for key, value in zip(COEFFICIENTS, best)},
         valid_range_mw=(float(p.min()), float(p.max())),

@@ -32,18 +32,19 @@ Nothing here reads OS entropy.
 Stages
 ------
 A ``LinkScenario`` derives its budget terms, their sum (the median received
-dBm) and its pointing fade model once, when it is built, and carries them;
-``budget_terms``, ``median_received_dbm`` and ``draw_channel`` read them.
-``draw_channel(s, mc)`` makes the ``Channel``: every draw up to received
-power in mW, and the mean received dBm, computed once. It holds one float64
-per trial. A first pass writes each block's received dBm into that array:
-the unit stage, ``_unit_draw``, turns a column of the block's Philox words
-into z = ndtri(u0), ln u1 or ln(-ln u2), with no scenario value, and the
-scenario stage, ``_received_dbm``, takes only the columns the scenario reads
-and sums the dBm. A second pass, ``dbm_to_mw``, turns them into mW in place,
-so the dBm values live only until their mean is taken. It does not depend on
-the harvester, and raises ValueError when a trial or, after every trial, the
-mean overflows.
+dBm), the constant every trial adds, ``(p_tx + g_t + g_r) + (path loss +
+dust)``, and its pointing fade model once, when it is built, checks each sum
+against float64, and carries them; ``budget_terms``, ``median_received_dbm``
+and ``draw_channel`` read them. ``draw_channel(s, mc)`` makes the ``Channel``:
+every draw up to received power in mW, and the mean received dBm, computed
+once. It holds one float64 per trial. A first pass writes each block's
+received dBm into that array: the unit stage, ``_unit_draw``, turns a column
+of the block's Philox words into z = ndtri(u0), ln u1 or ln(-ln u2), with no
+scenario value, and the scenario stage, ``_received_dbm``, adds the columns
+the scenario reads to that constant. A second pass, ``dbm_to_mw``, turns them
+into mW in place, so the dBm values live only until their mean is taken. It
+does not depend on the harvester, and raises ValueError when a trial or,
+after every trial, the mean overflows.
 ``harvest_samples(model, channel, n_workers)`` evaluates one model on it
 block by block, over ``thread_map``, straight into the one n-sized array an
 estimate owns; each thread keeps one float and one boolean scratch for the
@@ -98,11 +99,12 @@ _BLOCK_TRIALS = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class _Budget:
-    """What a scenario derives from its fields: the signed dB terms of its median
-    budget, their ordered sum (the median P_RX), and the pointing fade model."""
+    """What a scenario derives from its fields: the signed dB terms of its median budget, their
+    ordered sum (the median P_RX), the constant dB term every trial adds, and the pointing fade model."""
 
     terms: dict[str, float]
     median_dbm: float
+    offset_dbm: float
     fade: MisalignmentModel | None
 
 
@@ -273,17 +275,8 @@ class Channel:
     mean_p_rx_dbm: float
 
 
-def _ordered_sum(terms: dict[str, float]) -> float:
-    # Not sum(): since CPython 3.12 it adds floats with compensation (gh-100425), which would
-    # change the median dBm's last bits, and one golden.json pins every Python that CI runs.
-    total = 0.0
-    for term in terms.values():
-        total += term
-    return total
-
-
 def _derive_budget(s: LinkScenario) -> _Budget:
-    """The budget of ``s``; ValueError unless every term, their sum and its mW value are finite."""
+    """The budget of ``s``; ValueError unless every term, their sum, its mW and the trials' constant are finite."""
     fade = None
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -295,13 +288,21 @@ def _derive_budget(s: LinkScenario) -> _Budget:
                 "dust_db": -dust_attenuation_db(s.dust, s.distance_m, s.carrier) if s.dust else 0.0,
                 "pointing_db": 10.0 * math.log10((fade := derive_model(s.pointing)).a0) if s.pointing else 0.0,
             }
-            total = _ordered_sum(terms)
-            finite = all(map(math.isfinite, (*terms.values(), total, dbm_to_mw(total))))
+            # Not sum(): since CPython 3.12 it adds floats with compensation (gh-100425), which would
+            # change the median dBm's last bits, and one golden.json pins every Python that CI runs.
+            total = 0.0
+            for term in terms.values():
+                total += term
+            # Every term but pointing, which enters per trial through the fade model, is the same for all
+            # trials. They add this constant, in its own association, so its last bit may differ from total's.
+            base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
+            offset = base_dbm + (terms["path_loss_db"] + terms["dust_db"])
+            finite = all(map(math.isfinite, (*terms.values(), total, dbm_to_mw(total), offset)))
     except ArithmeticError:
         finite = False
     if not finite:
-        raise ValueError("the median link budget lies outside the float64 range")
-    return _Budget(terms, total, fade)
+        raise ValueError("the link budget lies outside the float64 range")
+    return _Budget(terms, total, offset, fade)
 
 
 def budget_terms(s: LinkScenario) -> dict[str, float]:
@@ -419,12 +420,8 @@ def _received_dbm(s: LinkScenario, draw, x: np.ndarray) -> None:
     Rayleigh fading. It forms each term in its draw's row, so one row can hold both in turn.
     """
     np.multiply(draw(0), s.terrain.sigma_db, out=x)
-    # Every budget term but pointing is the same for all trials; pointing
-    # enters per trial through the fade model. The losses add as a numpy
-    # scalar, so that an overflow of their sum raises under errstate.
-    terms, fade = s._budget.terms, s._budget.fade
-    base_dbm = terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]
-    x += base_dbm + np.add(terms["path_loss_db"], terms["dust_db"])
+    x += s._budget.offset_dbm
+    fade = s._budget.fade
     if fade is not None:
         # Rayleigh offset squared via inverse CDF; fade stays in the log
         # domain so huge offsets cannot underflow to zero mW. Zero jitter

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marswpt
@@ -252,7 +252,7 @@ def test_link_reports_a_harvester_overflow_as_an_input_error(capsys, gain_db):
     assert err.startswith("error: model 'C' overflows at received power")
 
 
-MEDIAN_OUTSIDE_FLOAT64 = "the median link budget lies outside the float64 range"
+BUDGET_OUTSIDE_FLOAT64 = "the link budget lies outside the float64 range"
 # The default beam waist, seven wavelengths at 2.45 GHz, as a geometry error prints it.
 DEFAULT_R_D = "r_d_m = 0.85654988"
 
@@ -264,19 +264,22 @@ def geometry_outside_float64(given: str) -> str:
 @pytest.mark.parametrize("flags, message", [
     ("--beta-m 0.5 --sigma-s-m 1e200", geometry_outside_float64(f"beta_m = 0.5, sigma_s_m = 1e+200, {DEFAULT_R_D}")),
     ("--beta-m 1e-200 --r-d-m 1e200", geometry_outside_float64("beta_m = 1e-200, sigma_s_m = 0.0, r_d_m = 1e+200")),
-    ("--rho-p-m 1e200 --n-t-per-m3 1", MEDIAN_OUTSIDE_FLOAT64),
-    ("--eps-re -2 --eps-im 1e-300 --n-t-per-m3 1", MEDIAN_OUTSIDE_FLOAT64),
-    ("--p-tx-w 1e308 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
-    ("--frequency-hz 1e-300 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
-    ("--g-t-db 1e308 --g-r-db 1e308 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
-    ("--g-t-db 5000 --harvester none --json", MEDIAN_OUTSIDE_FLOAT64),
+    ("--rho-p-m 1e200 --n-t-per-m3 1", BUDGET_OUTSIDE_FLOAT64),
+    ("--eps-re -2 --eps-im 1e-300 --n-t-per-m3 1", BUDGET_OUTSIDE_FLOAT64),
+    ("--p-tx-w 1e308 --harvester none --json", BUDGET_OUTSIDE_FLOAT64),
+    ("--frequency-hz 1e-300 --harvester none --json", BUDGET_OUTSIDE_FLOAT64),
+    ("--g-t-db 1e308 --g-r-db 1e308 --harvester none --json", BUDGET_OUTSIDE_FLOAT64),
+    ("--g-t-db 5000 --harvester none --json", BUDGET_OUTSIDE_FLOAT64),
+    # The median is finite, but the constant every trial adds, path loss plus dust before the gain, is not.
+    ("--g-t-db 1.7e308 --alpha 2.7e306 --sigma-db 0 --n-t-per-m3 4.08e304 --rho-p-m 1 --harvester none --json",
+     BUDGET_OUTSIDE_FLOAT64),
     ("--beta-m 1e-200", geometry_outside_float64(f"beta_m = 1e-200, sigma_s_m = 0.0, {DEFAULT_R_D}")),
     ("--beta-m 1e-163 --r-d-m 1e-163", geometry_outside_float64("beta_m = 1e-163, sigma_s_m = 0.0, r_d_m = 1e-163")),
     ("--beta-m 1 --sigma-s-m 1e154", geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+154, {DEFAULT_R_D}")),
     ("--beta-m 1 --sigma-s-m 1e155 --harvester none",
      geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+155, {DEFAULT_R_D}")),
 ], ids=["jitter_squared", "waist_squared", "radius_cubed", "dust_pole", "tx_power",
-        "frequency", "gain_sum", "median_mw", "aligned_fraction", "beam_width", "shape_exponent",
+        "frequency", "gain_sum", "median_mw", "trial_constant", "aligned_fraction", "beam_width", "shape_exponent",
         "jitter_squared_no_model"])
 def test_link_budget_outside_float64_is_an_input_error(capsys, flags, message):
     # A geometry whose fade parameters leave float64 is named by its keys, whether or not a model runs.
@@ -739,8 +742,13 @@ def test_sweep_config_keeps_each_problem_whole(tmp_path, capsys):
     ("axis = jitter_sigma\naxis_points = 0.1,1,1e155\nbeta_m = 1\nn_samples = 100\n",
      geometry_outside_float64(f"beta_m = 1.0, sigma_s_m = 1e+155, {DEFAULT_R_D}")),
     ("axis = dust_density\naxis_points = 1,1e10,1e308\nrho_p_m = 5e-3\nn_samples = 100\n",
-     MEDIAN_OUTSIDE_FLOAT64),
-], ids=["pointing_geometry", "median_budget"])
+     BUDGET_OUTSIDE_FLOAT64),
+    # The largest point's trial constant leaves float64, though its median does not;
+    # an unknown harvester is listed with it.
+    ("axis = dust_density\naxis_points = 3e304,4.08e304\nn_t_per_m3 = 3e304\nrho_p_m = 1\ng_t_db = 1.7e308\n"
+     "alpha = 2.7e306\nsigma_db = 0\nharvesters = Z\nn_samples = 100\n",
+     f"unknown harvester 'Z'; valid names: A, B, C; {BUDGET_OUTSIDE_FLOAT64}"),
+], ids=["pointing_geometry", "median_budget", "trial_constant"])
 def test_sweep_config_checks_every_grid_point_before_the_first_row(tmp_path, capsys, monkeypatch, text, message):
     estimates = []
 
@@ -1284,6 +1292,42 @@ def test_fit_gives_a_model_or_one_error_line_for_any_samples_file(tmp_path_facto
     else:
         assert code in (1, 2) and out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+# Efficiency curves a fit may be given: one level, two levels, noise, and both ends of the range.
+EFFICIENCY_SHAPES = {
+    "constant": lambda draw, n: [draw(SAMPLE_EFFICIENCIES)] * n,
+    "step": lambda draw, n: [draw(SAMPLE_EFFICIENCIES)] * (n // 2) + [draw(SAMPLE_EFFICIENCIES)] * (n - n // 2),
+    "random": lambda draw, n: draw(st.lists(SAMPLE_EFFICIENCIES, min_size=n, max_size=n)),
+    "zero": lambda draw, n: [0.0] * n,
+    "full": lambda draw, n: [100.0] * n,
+}
+
+
+@st.composite
+def wide_samples_files(draw):
+    """Sample CSV text of 6 to 40 powers spread over decades from 1e-300 to 1e50 mW, with one efficiency shape."""
+    powers = sorted(10.0**x for x in draw(st.lists(st.floats(-300.0, 50.0), min_size=6, max_size=40, unique=True)))
+    efficiencies = EFFICIENCY_SHAPES[draw(st.sampled_from(sorted(EFFICIENCY_SHAPES)))](draw, len(powers))
+    return "input_power_mw,efficiency_percent\n" + "".join(f"{p!r},{e!r}\n" for p, e in zip(powers, efficiencies))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=wide_samples_files())
+# A step weight 1/|den| past float64, which fed LAPACK inf and NaN.
+@example(text="input_power_mw,efficiency_percent\n3.691359624375109e-276,65.78162194849139\n"
+              "2.861152445760382e-260,1.0\n1.0,44.92180103097988\n1.0,42.18759454543025\n"
+              "1.1220184543019633,1.0\n2.154434690031884,82.0561337776677\n12.589254117941675,95.3481511469753\n")
+# A polish whose steps overflow inside scipy's least_squares.
+@example(text="input_power_mw,efficiency_percent\n1e-21,2.0\n1e-14,0.0\n" + "1.0,0.0\n" * 9
+              + "10.0,1.0\n100.0,1.0\n1000.0,0.0\n")
+def test_every_samples_file_exits_0_1_or_2(config_dir, text):
+    path = config_dir / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code_of(["fit", str(path)]) in (0, 1, 2)
+    assert caught == []
 
 
 def test_fit_degenerate_curve_is_runtime_error(tmp_path, capsys):

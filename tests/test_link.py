@@ -1,6 +1,7 @@
 """Link budget composition and the Monte Carlo harvested-power estimator."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -166,6 +167,24 @@ def test_zero_shadowing_collapses_to_deterministic_harvest():
     assert stats.clamp_count == 0
     assert stats.extrapolated_count == 0
     assert stats.mean_p_rx_dbm == pytest.approx(median_received_dbm(scenario), abs=1e-12)
+
+
+def test_every_calm_trial_adds_the_budget_constant_in_its_own_association():
+    # A trial adds (p_tx + g_t + g_r) + (path loss + dust), which the scenario forms when it is built; the
+    # median adds the same terms left to right. The two roundings can differ in the last bit, so
+    # test_zero_shadowing_collapses_to_deterministic_harvest compares the mean dBm with the median to 1e-12.
+    mc = MonteCarloSettings(n_samples=50, seed=3)
+    last_bit_differs = []
+    for p_tx_w, distance_m, n_t_per_m3 in itertools.product((0.1, 10.0, 333.0), (1.0, 50.0, 1234.5),
+                                                           (None, 1e2, 3.3e5)):
+        dust = None if n_t_per_m3 is None else DustStorm(n_t_per_m3=n_t_per_m3, rho_p_m=1e-4)
+        scenario = LinkScenario(p_tx_w=p_tx_w, distance_m=distance_m, terrain=CALM_AREA1, dust=dust)
+        terms = budget_terms(scenario)
+        constant = (terms["p_tx_dbm"] + terms["g_t_db"] + terms["g_r_db"]) + (terms["path_loss_db"] + terms["dust_db"])
+        dbm = _replayed_dbm(scenario, mc)
+        assert dbm.tobytes() == np.full(mc.n_samples, constant).tobytes()
+        last_bit_differs.append(constant != median_received_dbm(scenario))
+    assert any(last_bit_differs)
 
 
 def test_zero_jitter_pointing_is_static_a0_penalty():
@@ -952,16 +971,23 @@ def test_draw_channel_rejects_a_received_power_past_float64():
     # 10^(P/10) mW overflows past about 3083 dBm; pool threads must raise too.
     # The median, 3061 dBm, is finite, so only single trials overflow.
     mc = MonteCarloSettings(n_samples=40_000, seed=1)
-    # The budget's ordered sum is finite, but the trials add path loss and
-    # dust (each near -1e308 dB) before the gain, and that sum is not.
-    steep_and_dusty = LinkScenario(
-        g_t_db=1.7e308, terrain=TerrainProfile("steep", alpha=2.7e306, sigma_db=0.0),
-        dust=DustStorm(n_t_per_m3=4.08e304, rho_p_m=1.0),
-    )
-    for scenario in (LinkScenario(g_t_db=3100.0), steep_and_dusty):
-        for n_workers in (1, 2):
-            with pytest.raises(ValueError, match="received power overflows"):
-                draw_channel(scenario, mc, n_workers)
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError, match="received power overflows"):
+            draw_channel(LinkScenario(g_t_db=3100.0), mc, n_workers)
+
+
+def test_a_trial_constant_past_float64_is_refused_when_the_scenario_is_built():
+    # The ordered sum adds the gain before dust and stays finite, but the trials'
+    # constant adds path loss and dust (each near -1e308 dB) first, and that sum
+    # is not. It depends on no random draw, so it is an input error. With a
+    # little less dust, the constant stays finite and the scenario builds.
+    terrain = TerrainProfile("steep", alpha=2.7e306, sigma_db=0.0)
+    thinner = LinkScenario(g_t_db=1.7e308, terrain=terrain, dust=DustStorm(n_t_per_m3=3e304, rho_p_m=1.0))
+    assert math.isfinite(median_received_dbm(thinner))
+    with pytest.raises(ValueError, match="^the link budget lies outside the float64 range$"):
+        link.scenario_with(thinner, n_t_per_m3=4.08e304)
+    with pytest.raises(ValueError, match="^the link budget lies outside the float64 range$"):
+        LinkScenario(g_t_db=1.7e308, terrain=terrain, dust=DustStorm(n_t_per_m3=4.08e304, rho_p_m=1.0))
 
 
 def test_a_mean_received_power_past_float64_is_an_input_error():
