@@ -25,7 +25,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from decimal import Decimal
 
 import numpy as np
 
@@ -153,6 +152,8 @@ def _quantile_label(q: float) -> str:
     The shift keeps every digit of the repr, so distinct quantiles get distinct labels, and
     Decimal's own string writes a tiny percent with an exponent rather than hundreds of zeros.
     """
+    from decimal import Decimal  # Imported on first call, so only a text report loads decimal.
+
     percent = Decimal(repr(q)).scaleb(2)
     return f"p{int(percent):02d}" if percent == int(percent) else f"p{percent.normalize()}"
 

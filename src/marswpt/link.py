@@ -51,14 +51,15 @@ estimate owns; each thread keeps one float and one boolean scratch for the
 blocks it runs, so a block allocates nothing. ``raw_efficiency_percent``
 refuses a negative or NaN power there, so every harvest is finite and >= 0.
 It counts the trials that the clip moved, and the extrapolated ones.
-``estimate_harvest`` checks that the channel was drawn for its scenario and
-settings, takes the mean of that array in trial order, and reads the median
-and quantiles off it with ``_order_statistics``, which sorts it in two runs
-over ``thread_map``. It returns a ``HarvestStats`` with the channel's mean
-dBm. Callers that compare models draw the channel once and pass it to
-``estimate_harvest`` for each, with the same result as a fresh draw; ``link``
-reduces the models one at a time, each stage over the pool, so a report
-holds the channel and one harvest array: 16 B per trial at any worker count.
+``estimate_harvest`` draws the channel, or checks that the one given was
+drawn for its scenario and settings, calls ``harvest_samples``, then
+``_reduce``, which takes the mean of that array in trial order, then sorts it
+in two runs over ``thread_map`` and reads the median and quantiles. It
+returns a ``HarvestStats`` with the channel's mean dBm. Callers that compare
+models draw the channel once and pass it to ``estimate_harvest`` for each,
+with the same result as a fresh draw; ``link`` reduces the models one at a
+time, each stage over the pool, so a report holds the channel and one harvest
+array: 16 B per trial at any worker count.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ _OPEN_INTERVAL_EPS = 1e-16
 # open-interval remap u * (1 - 2 eps) + eps. Scaling by 2^-53 is exact, so
 # one multiply of w >> 11 by this product rounds as those two multiplies do.
 _WORD_TO_OPEN_UNIFORM = 2.0**-53 * (1.0 - 2.0 * _OPEN_INTERVAL_EPS)
-# Trials per block: a multiple of 4, so that a block starts on a Philox
-# counter step. At 2^16 its 1.5 MB of raw words still fit a 2 MB L2, and its
-# ufunc calls are long enough between GIL hand-offs for threads to share one estimate's blocks.
+# Trials per block: a multiple of 4, so that a block starts on a Philox counter step. A block's
+# words, channel slice and scratch take 2.5 MB, more than a 2 MB L2; of 2^14 to 2^18, 2^16 was
+# the fastest at 2 workers and tied at 1.
 _BLOCK_TRIALS = 1 << 16
 
 
@@ -525,25 +526,24 @@ def _kth_smallest(a: np.ndarray, b: np.ndarray, k: int) -> float:
     return max(a.item(lo - 1), b.item(k - lo))
 
 
-def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...],
-                      n_workers: int = 1) -> tuple[float, dict[float, float]]:
-    """The median and linear quantiles of ``h``, which this sorts in two runs in place.
+def _reduce(h: np.ndarray, quantiles: tuple[float, ...],
+            n_workers: int = 1) -> tuple[float, float, dict[float, float]]:
+    """The mean, median and linear quantiles of the harvest ``h``, which this sorts in two runs in place.
 
-    The runs split ``h`` at the block boundary nearest its middle, so below
-    two blocks the first run is empty; ``thread_map`` sorts both. Order
-    statistics are values, not positions, so the split changes none of them.
-    Both are numpy's definitions (``np.median``, and ``np.quantile`` with
-    ``method="linear"``, type 7 of Hyndman and Fan, 1996), read off the k-th
-    smallest trials with numpy's own arithmetic: the mean of the middle pair,
-    and the two-sided lerp between the neighbours of ``(n - 1) q``. ``h`` is a
-    harvest, finite and >= 0; with both signed zeros, a zero's sign may vary.
+    Above one block the runs are the two halves of ``h``, and ``thread_map`` sorts both; up to one
+    block the first run is empty, since there one sort read directly costs less than a split.
+    Order statistics are values, not positions, so the split changes none of them. Both are
+    numpy's definitions (``np.median``, and ``np.quantile`` with ``method="linear"``, type 7 of
+    Hyndman and Fan, 1996), read off the k-th smallest trials with numpy's own arithmetic: the mean
+    of the middle pair, and the two-sided lerp between the neighbours of ``(n - 1) q``. ``h`` is
+    finite and >= 0; with both signed zeros, a zero's sign may vary.
     """
-    n = h.size
-    split = _BLOCK_TRIALS * ((n + _BLOCK_TRIALS - 1) // (2 * _BLOCK_TRIALS))
-    runs = h[:split], h[split:]
+    n, mid = h.size, h.size // 2
+    # The mean sums the trials in their own order, before the sort, with np.mean's arithmetic.
+    mean = float(np.add.reduce(h)) / n
+    runs = (h[:mid], h[mid:]) if n > _BLOCK_TRIALS else (h[:0], h)
     thread_map(np.ndarray.sort, runs, n_workers)
     kth = functools.partial(_kth_smallest, *runs)
-    mid = n // 2
     median = kth(mid) if n % 2 else (kth(mid - 1) + kth(mid)) / 2
     by_q = {}
     for q in quantiles:
@@ -551,7 +551,7 @@ def _order_statistics(h: np.ndarray, quantiles: tuple[float, ...],
         lo = math.floor(v)
         a, b, t = kth(lo), kth(min(lo + 1, n - 1)), v - lo
         by_q[q] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-    return median, by_q
+    return mean, median, by_q
 
 
 def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSettings,
@@ -562,10 +562,7 @@ def estimate_harvest(s: LinkScenario, model: HarvesterModel, mc: MonteCarloSetti
     elif (channel.scenario, channel.seed, channel.p_mw.size) != (s, mc.seed, mc.n_samples):
         raise ValueError(f"channel (seed {channel.seed}, n {channel.p_mw.size}) was not drawn for {s} at {mc}")
     draws = harvest_samples(model, channel, n_workers)
-    # The mean sums the trials in their own order, before the reduce sorts
-    # them, with np.mean's arithmetic.
-    mean_uw = float(np.add.reduce(draws.p_h_uw)) / mc.n_samples
-    median_uw, quantiles_uw = _order_statistics(draws.p_h_uw, mc.quantiles, n_workers)
+    mean_uw, median_uw, quantiles_uw = _reduce(draws.p_h_uw, mc.quantiles, n_workers)
     return HarvestStats(
         mean_uw=mean_uw,
         median_uw=median_uw,

@@ -62,6 +62,13 @@ def test_importing_the_cli_does_not_load_scipy_optimize(tmp_path):
     assert result.stdout == "False\n"
 
 
+def test_importing_the_cli_does_not_load_decimal(tmp_path):
+    # Only the text report's quantile labels use decimal, so every other run skips its import.
+    result = run_python(tmp_path, "-c", "import sys, marswpt.cli; print('decimal' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # link
 

@@ -430,8 +430,8 @@ ORDER_VALUES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]) | st.floats(
              max_size=4),
     st.sampled_from([4, link._BLOCK_TRIALS]),
 )
-# With blocks of 4 trials: up to 4 trials the first run is empty; 5 split 4 + 1,
-# 12 split 4 + 8 and 13 split 8 + 5. Zeros tie across the split.
+# With blocks of 4 trials: up to 4 trials the first run is empty; 5 split 2 + 3,
+# 12 split 6 + 6 and 13 split 6 + 7. Zeros tie across the split.
 @example([0.0, 1.0, 0.0, 2.5, 0.0], [0.25], 4)
 @example([0.0] * 6 + [1.0] * 6, [0.5, 0.75], 4)
 @example([2.5, 0.0, 0.0, 1.0, 0.0, 0.0, 2.5, 2.5, 0.0, 1.0, 0.0, 0.0, 7.0], [], 4)
@@ -441,7 +441,8 @@ def test_order_statistics_match_numpy_median_and_quantile(values, extra, block_t
     quantiles = (0.5, 1e-9, 1 - 1e-9, *extra)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(link, "_BLOCK_TRIALS", block_trials)
-        median, by_q = link._order_statistics(h, quantiles)
+        mean, median, by_q = link._reduce(h, quantiles)
+    assert _bits(mean) == _bits(float(np.add.reduce(before)) / before.size)
     assert _bits(median) == _bits(float(np.median(before)))
     for q in quantiles:
         assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
@@ -466,7 +467,8 @@ def test_kth_smallest_of_two_sorted_runs(a, b):
         assert _bits(link._kth_smallest(a, b, k)) == _bits(float(merged[k]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 19_999, 20_000, 1_000_000])
+# 65,537 and 100,003 are the first sizes split at the middle, into 32,768 + 32,769 and 50,001 + 50,002.
+@pytest.mark.parametrize("n", [1, 2, 7, 19_999, 20_000, 65_537, 100_003, 1_000_000])
 def test_order_statistics_match_numpy_at_engine_sizes(n):
     rng = np.random.default_rng(n)
     h = rng.lognormal(0.0, 3.0, n)
@@ -474,10 +476,14 @@ def test_order_statistics_match_numpy_at_engine_sizes(n):
     before = h.copy()
     # At n = 1e6, (n - 1) q for the largest q below 1 lands on or next to the last index.
     quantiles = (0.05, 0.95, 0.01, 1e-9, 1 - 1e-9, 0.5, float(np.nextafter(1.0, 0.0)))
-    median, by_q = link._order_statistics(h, quantiles)
+    mean, median, by_q = link._reduce(h, quantiles)
     # The reduce sorts its argument in place, so that it needs no copy: the
     # trials are all still there, in another order.
     assert np.sort(h).tobytes() == np.sort(before).tobytes()
+    # Above one block the two sorted runs are the halves of the trials; up to one block, one run.
+    split = n // 2 if n > link._BLOCK_TRIALS else 0
+    assert all(np.all(run[:-1] <= run[1:]) for run in (h[:split], h[split:]))
+    assert _bits(mean) == _bits(float(np.add.reduce(before)) / before.size)
     assert _bits(median) == _bits(float(np.median(before)))
     for q in quantiles:
         assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
@@ -500,7 +506,8 @@ def test_order_statistics_match_numpy_at_the_lerp_edges(n, q):
     # Halving each of two subnormals before the sum would lose them.
     for values in (rng.lognormal(0.0, 3.0, n), np.array([1e300, -1e300, 3.0, 0.0, 7.0])[:n], np.full(n, 5e-324)):
         before = values.copy()
-        median, by_q = link._order_statistics(values, (q,))
+        mean, median, by_q = link._reduce(values, (q,))
+        assert _bits(mean) == _bits(float(np.add.reduce(before)) / before.size)
         assert _bits(median) == _bits(float(np.median(before)))
         assert _bits(by_q[q]) == _bits(float(np.quantile(before, q)))
 
